@@ -212,15 +212,19 @@ def _is_jacobi_period(cf, L, max_multiplier):
 
 def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
              depth: int = DEFAULT_DEPTH,
-             max_multiplier: int = DEFAULT_MULTIPLIER_LIMIT) -> Classification:
+             max_multiplier: int = DEFAULT_MULTIPLIER_LIMIT,
+             analysis: PeriodAnalysis | None = None) -> Classification:
     """Decide whether the Kronecker sequence repeats, and with what period.
 
     A critical index makes the sequence aperiodic and yields a witness
     cascade.  Otherwise the sequence is purely periodic: a subcritical index
     doubles the period, else the certified period itself is one.  On
     precision exhaustion the working precision doubles, up to MAX_PRECISION.
+    ``analysis``, when given, is the result of :func:`analyze` for ``cf``
+    and is used instead of analyzing again.
     """
-    analysis = analyze(cf, precision, max_multiplier)
+    if analysis is None:
+        analysis = analyze(cf, precision, max_multiplier)
     if analysis.critical_indices:
         first = analysis.critical_indices[0]
         B = precision

@@ -254,17 +254,14 @@ def quad_irrational_of(cf: PeriodicCF) -> QuadIrrational:
 
 
 def _largest_reduction(P, D, Q):
-    # largest g with g | P, g | Q, g^2 | D that keeps Q/g | (D - P^2)/g^2
-    G = math.gcd(P, Q)
-    best = 1
-    d = 1
-    while d * d <= G:
-        if G % d == 0:
-            for g in (d, G // d):
-                if g > best and D % (g * g) == 0 and (D - P * P) % (Q * g) == 0:
-                    best = g
-        d += 1
-    return best
+    """Largest g with g | P, g | Q, g^2 | D that keeps Q/g | (D - P^2)/g^2.
+
+    That g is gcd(P, Q, (D - P^2)/Q), given Q | D - P^2.  A valid g divides
+    P and Q, and Q*g | D - P^2, so it divides (D - P^2)/Q and hence the gcd.
+    Conversely the gcd G gives Q*G | D - P^2, so G^2 | Q*G | D - P^2, and
+    G^2 | P^2, hence G^2 | D: G is itself valid.
+    """
+    return math.gcd(P, Q, (D - P * P) // Q)
 
 
 def cf_of_rational(s: int, t: int) -> list[int]:

@@ -2,8 +2,10 @@
 
 Exit codes are a stable contract:
   0  periodic classification / agreement / plain success
-  1  usage errors (including cascade on a periodic block)
-  2  parse or precision errors
+  1  usage errors (including cascade on a periodic block, and --count or
+     --depth below 1)
+  2  parse or precision errors (including --precision below 8), and any
+     other package error
   3  aperiodic classification (analyze)
   4  oracle mismatch (verify)
 """
@@ -22,9 +24,8 @@ from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
                        PeriodicL, analyze, cascade, classify)
 from .cf import PeriodicCF, convergents, normalize_period, quad_irrational_of
-from .errors import (EmptyInput, KronseqError, NonPositiveQuotient,
-                     NotAperiodic, NoPeriodFound, OracleMismatch, ParseError,
-                     PrecisionExhausted, WindowTooShort)
+from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
+                     WindowTooShort)
 from .oracle import PeriodReport, cross_check
 from .symbols import STAR, jacobi_sequence, kronecker_sequence, reciprocal_jacobi_sequence
 
@@ -89,11 +90,12 @@ def _v2(n):
 def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisReport:
     cf = normalize_period(block)
     analysis = analyze(cf, precision)
-    verdict = classify(cf, precision)
+    verdict = classify(cf, precision, analysis=analysis)
     q = quad_irrational_of(cf)
     pairs = convergents(cf, analysis.period)
     detail = lambda k: ConvergentDetail(k, pairs[k].s, pairs[k].t, _v2(pairs[k].t))
-    oracle = cross_check(cf, window=window, precision=precision) if window else None
+    oracle = cross_check(cf, window=window, precision=precision,
+                         analysis=analysis, verdict=verdict) if window else None
     return AnalysisReport(
         block=cf.quotients,
         reduced=cf.reduced,
@@ -343,10 +345,11 @@ def cmd_analyze(args) -> int:
 def cmd_cascade(args) -> int:
     block = _read_block_arg(args.block)
     cf = normalize_period(block)
-    verdict = classify(cf, args.precision, depth=args.depth)
+    analysis = analyze(cf, args.precision)
+    verdict = classify(cf, args.precision, depth=args.depth, analysis=analysis)
     if not isinstance(verdict, Aperiodic):
         raise NotAperiodic(f"{cf} has a periodic Kronecker sequence; no cascade")
-    period = analyze(cf, args.precision).period
+    period = analysis.period
     steps = verdict.cascade
     if args.format == "json":
         payload = {
@@ -458,24 +461,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_precision():
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION
+def _precision(raw, source="--precision"):
+    """Working precision in bits, at least 8; a bad value is a ParseError
+    (exit 2), which argparse lets through to main."""
     try:
         value = int(raw)
-        if value < 8:
-            raise ValueError
     except ValueError:
-        raise ParseError(f"invalid {PRECISION_ENV}: {raw!r}")
+        value = 0
+    if value < 8:
+        raise ParseError(f"invalid {source}: {raw!r} (need an integer >= 8)")
+    return value
+
+
+def _default_precision():
+    raw = os.environ.get(PRECISION_ENV)
+    return DEFAULT_PRECISION if raw is None else _precision(raw, PRECISION_ENV)
+
+
+def _positive_int(raw):
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
     return value
 
 
 def _add_common(p, precision):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", metavar="PATH", default=None)
-    p.add_argument("--precision", type=int, default=precision,
-                   help="working 2-adic precision (bits)")
+    p.add_argument("--precision", type=_precision, default=precision,
+                   help="working 2-adic precision (bits, >= 8)")
 
 
 def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:
@@ -487,7 +504,7 @@ def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="convergents and their symbol sequences")
     p.add_argument("block", help='block notation, e.g. "1,2,3" or "[1,2,3]"; "-" reads stdin')
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_positive_int, default=10)
     _add_common(p, precision)
     p.set_defaults(func=cmd_expand)
 
@@ -500,7 +517,7 @@ def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:
 
     p = sub.add_parser("cascade", help="witness cascade of an aperiodic block")
     p.add_argument("block")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
     _add_common(p, precision)
     p.set_defaults(func=cmd_cascade)
 
@@ -529,18 +546,17 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except (EmptyInput, NonPositiveQuotient, PrecisionExhausted, NoPeriodFound) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except NotAperiodic as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except WindowTooShort as exc:
+    except (NotAperiodic, WindowTooShort) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except OracleMismatch as exc:
         sys.stderr.write(f"oracle mismatch: {exc}\n")
         return EXIT_MISMATCH
+    except KronseqError as exc:
+        # every other package error (bad quotients, precision exhausted,
+        # no period found, ...)
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import Aperiodic, analyze, classify
+from .analysis import (Aperiodic, Classification, PeriodAnalysis, analyze,
+                       classify)
 from .cf import PeriodicCF
 from .errors import OracleMismatch, WindowTooShort
 from .symbols import kronecker_sequence
@@ -74,16 +75,21 @@ def _cascade_witness(seq, p, period, steps):
 
 
 def cross_check(cf: PeriodicCF, window: int | None = None,
-                max_period: int | None = None, precision: int = 128) -> PeriodReport:
+                max_period: int | None = None, precision: int = 128,
+                analysis: PeriodAnalysis | None = None,
+                verdict: Classification | None = None) -> PeriodReport:
     """Replay the classification against the literal symbol window.
 
     Periodic verdicts must be consistent with their claimed period on the
     window; aperiodic verdicts must falsify every candidate period up to
     max_period (default 4 times the analysis period).  Any disagreement
-    raises OracleMismatch.
+    raises OracleMismatch.  ``analysis`` and ``verdict``, when given, are
+    the results of :func:`analyze` and :func:`classify` for ``cf``.
     """
-    analysis = analyze(cf, precision)
-    verdict = classify(cf, precision)
+    if analysis is None:
+        analysis = analyze(cf, precision)
+    if verdict is None:
+        verdict = classify(cf, precision, analysis=analysis)
     P = max_period if max_period is not None else 4 * analysis.period
     if window is None:
         window = max(DEFAULT_WINDOW, 2 * P)

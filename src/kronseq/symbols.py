@@ -1,15 +1,46 @@
 """Jacobi and Kronecker symbols, and the symbol sequences of a periodic CF.
 
 Symbols are computed by reciprocity-style reduction only; nothing here
-factors its arguments.
+factors its arguments.  ``jacobi`` and ``kronecker`` work on exact integers
+and are the reference for the sequences, which never build an exact
+convergent.
+
+The sequences come from one pass over the convergents kept mod 2^B.  With
+s_{-1} = 1, t_{-1} = 0, s_0 = a_0, t_0 = 1, consecutive convergents satisfy
+
+    s_k t_{k-1} - s_{k-1} t_k = (-1)^(k+1).
+
+Write u_k for the odd part of t_k, chi(x) = (x/2) (+1 for x = +-1 mod 8)
+and R(x, y) = -1 exactly when the odd parts of x and y are both 3 mod 4,
+the sign of Kronecker reciprocity for coprime positive arguments (Cohen,
+A Course in Computational Algebraic Number Theory, Thm 1.4.9).  Let
+c_k = (t_{k-1}/t_k).  Then c_0 = c_1 = 1 and, for k >= 2, since
+t_k = t_{k-2} mod t_{k-1},
+
+    c_k = R(t_{k-1}, t_k) * c_{k-1} * chi(t_k t_{k-2})^v2(t_{k-1}).
+
+Reducing the identity mod u_k gives (s_k/u_k)(t_{k-1}/u_k) =
+((-1)^(k+1)/u_k), and the 2-part of t_k contributes chi(s_k t_{k-1})^v2(t_k):
+
+    (s_k/t_k) = c_k * ((-1)^(k+1)/u_k) * chi(s_k t_{k-1})^v2(t_k).
+
+The Jacobi entry is that value when t_k is odd, and the reciprocal entry
+(t_k/s_k) = R(s_k, t_k) * (s_k/t_k) when s_k is odd.  As in computing the
+Jacobi symbol from the Euclidean quotient sequence (Brent & Zimmermann,
+ANTS 2010), the quotients are known up front: here they are the block
+itself.  Each term needs only v2(t_k) and the residues mod 8 of odd parts.
+The pass reads them off t_k mod 2^B while v2(t_k) < B-3 (bits v2 to v2+2
+lie inside the residue, with one to spare); when t_k = 0 mod 2^B or
+v2(t_k) >= B-3 it restarts at twice the precision, which ends once 2^B
+exceeds 8 t_k.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cf import PeriodicCF, iter_convergent_pairs
-from .errors import EvenArgument, EvenModulus, NotCoprime
+from .cf import PeriodicCF
+from .errors import EvenArgument, EvenModulus, NotCoprime, PrecisionExhausted
 
 __all__ = [
     "STAR",
@@ -24,6 +55,9 @@ __all__ = [
 # Placeholder entry for sequence positions where the Jacobi symbol is
 # undefined (even lower argument).  Serialized as-is.
 STAR = "*"
+
+# Working precision (bits) of the residue pass before any escalation.
+_START_PRECISION = 64
 
 
 def jacobi(a: int, n: int) -> int:
@@ -75,34 +109,70 @@ def reciprocity_sign(s_odd: int, t_odd: int) -> int:
 
 def jacobi_sequence(cf: PeriodicCF, count: int) -> list:
     """(s_k/t_k) for k < count, with STAR wherever t_k is even."""
-    return _sequence(cf, count, _jacobi_entry)
+    return _symbol_sequences(cf, count)[1]
 
 
 def reciprocal_jacobi_sequence(cf: PeriodicCF, count: int) -> list:
     """(t_k/s_k) for k < count, with STAR wherever s_k is even."""
-    return _sequence(cf, count, _reciprocal_entry)
+    return _symbol_sequences(cf, count)[2]
 
 
 def kronecker_sequence(cf: PeriodicCF, count: int) -> list[int]:
     """Kronecker symbols (s_k/t_k) for k < count; entries are always +-1
     because consecutive convergents are coprime."""
-    return _sequence(cf, count, kronecker)
+    return _symbol_sequences(cf, count)[0]
 
 
-def _jacobi_entry(s, t):
-    return STAR if t % 2 == 0 else jacobi(s, t)
-
-
-def _reciprocal_entry(s, t):
-    return STAR if s % 2 == 0 else jacobi(t, s)
-
-
-def _sequence(cf, count, entry):
+def _symbol_sequences(cf, count, precision=_START_PRECISION):
+    """(Kronecker, Jacobi, reciprocal Jacobi) lists of length count, from
+    the residue pass at the smallest doubling of precision that resolves
+    every term."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = []
-    it = iter_convergent_pairs(cf)
-    for _ in range(count):
-        s, t = next(it)
-        out.append(entry(s, t))
-    return out
+    while True:
+        try:
+            return _residue_pass(cf, count, precision)
+        except PrecisionExhausted:
+            precision *= 2
+
+
+def _residue_pass(cf, count, precision):
+    # Loop state before step k: s = s_{k-1}, s_prev = s_{k-2}, t = t_{k-1},
+    # t_prev = t_{k-2} (all mod 2^precision), w = v2(t_{k-1}),
+    # o = u_{k-1} mod 8 and c = c_{k-1}.
+    mask = (1 << precision) - 1
+    limit = precision - 3
+    quotients = [a & mask for a in cf.quotients]
+    l = len(quotients)
+    s, s_prev, t, t_prev = quotients[0], 1, 1, 0
+    w, o, c = 0, 1, 1
+    kro, jac, rec = [1], [1], [1 if s & 1 else STAR]
+    for k in range(1, count):
+        a = quotients[k % l]
+        s, s_prev = (a * s + s_prev) & mask, s
+        t_new = (a * t + t_prev) & mask
+        if t_new & 1:
+            v, u = 0, t_new & 7
+        else:
+            if not t_new:
+                raise PrecisionExhausted(f"t_{k} = 0 mod 2^{precision}")
+            v = (t_new & -t_new).bit_length() - 1
+            if v >= limit:
+                raise PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {precision}")
+            u = (t_new >> v) & 7
+        if o & u & 2:  # R(t_{k-1}, t_k)
+            c = -c
+        if w & 1 and (t_new * t_prev) & 7 in (3, 5):  # chi(t_k t_{k-2})^w
+            c = -c
+        sym = c
+        if not k & 1 and u & 2:  # ((-1)^(k+1) / u_k)
+            sym = -sym
+        if v & 1 and (s * t) & 7 in (3, 5):  # chi(s_k t_{k-1})^v
+            sym = -sym
+        kro.append(sym)
+        jac.append(STAR if v else sym)
+        # (t_k/s_k) = R(s_k, t_k) * (s_k/t_k)
+        rec.append(STAR if not s & 1 else -sym if s & u & 2 else sym)
+        t, t_prev = t_new, t
+        w, o = v, u
+    return kro, jac, rec

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from kronseq import (Convergent, EmptyInput, NonPositiveQuotient, NotCoprime,
                      PeriodicCF, QuadIrrational, cf_of_rational, convergents,
                      matrix_at, matrix_at_mod2, normalize_period,
                      quad_irrational_of)
+from kronseq.cf import _largest_reduction
 
 blocks = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(tuple)
 
@@ -244,3 +246,35 @@ def test_quad_irrational_round_trip(block):
     quots, state = expand_quadratic(z.P, z.D, z.Q, len(cf))
     assert tuple(quots) == cf.quotients
     assert state == (z.P, z.Q)  # purely periodic: the state returns
+
+
+def largest_reduction_by_divisors(P, D, Q):
+    """Reference: try every divisor g of gcd(P, Q), keeping the largest
+    with g^2 | D and Q/g | (D - P^2)/g^2."""
+    G = math.gcd(P, Q)
+    best = 1
+    d = 1
+    while d * d <= G:
+        if G % d == 0:
+            for g in (d, G // d):
+                if g > best and D % (g * g) == 0 and (D - P * P) % (Q * g) == 0:
+                    best = g
+        d += 1
+    return best
+
+
+def test_largest_reduction_matches_divisor_search():
+    # unreduced (P, D, Q) of every minimal block with l <= 5, quotients <= 5
+    checked = reduced = 0
+    for l in range(1, 6):
+        for block in itertools.product(range(1, 6), repeat=l):
+            cf = normalize_period(block)
+            if cf.quotients != block:
+                continue
+            M = matrix_at(cf, l - 1)
+            P, D, Q = M.s - M.t_prev, (M.t_prev - M.s) ** 2 + 4 * M.t * M.s_prev, 2 * M.t
+            g = _largest_reduction(P, D, Q)
+            assert g == largest_reduction_by_divisors(P, D, Q), block
+            checked += 1
+            reduced += g > 1
+    assert checked >= 2000 and reduced > 0

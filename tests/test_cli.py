@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kronseq import OracleMismatch, ParseError
+from kronseq import NotCoprime, OracleMismatch, ParseError
 from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_USAGE, build_report, main, parse_block,
                          report_from_json, report_to_json)
@@ -288,3 +288,79 @@ def test_flag_precision_beats_env(capsys, monkeypatch):
     code, out, _ = run(capsys, ["analyze", "1,2,3", "--format", "json",
                                 "--precision", "64"])
     assert json.loads(out)["precision"] == 64
+
+
+# ---------------------------------------------------------------------------
+# one analysis per request
+
+@pytest.fixture
+def analyze_calls(monkeypatch):
+    import kronseq.analysis
+    import kronseq.cli
+    import kronseq.oracle
+
+    calls = []
+    original = kronseq.analysis.analyze
+
+    def counted(*a, **k):
+        calls.append(a[0])
+        return original(*a, **k)
+
+    for module in (kronseq.analysis, kronseq.cli, kronseq.oracle):
+        monkeypatch.setattr(module, "analyze", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "1,2,5", "--window", "240"],
+    ["analyze", "1,2,3", "--window", "240"],
+    ["verify", "1,2,5", "--window", "240"],
+    ["cascade", "1,2,5", "--depth", "3"],
+])
+def test_each_command_analyzes_once(capsys, analyze_calls, argv):
+    main(argv)
+    capsys.readouterr()
+    assert len(analyze_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# argument errors end with an exit code, never a traceback
+
+def run_to_exit(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    return code, out.err
+
+
+def test_expand_count_below_one_is_usage_error(capsys):
+    code, err = run_to_exit(capsys, ["expand", "1,2,3", "--count", "0"])
+    assert code == EXIT_USAGE
+    assert "--count" in err
+
+
+def test_cascade_depth_below_one_is_usage_error(capsys):
+    code, err = run_to_exit(capsys, ["cascade", "1,2,5", "--depth", "0"])
+    assert code == EXIT_USAGE
+    assert "--depth" in err
+
+
+def test_precision_below_eight_is_parse_error(capsys):
+    code, err = run_to_exit(capsys, ["analyze", "1,2,5", "--precision", "4"])
+    assert code == EXIT_PARSE
+    assert "--precision" in err
+
+
+def test_any_package_error_maps_to_exit_2(capsys, monkeypatch):
+    import kronseq.cli as cli
+
+    def fail(*a, **k):
+        raise NotCoprime("forced")
+
+    monkeypatch.setattr(cli, "build_report", fail)
+    code, err = run_to_exit(capsys, ["analyze", "1,2,3"])
+    assert code == EXIT_PARSE
+    assert "forced" in err

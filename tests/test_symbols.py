@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kronseq import (STAR, EvenArgument, EvenModulus, NotCoprime, jacobi,
+from kronseq import (STAR, EvenArgument, EvenModulus, NotCoprime,
+                     PrecisionExhausted, iter_convergent_pairs, jacobi,
                      jacobi_sequence, kronecker, kronecker_sequence,
                      normalize_period, reciprocal_jacobi_sequence,
                      reciprocity_sign)
+from kronseq.symbols import _residue_pass, _symbol_sequences
 
 from conftest import (CORPUS, block_certified_decomposition,
                       block_certified_length, block_cf, convergent_pairs,
@@ -195,5 +200,64 @@ def test_sign_law_at_certified_length():
 
 
 def test_sequence_count_validation():
-    with pytest.raises(ValueError):
-        kronecker_sequence(block_cf((1, 2)), 0)
+    for sequence in (kronecker_sequence, jacobi_sequence, reciprocal_jacobi_sequence):
+        for count in (0, -3):
+            with pytest.raises(ValueError):
+                sequence(block_cf((1, 2)), count)
+
+
+# ---------------------------------------------------------------------------
+# residue engine against the exact symbols
+
+def exact_sequences(cf, count):
+    """(Kronecker, Jacobi, reciprocal Jacobi) lists from exact convergents.
+
+    For odd t, kronecker(s, t) is jacobi(s, t) itself, so the Jacobi entry
+    reuses it."""
+    kro, jac, rec = [], [], []
+    it = iter_convergent_pairs(cf)
+    for _ in range(count):
+        s, t = next(it)
+        k = kronecker(s, t)
+        kro.append(k)
+        jac.append(k if t % 2 else STAR)
+        rec.append(jacobi(t, s) if s % 2 else STAR)
+    return kro, jac, rec
+
+
+def public_sequences(cf, count):
+    return (kronecker_sequence(cf, count), jacobi_sequence(cf, count),
+            reciprocal_jacobi_sequence(cf, count))
+
+
+MINIMAL_SMALL_BLOCKS = [
+    b for l in range(1, 5) for b in itertools.product(range(1, 5), repeat=l)
+    if normalize_period(b).quotients == b
+]
+
+
+def test_engine_matches_exact_on_all_small_blocks():
+    # every minimal block with l <= 4 and quotients <= 4
+    assert len(MINIMAL_SMALL_BLOCKS) == 316
+    for block in MINIMAL_SMALL_BLOCKS:
+        cf = normalize_period(block)
+        assert public_sequences(cf, 400) == exact_sequences(cf, 400), block
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=10),
+       st.integers(1, 600))
+def test_engine_matches_exact_on_random_blocks(block, count):
+    cf = normalize_period(block)
+    assert public_sequences(cf, count) == exact_sequences(cf, count)
+
+
+@pytest.mark.parametrize("block", [(1, 2, 5), (1, 2, 2), (2,), (1, 1, 2), (3, 1, 1, 2)])
+def test_engine_escalates_from_low_precision(block):
+    # at 8 bits v2(t_k) soon reaches the limit; the pass must restart at a
+    # higher precision and still agree with the exact symbols, here beyond
+    # the deep cascade index k=139 of (1,2,5)
+    cf = normalize_period(block)
+    with pytest.raises(PrecisionExhausted):
+        _residue_pass(cf, 200, 8)
+    assert tuple(_symbol_sequences(cf, 200, 8)) == exact_sequences(cf, 200)
