@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cf import PeriodicCF, iter_convergent_pairs, matrix_at, matrix_at_mod2
+from .cf import (PeriodicCF, _mat_mul_mod, iter_convergent_pairs, matrix_at,
+                 matrix_at_mod2)
 from .errors import NoPeriodFound, NotAperiodic, PrecisionExhausted
 from .symbols import jacobi_sequence
 
@@ -272,18 +273,37 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     k_j is critical for 2^(r_j) * period but not for 2^(r_j + 1) * period,
     and k_{j+1} = k_j + 2^(r_j) * period.  Both coordinates increase
     strictly.  Valuations of t_{k_j} are read off mod 2**precision.
+
+    The matrices M_k = matrix_at(cf, k) are walked incrementally: for N a
+    multiple of the block length, D(N) * M_k = M_{k+N}.  Proof: M_{k+N} is
+    the product of the quotient matrices of a_0..a_{k+N}; its first N
+    factors make D(N), and since a_{N+i} = a_i the remaining k+1 factors
+    make M_k.  The same argument gives D(2^r * period) = D(period)^(2^r).
+    So with M = M_{k_j} and P = D(period)^(2^(r_j)), the next matrix is
+    P * M, exact in Z/2^precision.  Because r_j rises strictly, P is only
+    ever squared further: a cascade of the given depth costs at most
+    r_depth squarings and depth - 1 products, plus the two logarithmic
+    powers that give M_start and D(period).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if period % len(cf):
+        raise ValueError(f"period {period} is not a multiple of the block length of {cf}")
     m, _, e = decompose(cf, period, max(precision, 8))
     if e is None:
         raise NotAperiodic(f"{cf} has no critical threshold")
     base = m + e
+    mask = (1 << precision) - 1
+    M = matrix_at_mod2(cf, start, precision)
+    M = (M.s, M.s_prev, M.t, M.t_prev)
+    P = matrix_at_mod2(cf, period - 1, precision)
+    P = (P.s, P.s_prev, P.t, P.t_prev)
+    p_r = 0  # P = D(period)^(2^p_r)
     out = []
     k = start
     prev_r = -1
-    for _ in range(depth):
-        t = matrix_at_mod2(cf, k, precision).t
+    for j in range(depth):
+        t = M[2]
         if t == 0 or _v2(t) >= precision - 2:
             raise PrecisionExhausted(
                 f"v2(t_{k}) not resolvable at precision {precision}")
@@ -294,5 +314,11 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
             raise AssertionError(f"cascade not strictly increasing at k={k}")
         out.append((k, r))
         prev_r = r
+        if j == depth - 1:
+            break
+        while p_r < r:
+            P = _mat_mul_mod(P, P, mask)
+            p_r += 1
+        M = _mat_mul_mod(P, M, mask)
         k += (1 << r) * period
     return tuple(out)

@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract:
   0  periodic classification / agreement / plain success
-  1  usage errors (including cascade on a periodic block, and --count or
-     --depth below 1)
+  1  usage errors (including cascade on a periodic block, and --count,
+     --depth, --window or --max-period below 1)
   2  parse or precision errors (including --precision below 8), and any
      other package error
   3  aperiodic classification (analyze)
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -510,7 +511,7 @@ def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full period analysis and classification")
     p.add_argument("block")
-    p.add_argument("--window", type=int, default=None,
+    p.add_argument("--window", type=_positive_int, default=None,
                    help="also run the brute-force oracle on this window")
     _add_common(p, precision)
     p.set_defaults(func=cmd_analyze)
@@ -523,8 +524,8 @@ def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check classification on a symbol window")
     p.add_argument("block")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--max-period", type=int, default=None)
+    p.add_argument("--window", type=_positive_int, default=None)
+    p.add_argument("--max-period", type=_positive_int, default=None)
     _add_common(p, precision)
     p.set_defaults(func=cmd_verify)
 
@@ -536,12 +537,21 @@ def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser of :func:`main`, built once per process.  Its --precision
+    default is None, filled in per call from the environment."""
+    return build_parser(None)
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # big integers print in full decimal
     try:
-        parser = build_parser(_default_precision())
-        args = parser.parse_args(argv)
+        precision = _default_precision()  # read per call, before parsing
+        args = _shared_parser().parse_args(argv)
+        if args.precision is None:
+            args.precision = precision
         return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -86,6 +86,8 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     raises OracleMismatch.  ``analysis`` and ``verdict``, when given, are
     the results of :func:`analyze` and :func:`classify` for ``cf``.
     """
+    if max_period is not None and max_period < 1:
+        raise ValueError("max_period must be >= 1")
     if analysis is None:
         analysis = analyze(cf, precision)
     if verdict is None:

@@ -1,10 +1,15 @@
+import itertools
+
 import pytest
 
+import kronseq.analysis
+import kronseq.cf
 from kronseq import (Aperiodic, NoPeriodFound, Periodic2L, PeriodicL,
                      PrecisionExhausted, analyze, cascade,
                      certified_period_length, classify, convergents,
-                     critical_scan, decompose, matrix_at, mod4_period_length,
-                     normalize_period, threshold_valuation)
+                     critical_scan, decompose, matrix_at, matrix_at_mod2,
+                     mod4_period_length, normalize_period,
+                     threshold_valuation)
 
 from conftest import CORPUS, block_analysis, block_classification, block_cf
 
@@ -234,6 +239,75 @@ def test_cascade_rejects_non_critical_start():
 def test_cascade_precision_exhaustion_reported():
     with pytest.raises(PrecisionExhausted):
         cascade(block_cf((1, 2, 5)), 12, 7, depth=8, precision=16)
+
+
+def test_cascade_rejects_period_off_the_block_length():
+    with pytest.raises(ValueError, match="multiple"):
+        cascade(block_cf((1, 2, 5)), 8, 7, depth=2)
+
+
+def reference_cascade(cf, period, start, depth, precision):
+    """The cascade by a fresh binary power matrix_at_mod2(cf, k_j) at every
+    step.  Returns the steps made and the type of the error that stopped
+    the walk before ``depth`` steps, or None."""
+    m, _, e = decompose(cf, period, max(precision, 8))
+    out, k = [], start
+    for _ in range(depth):
+        t = matrix_at_mod2(cf, k, precision).t
+        if t == 0 or v2(t) >= precision - 2:
+            return tuple(out), PrecisionExhausted
+        r = v2(t) - m - e
+        if not out and r < 0:
+            return tuple(out), ValueError
+        if out and r <= out[-1][1]:
+            return tuple(out), AssertionError
+        out.append((k, r))
+        k += (1 << r) * period
+    return tuple(out), None
+
+
+def test_cascade_matches_per_index_reference():
+    # every aperiodic minimal block with l <= 4 and quotients <= 4, at
+    # depths 1-40: the same steps, or the same error at the same depth
+    blocks = [b for l in range(1, 5) for b in itertools.product(range(1, 5), repeat=l)]
+    aperiodic = 0
+    for block in blocks:
+        cf = normalize_period(block)
+        a = analyze(cf)
+        if cf.quotients != block or not a.critical_indices:
+            continue
+        aperiodic += 1
+        start = a.critical_indices[0]
+        for precision in (16, 32, 64, 128):
+            steps, error = reference_cascade(cf, a.period, start, 40, precision)
+            for depth in range(1, 41):
+                where = (block, precision, depth)
+                if depth <= len(steps):
+                    got = cascade(cf, a.period, start, depth, precision)
+                    assert got == steps[:depth], where
+                else:
+                    with pytest.raises(error):
+                        cascade(cf, a.period, start, depth, precision)
+    assert aperiodic == 55
+
+
+def test_cascade_cost_is_linear_in_depth(monkeypatch):
+    # one attempt makes the two logarithmic powers, r_max squarings and
+    # depth - 1 steps; the per-index formula makes 64,622 products here
+    products = []
+    original = kronseq.cf._mat_mul_mod
+
+    def counted(A, B, mask):
+        products.append(None)
+        return original(A, B, mask)
+
+    for module in (kronseq.cf, kronseq.analysis):
+        monkeypatch.setattr(module, "_mat_mul_mod", counted)
+    cf, period, depth = block_cf((1, 2, 5)), 12, 200
+    steps = cascade(cf, period, 7, depth, precision=512)
+    assert len(steps) == depth
+    r_max = steps[-1][1]
+    assert len(products) <= r_max + depth + 4 * (len(cf) + period.bit_length())
 
 
 # ---------------------------------------------------------------------------

@@ -364,3 +364,43 @@ def test_any_package_error_maps_to_exit_2(capsys, monkeypatch):
     code, err = run_to_exit(capsys, ["analyze", "1,2,3"])
     assert code == EXIT_PARSE
     assert "forced" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "1,2,3", "--window"],
+    ["verify", "1,2,3", "--window"],
+    ["verify", "1,2,3", "--max-period"],
+])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_window_and_max_period_below_one_are_usage_errors(capsys, argv, value):
+    code, err = run_to_exit(capsys, argv + [value])
+    assert code == EXIT_USAGE
+    assert argv[-1] in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_env_precision_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("KRONSEQ_PRECISION", "256")
+    _, out, _ = run(capsys, ["analyze", "1,2,3", "--format", "json"])
+    assert json.loads(out)["precision"] == 256
+    monkeypatch.delenv("KRONSEQ_PRECISION")
+    _, out, _ = run(capsys, ["analyze", "1,2,3", "--format", "json"])
+    assert json.loads(out)["precision"] == 128
+
+
+@pytest.mark.parametrize("argv", [
+    ["cascade", "1,2,5", "--depth", "40", "--format", "json"],
+    ["analyze", "1,2,3", "--window", "240"],
+    ["verify", "1,2,5", "--window", "240"],
+])
+def test_repeated_calls_leave_no_reference_cycles(capsys, argv):
+    import gc
+
+    main(argv)  # warm-up: builds the shared parser
+    gc.collect()
+    for _ in range(8):
+        main(argv)
+    capsys.readouterr()
+    assert gc.collect() == 0

@@ -180,3 +180,9 @@ def test_symbol_sequences_have_period_dividing_certified_length():
                        reciprocal_window(block, 10 * L)):
             emp = empirical_period(window)
             assert emp is not None and L % emp == 0, block
+
+
+@pytest.mark.parametrize("max_period", [0, -3])
+def test_cross_check_rejects_max_period_below_one(max_period):
+    with pytest.raises(ValueError):
+        cross_check(block_cf((1, 2, 3)), window=240, max_period=max_period)
