@@ -12,12 +12,20 @@ squaring sends (m, e) to (m+1, e), an odd multiple keeps both, and v2(t_k)
 is carried along correspondingly, so critical indices exist for one
 admissible base iff they exist for every other.
 
+Three facts fix the base and its threshold.  (1) D(d*l) = B^d for the
+block matrix B = D(l) (see :func:`cascade`), so the L with D(L) = I mod 4
+are the multiples of L4 = ord(B mod 4) * l.  They are all even, since
+det D(L) = (-1)^L must be 1 mod 4.  Every element of GL2(Z/4) has order
+1, 2, 3, 4 or 6 (by enumeration of all 96), so L4 <= 6l.
+(2) The lower-left entry of D(L) - I is t_{L-1}, so m + e = v2(t_{L-1}),
+which D(L) mod 2^B gives while it is below B.  (3) t_{L-1} >= 1, so e is
+always finite.
+
 The identity-mod-4 condition alone does not force the Jacobi symbol
 sequence to repeat with period L, and when it does not, L or 2L need not be
 a period of the Kronecker sequence either.  Periodic-case period claims are
 therefore made at the smallest admissible L that is also a certified period
-of the Jacobi sequence (checked on a window long enough to be conclusive
-for any true period within the search bound).
+of the Jacobi sequence.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 
 from .cf import (PeriodicCF, _mat_mul_mod, iter_convergent_pairs, matrix_at,
                  matrix_at_mod2)
-from .errors import NoPeriodFound, NotAperiodic, PrecisionExhausted
+from .errors import NoPeriodFound, PrecisionExhausted
 from .symbols import jacobi_sequence
 
 __all__ = [
@@ -46,29 +54,26 @@ __all__ = [
     "DEFAULT_PRECISION",
     "MAX_PRECISION",
     "DEFAULT_DEPTH",
-    "DEFAULT_MULTIPLIER_LIMIT",
 ]
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 4096
 DEFAULT_DEPTH = 8
-DEFAULT_MULTIPLIER_LIMIT = 24
+_SEARCH_BOUND = 24  # certified periods are sought up to this many blocks
 
 
 @dataclass(frozen=True)
 class PeriodAnalysis:
     """2-adic data of one admissible period length.
 
-    ``e`` is None when U's lower-left entry is zero (cannot happen for
-    exact decompositions, where that entry is t_{period-1} / 2^m >= 1,
-    but the field keeps the contract explicit).  ``certified`` records
-    whether ``period`` is a verified period of the Jacobi sequence.
+    ``e`` is never None (U's lower-left entry is t_{period-1} / 2^m >= 1).
+    ``certified`` records whether ``period`` is a verified Jacobi period.
     """
 
     period: int
     m: int
     U: tuple[tuple[int, int], tuple[int, int]]
-    e: int | None
+    e: int
     critical_indices: tuple[int, ...]
     subcritical_indices: tuple[int, ...]
     precision: int
@@ -101,61 +106,75 @@ Classification = PeriodicL | Periodic2L | Aperiodic
 
 
 def _is_identity_mod4(M):
-    return (M.s % 4, M.s_prev % 4, M.t % 4, M.t_prev % 4) == (1, 0, 0, 1)
+    """Whether the 4-tuple (s, s_prev, t, t_prev) is I mod 4."""
+    return (M[0] & 3, M[1] & 3, M[2] & 3, M[3] & 3) == (1, 0, 0, 1)
 
 
-def mod4_period_length(cf: PeriodicCF, max_multiplier: int = DEFAULT_MULTIPLIER_LIMIT) -> int:
-    """Smallest even multiple L of the block length with D(L) = I mod 4."""
-    l = len(cf)
-    for d in range(1, max_multiplier + 1):
-        L = d * l
-        if L % 2 == 0 and _is_identity_mod4(matrix_at(cf, L - 1)):
-            return L
-    raise NoPeriodFound(f"no admissible period length up to {max_multiplier}*{l} for {cf}")
+def mod4_period_length(cf: PeriodicCF) -> int:
+    """Smallest even multiple L of the block length with D(L) = I mod 4.
 
-
-def certified_period_length(cf: PeriodicCF, max_multiplier: int = DEFAULT_MULTIPLIER_LIMIT) -> int:
-    """Smallest even multiple L with D(L) = I mod 4 that is also a period of
-    the Jacobi sequence.
-
-    The Jacobi sequence is purely periodic with some period within the
-    search bound, so comparing shifted windows of length 2*bound certifies
-    candidates exactly rather than merely empirically.
+    D(d*l) = B^d for the block matrix B = D(l), so L = ord(B mod 4) * l,
+    found by powering B on 2x2 matrices mod 4; it is even and at most 6l
+    (see the module docstring).
     """
-    l = len(cf)
-    bound = max_multiplier * l
-    window = jacobi_sequence(cf, 2 * bound)
-    for d in range(1, max_multiplier + 1):
-        L = d * l
-        if L % 2 or not _is_identity_mod4(matrix_at(cf, L - 1)):
-            continue
+    M = matrix_at_mod2(cf, len(cf) - 1, 2)
+    B = (M.s, M.s_prev, M.t, M.t_prev)
+    P, order = B, 1
+    while not _is_identity_mod4(P):
+        P = _mat_mul_mod(P, B, 3)
+        order += 1
+    return order * len(cf)
+
+
+def _jacobi_window(cf):
+    """Jacobi symbols for twice the longest period that is tried."""
+    return jacobi_sequence(cf, 2 * _SEARCH_BOUND * len(cf))
+
+
+def certified_period_length(cf: PeriodicCF) -> int:
+    """Smallest multiple L of L4 = mod4_period_length(cf) that is also a
+    period of the Jacobi sequence.
+
+    The Jacobi sequence is purely periodic with some period of at most 24
+    block lengths, so comparing shifted windows of twice that length
+    certifies candidates exactly rather than merely empirically.
+    """
+    L4 = mod4_period_length(cf)
+    window = _jacobi_window(cf)
+    for L in range(L4, _SEARCH_BOUND * len(cf) + 1, L4):
         if window[L:] == window[:-L]:
             return L
-    raise NoPeriodFound(f"no certified period length up to {max_multiplier}*{l} for {cf}")
+    raise NoPeriodFound(f"no certified period length up to {_SEARCH_BOUND}*{len(cf)} for {cf}")
 
 
 def _v2(n):
     return (n & -n).bit_length() - 1
 
 
+def _resolved_v2(t, precision, k):
+    """v2(t_k) from t = t_k mod 2**precision, if that residue settles it."""
+    if t == 0 or _v2(t) >= precision - 2:
+        raise PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {precision}")
+    return _v2(t)
+
+
 def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
     """Split D(period) = I + 2^m * U; returns (m, U mod 2**precision, e).
 
     Computed exactly (period lengths are small), then truncated; e is the
-    exact valuation of U's lower-left entry, or None if that entry is zero.
+    exact valuation of U's lower-left entry t_{period-1} / 2^m >= 1.
     """
     if precision < 8:
         raise ValueError("precision must be >= 8")
     M = matrix_at(cf, period - 1)
-    if not _is_identity_mod4(M):
+    if not _is_identity_mod4((M.s, M.s_prev, M.t, M.t_prev)):
         raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
     diff = (M.s - 1, M.s_prev, M.t, M.t_prev - 1)
     m = min(_v2(x) for x in diff if x != 0)
     mask = (1 << precision) - 1
     x, y, u, v = (d >> m for d in diff)
-    e = _v2(u) if u else None
     U = ((x & mask, y & mask), (u & mask, v & mask))
-    return m, U, e
+    return m, U, _v2(u)
 
 
 def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
@@ -175,8 +194,7 @@ def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     return tuple(critical), tuple(subcritical)
 
 
-def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
-            max_multiplier: int = DEFAULT_MULTIPLIER_LIMIT) -> PeriodAnalysis:
+def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysis:
     """Period analysis underlying :func:`classify`.
 
     Critical indices are base-independent, so the aperiodic case is reported
@@ -184,36 +202,25 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     analysis is redone at the certified length, which is the base at which
     the period claims of the classification actually hold.
     """
-    L = mod4_period_length(cf, max_multiplier)
+    L = mod4_period_length(cf)
     m, U, e = decompose(cf, L, precision)
-    if e is not None:
-        critical, subcritical = critical_scan(cf, L, m, e)
-        if critical:
-            certified = _is_jacobi_period(cf, L, max_multiplier)
-            return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified)
-    else:
-        critical = subcritical = ()
-    Lc = certified_period_length(cf, max_multiplier)
+    critical, subcritical = critical_scan(cf, L, m, e)
+    if critical:
+        window = _jacobi_window(cf)
+        certified = window[L:] == window[:-L]
+        return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified)
+    Lc = certified_period_length(cf)
     if Lc != L:
         m, U, e = decompose(cf, Lc, precision)
-        if e is not None:
-            critical, subcritical = critical_scan(cf, Lc, m, e)
-            if critical:
-                raise AssertionError(
-                    f"critical indices appeared at {Lc} but not at {L} for {cf}")
-        else:
-            critical = subcritical = ()
+        critical, subcritical = critical_scan(cf, Lc, m, e)
+        if critical:
+            raise AssertionError(
+                f"critical indices appeared at {Lc} but not at {L} for {cf}")
     return PeriodAnalysis(Lc, m, U, e, critical, subcritical, precision, True)
-
-
-def _is_jacobi_period(cf, L, max_multiplier):
-    window = jacobi_sequence(cf, 2 * max_multiplier * len(cf))
-    return L < len(window) and window[L:] == window[:-L]
 
 
 def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
              depth: int = DEFAULT_DEPTH,
-             max_multiplier: int = DEFAULT_MULTIPLIER_LIMIT,
              analysis: PeriodAnalysis | None = None) -> Classification:
     """Decide whether the Kronecker sequence repeats, and with what period.
 
@@ -225,7 +232,7 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     and is used instead of analyzing again.
     """
     if analysis is None:
-        analysis = analyze(cf, precision, max_multiplier)
+        analysis = analyze(cf, precision)
     if analysis.critical_indices:
         first = analysis.critical_indices[0]
         B = precision
@@ -238,9 +245,6 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
                     raise
                 B = min(2 * B, MAX_PRECISION)
         return Aperiodic(first_critical=first, cascade=steps)
-    if analysis.e is None:
-        # lower-left of U vanished: no index can reach any finite threshold
-        return PeriodicL(period=analysis.period)
     if analysis.subcritical_indices:
         return Periodic2L(period=2 * analysis.period,
                           witness=analysis.subcritical_indices[0])
@@ -259,11 +263,7 @@ def threshold_valuation(cf: PeriodicCF, period: int, doublings: int,
     mask = M.modulus - 1
     for _ in range(doublings):
         M = M @ M
-    t = M.t & mask
-    if t == 0 or _v2(t) >= precision - 2:
-        raise PrecisionExhausted(
-            f"valuation at {doublings} doublings needs precision above {precision}")
-    return _v2(t)
+    return _resolved_v2(M.t & mask, precision, (period << doublings) - 1)
 
 
 def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
@@ -283,31 +283,27 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     P * M, exact in Z/2^precision.  Because r_j rises strictly, P is only
     ever squared further: a cascade of the given depth costs at most
     r_depth squarings and depth - 1 products, plus the two logarithmic
-    powers that give M_start and D(period).
+    powers that give M_start and D(period).  The threshold m + e is
+    v2(t_{period-1}), read off the same D(period) mod 2**precision.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if period % len(cf):
         raise ValueError(f"period {period} is not a multiple of the block length of {cf}")
-    m, _, e = decompose(cf, period, max(precision, 8))
-    if e is None:
-        raise NotAperiodic(f"{cf} has no critical threshold")
-    base = m + e
     mask = (1 << precision) - 1
     M = matrix_at_mod2(cf, start, precision)
     M = (M.s, M.s_prev, M.t, M.t_prev)
     P = matrix_at_mod2(cf, period - 1, precision)
     P = (P.s, P.s_prev, P.t, P.t_prev)
+    if not _is_identity_mod4(P):
+        raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
+    base = _resolved_v2(P[2], precision, period - 1)  # m + e
     p_r = 0  # P = D(period)^(2^p_r)
     out = []
     k = start
     prev_r = -1
     for j in range(depth):
-        t = M[2]
-        if t == 0 or _v2(t) >= precision - 2:
-            raise PrecisionExhausted(
-                f"v2(t_{k}) not resolvable at precision {precision}")
-        r = _v2(t) - base
+        r = _resolved_v2(M[2], precision, k) - base
         if not out and r < 0:
             raise ValueError(f"start index {start} is not critical for period {period}")
         if r <= prev_r:

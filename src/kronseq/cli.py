@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract:
   0  periodic classification / agreement / plain success
-  1  usage errors (including cascade on a periodic block, and --count,
-     --depth, --window or --max-period below 1)
+  1  usage errors (including cascade on a periodic block, --count,
+     --depth, --window or --max-period below 1, an unreadable batch input
+     and an --output path that cannot be written)
   2  parse or precision errors (including --precision below 8), and any
      other package error
   3  aperiodic classification (analyze)
@@ -241,7 +242,7 @@ def report_to_text(rep: AnalysisReport) -> str:
         f"value            ({rep.quad[0]} + sqrt({rep.quad[1]})) / {rep.quad[2]}",
         f"L                {a.period}  (certified Jacobi period: {'yes' if a.certified else 'no'})",
         f"m                {a.m}",
-        f"e                {'infinite' if a.e is None else a.e}",
+        f"e                {a.e}",
         f"u                {a.u}  (mod 2^{a.precision})",
         f"U mod 16         {u16}",
         f"critical         {_details_text(rep.critical)}",
@@ -268,7 +269,7 @@ def report_to_csv(rep: AnalysisReport) -> str:
     w.writerow([
         " ".join(map(str, rep.block)), len(rep.block),
         rep.quad[0], rep.quad[1], rep.quad[2],
-        a.period, a.m, "" if a.e is None else a.e, a.u, a.certified,
+        a.period, a.m, a.e, a.u, a.certified,
         _classification_to_dict(c)["kind"],
         getattr(c, "period", ""),
         getattr(c, "witness", ""),
@@ -283,12 +284,21 @@ def report_to_csv(rep: AnalysisReport) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+class _CannotWrite(Exception):
+    """The --output path could not be written; main exits with EXIT_USAGE."""
+
+
 def _emit(text, output):
+    if not text.endswith("\n"):
+        text += "\n"
     if output and output != "-":
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CannotWrite(f"cannot write {output}: {exc}") from exc
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _read_block_arg(arg):
@@ -556,6 +566,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
+    except _CannotWrite as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
     except (NotAperiodic, WindowTooShort) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -1,15 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kronseq.analysis
 import kronseq.cf
-from kronseq import (Aperiodic, NoPeriodFound, Periodic2L, PeriodicL,
-                     PrecisionExhausted, analyze, cascade,
-                     certified_period_length, classify, convergents,
-                     critical_scan, decompose, matrix_at, matrix_at_mod2,
-                     mod4_period_length, normalize_period,
-                     threshold_valuation)
+from kronseq import (Aperiodic, Periodic2L, PeriodicL, PrecisionExhausted,
+                     analyze, cascade, certified_period_length, classify,
+                     convergents, critical_scan, decompose, jacobi_sequence,
+                     matrix_at, matrix_at_mod2, mod4_period_length,
+                     normalize_period, threshold_valuation)
 
 from conftest import CORPUS, block_analysis, block_classification, block_cf
 
@@ -53,9 +54,76 @@ def test_mod4_length_is_identity_and_smallest():
             assert (M2.s % 4, M2.s_prev % 4, M2.t % 4, M2.t_prev % 4) != (1, 0, 0, 1)
 
 
-def test_search_bound_exhaustion():
-    with pytest.raises(NoPeriodFound):
-        mod4_period_length(block_cf((1, 2, 2)), max_multiplier=5)
+def test_gl2_z4_element_orders():
+    # the mod-4 search ends within 6 block multiples: every invertible 2x2
+    # matrix mod 4 has order 1, 2, 3, 4 or 6
+    identity = (1, 0, 0, 1)
+    orders = set()
+    group = [A for A in itertools.product(range(4), repeat=4)
+             if (A[0] * A[3] - A[1] * A[2]) % 2]
+    assert len(group) == 96
+    for A in group:
+        P, order = A, 1
+        while P != identity:
+            P = kronseq.cf._mat_mul_mod(P, A, 3)
+            order += 1
+        orders.add(order)
+    assert orders == {1, 2, 3, 4, 6}
+
+
+def is_identity_mod4(M):
+    return (M.s % 4, M.s_prev % 4, M.t % 4, M.t_prev % 4) == (1, 0, 0, 1)
+
+
+def exact_mod4_period_length(cf):
+    """The search by an exact matrix_at per candidate multiplier."""
+    for d in range(1, 25):
+        L = d * len(cf)
+        if L % 2 == 0 and is_identity_mod4(matrix_at(cf, L - 1)):
+            return L
+
+
+def exact_certified_period_length(cf):
+    window = jacobi_sequence(cf, 48 * len(cf))
+    for d in range(1, 25):
+        L = d * len(cf)
+        if L % 2 == 0 and is_identity_mod4(matrix_at(cf, L - 1)) \
+                and window[L:] == window[:-L]:
+            return L
+
+
+def minimal_blocks(max_length, max_quotient):
+    for l in range(1, max_length + 1):
+        for block in itertools.product(range(1, max_quotient + 1), repeat=l):
+            cf = normalize_period(block)
+            if cf.quotients == block:
+                yield cf
+
+
+def check_base_search(cf):
+    L4 = mod4_period_length(cf)
+    assert L4 == exact_mod4_period_length(cf) and L4 <= 6 * len(cf), cf
+    # the identity mod 4 forces an even length: det D(L) = (-1)^L
+    assert all(not is_identity_mod4(matrix_at(cf, L - 1))
+               for L in range(len(cf), 25 * len(cf), 2 * len(cf)) if L % 2), cf
+    Lc = certified_period_length(cf)
+    assert Lc == exact_certified_period_length(cf), cf
+    for L in (L4, 2 * L4):
+        m, _, e = decompose(cf, L)
+        assert m + e == v2(matrix_at(cf, L - 1).t), (cf, L)
+
+
+def test_base_search_matches_exact_loops_on_small_blocks():
+    blocks = list(minimal_blocks(4, 5))
+    assert len(blocks) == 745
+    for cf in blocks:
+        check_base_search(cf)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=12))
+def test_base_search_matches_exact_loops_hypothesis(quotients):
+    check_base_search(normalize_period(quotients))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +246,8 @@ def test_threshold_valuation_examples():
 
 
 def test_threshold_valuation_precision_exhaustion():
-    with pytest.raises(PrecisionExhausted):
+    # the entry is t_{2^8 * 12 - 1}
+    with pytest.raises(PrecisionExhausted, match=r"v2\(t_3071\) not resolvable at precision 8"):
         threshold_valuation(block_cf((1, 2, 5)), 12, 8, precision=8)
 
 
@@ -239,6 +308,42 @@ def test_cascade_rejects_non_critical_start():
 def test_cascade_precision_exhaustion_reported():
     with pytest.raises(PrecisionExhausted):
         cascade(block_cf((1, 2, 5)), 12, 7, depth=8, precision=16)
+
+
+def test_cascade_rejects_base_not_identity_mod4():
+    # D(6) of (1,2,5) is not I mod 4; its mod-4 base is 12
+    with pytest.raises(ValueError, match="identity mod 4"):
+        cascade(block_cf((1, 2, 5)), 6, 7)
+
+
+@pytest.mark.parametrize("precision", [2, 4])
+def test_cascade_threshold_precision_exhaustion(precision):
+    # v2(t_11) = m + e = 2 for (1,2,5) cannot be told apart from a larger
+    # valuation below 5 bits, not even for the subcritical start k = 1
+    with pytest.raises(PrecisionExhausted, match="t_11"):
+        cascade(block_cf((1, 2, 5)), 12, 1, depth=1, precision=precision)
+
+
+def test_cascade_escalation_decomposes_once(monkeypatch):
+    # the cascade reads m + e off D(L) mod 2^B, so only analyze decomposes
+    decomposed, precisions = [], []
+    original_decompose = kronseq.analysis.decompose
+    original_cascade = kronseq.analysis.cascade
+
+    def counted_decompose(*a, **k):
+        decomposed.append(a[1])
+        return original_decompose(*a, **k)
+
+    def counted_cascade(*a, **k):
+        precisions.append(a[4])
+        return original_cascade(*a, **k)
+
+    monkeypatch.setattr(kronseq.analysis, "decompose", counted_decompose)
+    monkeypatch.setattr(kronseq.analysis, "cascade", counted_cascade)
+    got = classify(block_cf((1, 2, 5)), depth=200)
+    assert len(got.cascade) == 200
+    assert precisions == [128, 256, 512]
+    assert decomposed == [12]
 
 
 def test_cascade_rejects_period_off_the_block_length():

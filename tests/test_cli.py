@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 
 import pytest
@@ -265,6 +267,20 @@ def test_output_path(tmp_path, capsys):
     assert json.loads(target.read_text())["L"] == 6
 
 
+def test_analyze_unwritable_output_path(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.txt"
+    code, err = run_to_exit(capsys, ["analyze", "1,2,3", "--output", str(target)])
+    assert code == EXIT_USAGE
+    assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_batch_unwritable_output_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1,2,3\n"))
+    code, err = run_to_exit(capsys, ["batch", "-", "--output", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert err.startswith(f"cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
 def test_env_precision_override(capsys, monkeypatch):
     monkeypatch.setenv("KRONSEQ_PRECISION", "256")
     code, out, _ = run(capsys, ["analyze", "1,2,3", "--format", "json"])
@@ -404,3 +420,31 @@ def test_repeated_calls_leave_no_reference_cycles(capsys, argv):
         main(argv)
     capsys.readouterr()
     assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# every command in every format, pinned byte for byte
+
+GOLDEN_BLOCKS = ("1,2,3", "1,2,5", "1,2,2", "2", "1")
+GOLDEN_COMMANDS = (["expand"], ["analyze"], ["analyze", "--window", "300"],
+                   ["cascade", "--depth", "6"], ["verify", "--window", "400"])
+GOLDEN_BATCH = "# worked examples\n1,2,3\n1,2,5\n1,2,2\n2\n1\nnot-a-block\n"
+GOLDEN_DIGEST = "9bc85856343df14487add8aef8273a8fa79a3f5beaf6260dc2404f61ea152884"
+
+
+def test_golden_digest_of_every_command_and_format(capsys, monkeypatch):
+    # SHA-256 over argv, exit code and stdout of 78 calls
+    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
+    digest = hashlib.sha256()
+
+    def record(argv):
+        code, out, _ = run(capsys, argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}\0".encode())
+
+    for fmt in ("text", "json", "csv"):
+        for command in GOLDEN_COMMANDS:
+            for block in GOLDEN_BLOCKS:
+                record([command[0], block, *command[1:], "--format", fmt])
+        monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_BATCH))
+        record(["batch", "-", "--format", fmt])
+    assert digest.hexdigest() == GOLDEN_DIGEST
