@@ -11,9 +11,9 @@ from .cf import (Convergent, ConvergentMatrix, PeriodicCF, QuadIrrational,
                  cf_of_rational, convergents, iter_convergent_pairs, matrix_at,
                  matrix_at_mod2, normalize_period, quad_irrational_of)
 from .errors import (EmptyInput, EvenArgument, EvenModulus, KronseqError,
-                     NoPeriodFound, NonPositiveQuotient, NotAperiodic,
-                     NotCoprime, OracleMismatch, ParseError,
-                     PrecisionExhausted, WindowTooShort)
+                     NonPositiveQuotient, NotAperiodic, NotCoprime,
+                     OracleMismatch, ParseError, PrecisionExhausted,
+                     WindowTooShort)
 from .oracle import PeriodReport, cross_check, empirical_period, falsify_period
 from .symbols import (STAR, jacobi, jacobi_sequence, kronecker,
                       kronecker_sequence, reciprocal_jacobi_sequence,
@@ -32,7 +32,7 @@ __all__ = [
     "critical_scan", "analyze", "classify", "threshold_valuation", "cascade",
     "PeriodReport", "empirical_period", "falsify_period", "cross_check",
     "KronseqError", "EmptyInput", "NonPositiveQuotient", "NotCoprime",
-    "EvenModulus", "EvenArgument", "NoPeriodFound", "PrecisionExhausted",
+    "EvenModulus", "EvenArgument", "PrecisionExhausted",
     "NotAperiodic", "WindowTooShort", "OracleMismatch", "ParseError",
     "__version__",
 ]

@@ -12,20 +12,54 @@ squaring sends (m, e) to (m+1, e), an odd multiple keeps both, and v2(t_k)
 is carried along correspondingly, so critical indices exist for one
 admissible base iff they exist for every other.
 
-Three facts fix the base and its threshold.  (1) D(d*l) = B^d for the
+Four facts fix the base and its threshold.  (1) D(d*l) = B^d for the
 block matrix B = D(l) (see :func:`cascade`), so the L with D(L) = I mod 4
 are the multiples of L4 = ord(B mod 4) * l.  They are all even, since
 det D(L) = (-1)^L must be 1 mod 4.  Every element of GL2(Z/4) has order
 1, 2, 3, 4 or 6 (by enumeration of all 96), so L4 <= 6l.
 (2) The lower-left entry of D(L) - I is t_{L-1}, so m + e = v2(t_{L-1}),
 which D(L) mod 2^B gives while it is below B.  (3) t_{L-1} >= 1, so e is
-always finite.
+always finite.  (4) 2*L4 is a period of the Jacobi sequence (s_k/t_k),
+with STAR at even t_k, while L4 alone need not be one: for (2,), D(4) =
+I mod 4 but the Jacobi period is 8.
 
-The identity-mod-4 condition alone does not force the Jacobi symbol
-sequence to repeat with period L, and when it does not, L or 2L need not be
-a period of the Kronecker sequence either.  Periodic-case period claims are
-therefore made at the smallest admissible L that is also a certified period
-of the Jacobi sequence.
+Proof of (4).  Lemma: let A = [[alpha, beta], [gamma, delta]] be in
+SL2(Z) with non-negative entries, gamma >= 1 and A = I mod 8, let s >= 1
+and odd t >= 1 be coprime, and put s' = alpha*s + beta*t and
+t' = gamma*s + delta*t.  Then t' is odd and (s'/t') = (delta/g)(s/t),
+where g is the odd part of gamma.  Proof: pick i >= 0 with
+sigma = s - 4it != 0 and gcd(d', t') = 1, where d' = delta + 4i*gamma.
+Such an i exists by the Chinese remainder theorem: a prime p | t' with
+p !| gamma excludes one class of i mod p, and a prime dividing both t'
+and gamma divides delta*t', so never delta, as gcd(gamma, delta) = 1.
+Since alpha*delta - beta*gamma = 1, delta*s' = s + beta*t' and
+gamma*s' = -t (mod t'), so sigma = d'*s' (mod t').  Also
+t' = gamma*sigma + d'*t = d'*t (mod 8|sigma|).  As n -> (sigma/n) is a
+character mod 4|sigma| on odd n > 0,
+    (d'/t')(s'/t') = (sigma/t') = (sigma/d')(sigma/t) = (sigma/d')(s/t).
+Reciprocity with d' = 1 mod 8 gives (d'/t') = (t'/d') =
+(gamma*sigma/d'), and gcd(sigma, d') = 1 because any common prime would
+divide t'.  Hence (s'/t') = (gamma/d')(s/t) = (g/d')(s/t) =
+(d'/g)(s/t) = (delta/g)(s/t).
+Now take A = D(2*L4) = B'^2 for B' = D(L4) = [[a, b], [c, d]] = I mod 4
+(fact (1)), so A = I mod 8, and with T = a + d, gamma = c*T >= 1
+(c = t_{L4-1}) and delta = d*T - 1.  Then delta = bc + d^2 = d^2 (mod c), and
+delta = -1 (mod T).  ad = 1 + bc = 1 mod 16 forces a = d mod 8, so
+T = 2 mod 8 and T/2 = 1 mod 4.  The odd part of gamma is c0*(T/2), c0 the
+odd part of c (coprime to d), so (delta/g) = (d^2/c0)(-1/(T/2)) = 1.
+Finally M_{k+N} = D(N) * M_k for N a multiple of l (see :func:`cascade`),
+so (s_{k+2L4}, t_{k+2L4}) = A (s_k, t_k): t_k and t_{k+2L4} have the same
+parity, and by the lemma the same Jacobi symbol when odd.  The square is
+needed: for A = [[113, 80], [24, 17]], which is I mod 8, (delta/g) =
+(17/3) = -1.
+
+Periodic-case period claims are made at the certified base, the smallest
+admissible L that is also a Jacobi period.  By (4) it is L4 when the
+Jacobi symbols at k and k + L4 agree for all k < L4, and 2*L4 otherwise;
+2*L4 <= 12l terms decide it, and no other multiple is ever needed.  At 2*L4 the decomposition follows
+from that at L4: D(2L) = (I + 2^m U)^2 = I + 2^(m+1) U' with
+U' = U + 2^(m-1) U^2, which is U mod 2 as m >= 2, so m' = m + 1; and
+U'_21 = u (1 + 2^(m-1) (x + v)) for U = [[x, y], [u, v]], so e' = e.
 """
 
 from __future__ import annotations
@@ -34,7 +68,7 @@ from dataclasses import dataclass
 
 from .cf import (PeriodicCF, _mat_mul_mod, iter_convergent_pairs, matrix_at,
                  matrix_at_mod2)
-from .errors import NoPeriodFound, PrecisionExhausted
+from .errors import PrecisionExhausted
 from .symbols import jacobi_sequence
 
 __all__ = [
@@ -59,7 +93,6 @@ __all__ = [
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 4096
 DEFAULT_DEPTH = 8
-_SEARCH_BOUND = 24  # certified periods are sought up to this many blocks
 
 
 @dataclass(frozen=True)
@@ -126,25 +159,20 @@ def mod4_period_length(cf: PeriodicCF) -> int:
     return order * len(cf)
 
 
-def _jacobi_window(cf):
-    """Jacobi symbols for twice the longest period that is tried."""
-    return jacobi_sequence(cf, 2 * _SEARCH_BOUND * len(cf))
+def _is_jacobi_period(cf, L4):
+    """Whether L4 = mod4_period_length(cf) is a period of the Jacobi
+    sequence; 2*L4 always is (fact (4)), so 2*L4 terms decide it."""
+    jac = jacobi_sequence(cf, 2 * L4)
+    return jac[L4:] == jac[:L4]
 
 
 def certified_period_length(cf: PeriodicCF) -> int:
-    """Smallest multiple L of L4 = mod4_period_length(cf) that is also a
-    period of the Jacobi sequence.
-
-    The Jacobi sequence is purely periodic with some period of at most 24
-    block lengths, so comparing shifted windows of twice that length
-    certifies candidates exactly rather than merely empirically.
+    """Smallest multiple of L4 = mod4_period_length(cf) that is also a
+    period of the Jacobi sequence: L4 itself if it is one, else 2*L4,
+    which always is one (fact (4) of the module docstring).
     """
     L4 = mod4_period_length(cf)
-    window = _jacobi_window(cf)
-    for L in range(L4, _SEARCH_BOUND * len(cf) + 1, L4):
-        if window[L:] == window[:-L]:
-            return L
-    raise NoPeriodFound(f"no certified period length up to {_SEARCH_BOUND}*{len(cf)} for {cf}")
+    return L4 if _is_jacobi_period(cf, L4) else 2 * L4
 
 
 def _v2(n):
@@ -177,6 +205,17 @@ def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
     return m, U, _v2(u)
 
 
+def _doubled(m, U, precision):
+    """(m', U') of D(2L) = I + 2^m' U' from D(L) = I + 2^m U, m >= 2:
+    m' = m + 1 and U' = U + 2^(m-1) U^2 mod 2**precision (module
+    docstring); e is unchanged."""
+    mask = (1 << precision) - 1
+    P = U[0] + U[1]
+    x, y, u, v = ((p + (q << (m - 1))) & mask
+                  for p, q in zip(P, _mat_mul_mod(P, P, mask)))
+    return m + 1, ((x, y), (u, v))
+
+
 def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     """Indices k < period with s_k = 3 mod 4, split by v2(t_k): at least
     m+e gives a critical index, exactly m+e-1 a subcritical one."""
@@ -198,25 +237,24 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     """Period analysis underlying :func:`classify`.
 
     Critical indices are base-independent, so the aperiodic case is reported
-    at the plain mod-4 period length.  When no critical index exists the
-    analysis is redone at the certified length, which is the base at which
-    the period claims of the classification actually hold.
+    at the plain mod-4 period length L4.  When no critical index exists and
+    L4 is not a Jacobi period, the analysis is redone at the certified
+    length 2*L4, which is the base at which the period claims of the
+    classification actually hold; its decomposition is derived from the
+    one at L4.
     """
     L = mod4_period_length(cf)
     m, U, e = decompose(cf, L, precision)
     critical, subcritical = critical_scan(cf, L, m, e)
-    if critical:
-        window = _jacobi_window(cf)
-        certified = window[L:] == window[:-L]
+    certified = _is_jacobi_period(cf, L)
+    if critical or certified:
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified)
-    Lc = certified_period_length(cf)
-    if Lc != L:
-        m, U, e = decompose(cf, Lc, precision)
-        critical, subcritical = critical_scan(cf, Lc, m, e)
-        if critical:
-            raise AssertionError(
-                f"critical indices appeared at {Lc} but not at {L} for {cf}")
-    return PeriodAnalysis(Lc, m, U, e, critical, subcritical, precision, True)
+    m, U = _doubled(m, U, precision)
+    critical, subcritical = critical_scan(cf, 2 * L, m, e)
+    if critical:
+        raise AssertionError(
+            f"critical indices appeared at {2 * L} but not at {L} for {cf}")
+    return PeriodAnalysis(2 * L, m, U, e, critical, subcritical, precision, True)
 
 
 def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,

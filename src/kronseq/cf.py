@@ -103,11 +103,6 @@ class ConvergentMatrix:
             s, sp, t, tp = s & mask, sp & mask, t & mask, tp & mask
         return ConvergentMatrix(self.k + other.k + 1, s, sp, t, tp, self.modulus)
 
-    def reduce(self, precision):
-        mask = (1 << precision) - 1
-        return ConvergentMatrix(self.k, self.s & mask, self.s_prev & mask,
-                                self.t & mask, self.t_prev & mask, 1 << precision)
-
 
 @dataclass(frozen=True)
 class QuadIrrational:

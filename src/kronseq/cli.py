@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
                        PeriodicL, analyze, cascade, classify)
-from .cf import PeriodicCF, convergents, normalize_period, quad_irrational_of
+from .cf import convergents, normalize_period, quad_irrational_of
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
                      WindowTooShort)
 from .oracle import PeriodReport, cross_check
@@ -576,8 +576,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"oracle mismatch: {exc}\n")
         return EXIT_MISMATCH
     except KronseqError as exc:
-        # every other package error (bad quotients, precision exhausted,
-        # no period found, ...)
+        # every other package error (bad quotients, precision exhausted, ...)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

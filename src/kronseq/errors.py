@@ -25,10 +25,6 @@ class EvenArgument(KronseqError):
     """An argument that must be an odd positive integer is not."""
 
 
-class NoPeriodFound(KronseqError):
-    """No admissible period length within the search bound."""
-
-
 class PrecisionExhausted(KronseqError):
     """A 2-adic valuation is indistinguishable at the working precision."""
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import (Aperiodic, Classification, PeriodAnalysis, analyze,
-                       classify)
+from .analysis import (Aperiodic, Classification, DEFAULT_PRECISION,
+                       PeriodAnalysis, analyze, classify)
 from .cf import PeriodicCF
 from .errors import OracleMismatch, WindowTooShort
 from .symbols import kronecker_sequence
@@ -75,7 +75,8 @@ def _cascade_witness(seq, p, period, steps):
 
 
 def cross_check(cf: PeriodicCF, window: int | None = None,
-                max_period: int | None = None, precision: int = 128,
+                max_period: int | None = None,
+                precision: int = DEFAULT_PRECISION,
                 analysis: PeriodAnalysis | None = None,
                 verdict: Classification | None = None) -> PeriodReport:
     """Replay the classification against the literal symbol window.

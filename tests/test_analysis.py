@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ import kronseq.analysis
 import kronseq.cf
 from kronseq import (Aperiodic, Periodic2L, PeriodicL, PrecisionExhausted,
                      analyze, cascade, certified_period_length, classify,
-                     convergents, critical_scan, decompose, jacobi_sequence,
-                     matrix_at, matrix_at_mod2, mod4_period_length,
-                     normalize_period, threshold_valuation)
+                     convergents, critical_scan, decompose, jacobi,
+                     jacobi_sequence, matrix_at, matrix_at_mod2,
+                     mod4_period_length, normalize_period,
+                     threshold_valuation)
 
 from conftest import CORPUS, block_analysis, block_classification, block_cf
 
@@ -84,6 +87,7 @@ def exact_mod4_period_length(cf):
 
 
 def exact_certified_period_length(cf):
+    """The search of every even multiple of l up to 24 l on a 48 l window."""
     window = jacobi_sequence(cf, 48 * len(cf))
     for d in range(1, 25):
         L = d * len(cf)
@@ -108,9 +112,17 @@ def check_base_search(cf):
                for L in range(len(cf), 25 * len(cf), 2 * len(cf)) if L % 2), cf
     Lc = certified_period_length(cf)
     assert Lc == exact_certified_period_length(cf), cf
+    # fact (4): 2*L4 is a period of the Jacobi sequence
+    window = jacobi_sequence(cf, 48 * len(cf))
+    assert window[2 * L4:] == window[:-2 * L4], cf
     for L in (L4, 2 * L4):
         m, _, e = decompose(cf, L)
         assert m + e == v2(matrix_at(cf, L - 1).t), (cf, L)
+    # the decomposition at 2*L4 derived from the one at L4
+    for precision in (8, 128):
+        m, U, e = decompose(cf, L4, precision)
+        derived = (*kronseq.analysis._doubled(m, U, precision), e)
+        assert derived == decompose(cf, 2 * L4, precision), (cf, precision)
 
 
 def test_base_search_matches_exact_loops_on_small_blocks():
@@ -124,6 +136,104 @@ def test_base_search_matches_exact_loops_on_small_blocks():
 @given(st.lists(st.integers(1, 1000), min_size=1, max_size=12))
 def test_base_search_matches_exact_loops_hypothesis(quotients):
     check_base_search(normalize_period(quotients))
+
+
+def random_sl2(rng, q):
+    """A random [[a, b], [c, d]] in SL2(Z) with non-negative entries,
+    c >= 1 and the whole matrix = I mod q, for q = 4 or 8."""
+    while True:
+        c = q * rng.randint(1, 60)
+        d = 1 + q * rng.randint(0, 60)
+        if math.gcd(c, d) == 1:
+            break
+    # a*d = 1 mod q*c makes b = (a*d - 1)/c divisible by q, and then
+    # a*d = 1 mod q^2 gives a = 1 mod q
+    a = pow(d, -1, q * c) + q * c * rng.randint(0, 4)
+    return a, (a * d - 1) // c, c, d
+
+
+def odd_part(n):
+    return n >> v2(n)
+
+
+def lemma_cases(rng, A, count):
+    """(s, t, s', t') for random coprime s >= 1 and odd t >= 1, half of them
+    with t forced to share the odd part of A's lower-left entry."""
+    alpha, beta, gamma, delta = A
+    g = odd_part(gamma)
+    for i in range(count):
+        t = 2 * rng.randint(0, 40) + 1
+        if i % 2 and g > 1:
+            t *= g
+        s = rng.randint(1, 500)
+        while math.gcd(s, t) != 1:
+            s += 1
+        yield s, t, alpha * s + beta * t, gamma * s + delta * t
+
+
+def test_jacobi_lemma_on_squares_of_identity_mod4():
+    # fact (4): for A = B^2 with B = I mod 4, (s'/t') = (delta/g)(s/t) and
+    # (delta/g) = 1, also when gcd(gamma, t) > 1
+    rng = random.Random(20150412)
+    cases = shared = 0
+    for _ in range(300):
+        a, b, c, d = random_sl2(rng, 4)
+        T = a + d
+        A = (a * a + b * c, b * T, c * T, d * T - 1)
+        # the mask -1 keeps the product exact
+        assert A == kronseq.cf._mat_mul_mod((a, b, c, d), (a, b, c, d), -1)
+        assert T % 8 == 2
+        assert jacobi(A[3], odd_part(A[2])) == 1
+        for s, t, s2, t2 in lemma_cases(rng, A, 8):
+            assert t2 % 2 == 1
+            assert jacobi(s2, t2) == jacobi(s, t), (A, s, t)
+            cases += 1
+            shared += math.gcd(A[2], t) > 1
+    assert cases == 2400 and shared > 900
+
+
+def test_jacobi_lemma_needs_the_square():
+    # the lemma holds for any A = I mod 8, but off the squares (delta/g)
+    # can be -1, and then the Jacobi symbol flips
+    rng = random.Random(7)
+    flipped = 0
+    for _ in range(300):
+        A = random_sl2(rng, 8)
+        sign = jacobi(A[3], odd_part(A[2]))
+        flipped += sign == -1
+        for s, t, s2, t2 in lemma_cases(rng, A, 4):
+            assert jacobi(s2, t2) == sign * jacobi(s, t), (A, s, t)
+    assert flipped > 50
+    A = (113, 80, 24, 17)  # I mod 8, det 1, (17/3) = -1
+    assert A[0] * A[3] - A[1] * A[2] == 1 and jacobi(17, 3) == -1
+    assert jacobi(A[0] + A[1], A[2] + A[3]) == -jacobi(1, 1)
+
+
+@pytest.mark.parametrize("block, L4, period, certified", [
+    ((1, 2, 2), 18, 18, False),  # aperiodic: reported at L4, not certified
+    ((2,), 4, 8, True),  # periodic: certified base 2*L4, derived from L4
+], ids=["aperiodic-122", "periodic-2"])
+def test_analyze_makes_one_base_search_one_jacobi_pass_one_decompose(
+        monkeypatch, block, L4, period, certified):
+    # in both blocks L4 is not a Jacobi period; 2*L4 terms decide that
+    calls = {"mod4": [], "jacobi": [], "decompose": []}
+
+    def counted(key, fn, arg):
+        def wrapper(*a, **k):
+            calls[key].append(a[arg] if arg is not None else None)
+            return fn(*a, **k)
+        return wrapper
+
+    mod = kronseq.analysis
+    monkeypatch.setattr(mod, "mod4_period_length",
+                        counted("mod4", mod.mod4_period_length, None))
+    monkeypatch.setattr(mod, "jacobi_sequence", counted("jacobi", mod.jacobi_sequence, 1))
+    monkeypatch.setattr(mod, "decompose", counted("decompose", mod.decompose, 1))
+    a = analyze(block_cf(block))
+    assert calls == {"mod4": [None], "jacobi": [2 * L4], "decompose": [L4]}
+    assert (a.period, a.certified) == (period, certified)
+    m, U, e = decompose(block_cf(block), period)
+    assert (a.m, a.U, a.e) == (m, U, e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -278,3 +279,14 @@ def test_largest_reduction_matches_divisor_search():
             checked += 1
             reduced += g > 1
     assert checked >= 2000 and reduced > 0
+
+
+# ---------------------------------------------------------------------------
+# package exports
+
+@pytest.mark.parametrize("module", ["kronseq", "kronseq.cf", "kronseq.symbols",
+                                    "kronseq.analysis", "kronseq.oracle"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
