@@ -5,6 +5,27 @@ every candidate period up to a bound is falsified by a concrete witness
 pair.  Cascade members provide such witnesses cheaply for deep candidates;
 everything is still checked against the actual symbols before being
 reported.
+
+The window is packed once into a single int x, ``width`` bits per entry
+(one bit for a +-1 Kronecker window; a few when more values occur, as with
+the STAR entries of a Jacobi window): entry k sits in bits
+[k*width, (k+1)*width), equal entries get equal codes.  With
+d = (x ^ (x >> p*width)) masked to the first n-p entries, entry k of d is
+nonzero exactly when seq[k] != seq[k+p].  So p is a period of the window
+iff d == 0, and each candidate costs a few big-int word operations over
+the window instead of a copy of it.
+
+The witness for a candidate p that no cascade member falsifies is the
+lexicographically first pair (i, j), j = i mod p, with seq[i] != seq[j]:
+i is the lowest residue class mod p that holds a nonzero entry of d (found
+by OR-folding d onto its first p entries with doubling shifts), and
+j = q + p for the first such entry q of d in class i (every class-i entry
+before q equals seq[i], and seq[q+p] does not).
+
+The window comes from the residue pass of ``symbols``, the same pass the
+analysis trusts, so :func:`cross_check` rechecks the symbols at both
+indices of the first and the last falsification witness against exact
+``kronecker(s_k, t_k)`` on exact convergents.
 """
 
 from __future__ import annotations
@@ -13,9 +34,9 @@ from dataclasses import dataclass
 
 from .analysis import (Aperiodic, Classification, DEFAULT_PRECISION,
                        PeriodAnalysis, analyze, classify)
-from .cf import PeriodicCF
+from .cf import PeriodicCF, iter_convergent_pairs
 from .errors import OracleMismatch, WindowTooShort
-from .symbols import kronecker_sequence
+from .symbols import kronecker, kronecker_sequence
 
 __all__ = ["PeriodReport", "empirical_period", "falsify_period", "cross_check"]
 
@@ -30,28 +51,61 @@ class PeriodReport:
     verdict_agreement: bool
 
 
+def _lowest_bit(x):
+    return (x & -x).bit_length() - 1
+
+
+class _PackedWindow:
+    """A window of hashable entries packed into one int (module docstring)."""
+
+    __slots__ = ("bits", "n", "width")
+
+    def __init__(self, seq):
+        values = set(seq)
+        width = max(1, (len(values) - 1).bit_length())
+        code = {v: format(c, f"0{width}b") for c, v in enumerate(values)}
+        # entry 0 is the last character, so it lands in the lowest bits
+        self.bits = int("".join(map(code.__getitem__, reversed(seq))) or "0", 2)
+        self.n = len(seq)
+        self.width = width
+
+    def mismatches(self, p):
+        """Entry k is nonzero iff seq[k] != seq[k+p], for k < n - p (p <= n)."""
+        x = self.bits
+        return (x ^ (x >> (self.width * p))) & ((1 << (self.width * (self.n - p))) - 1)
+
+    def period(self):
+        """Smallest p <= n/2 consistent with the whole window, or None."""
+        if self.n < 4:
+            raise WindowTooShort(f"window of {self.n} is too short")
+        for p in range(1, self.n // 2 + 1):
+            if not self.mismatches(p):
+                return p
+        return None
+
+    def witness(self, p):
+        """First pair (i, j), j = i mod p, with differing entries, or None."""
+        if p >= self.n:  # no pair of entries p apart: p holds vacuously
+            return None
+        d = self.mismatches(p)
+        if not d:
+            return None
+        width, span, used = self.width, self.width * p, self.width * (self.n - p)
+        g, m, shift = d, (1 << width) - 1, span
+        while shift < used:
+            g |= g >> shift
+            m |= m << shift
+            shift <<= 1
+        # entry i of g is nonzero iff class i mod p holds a mismatch, and
+        # m << i*width covers every class-i entry of d
+        i = _lowest_bit(g & ((1 << span) - 1)) // width
+        q = _lowest_bit(d & (m << (i * width))) // width
+        return (i, q + p)
+
+
 def empirical_period(seq) -> int | None:
     """Smallest p <= len(seq)/2 consistent with the whole window, or None."""
-    n = len(seq)
-    if n < 4:
-        raise WindowTooShort(f"window of {n} is too short")
-    for p in range(1, n // 2 + 1):
-        if seq[p:] == seq[:-p]:
-            return p
-    return None
-
-
-def _find_witness(seq, p):
-    # first index pair (i, j), j = i mod p, with differing entries
-    if seq[p:] == seq[:-p]:
-        return None
-    n = len(seq)
-    for i in range(p):
-        base = seq[i]
-        for j in range(i + p, n, p):
-            if seq[j] != base:
-                return (i, j)
-    return None
+    return _PackedWindow(seq).period()
 
 
 def falsify_period(cf: PeriodicCF, p: int, window: int):
@@ -61,7 +115,7 @@ def falsify_period(cf: PeriodicCF, p: int, window: int):
         raise ValueError("p must be >= 1")
     if window < 2 * p:
         raise WindowTooShort(f"window {window} < 2*{p}")
-    return _find_witness(kronecker_sequence(cf, window), p)
+    return _PackedWindow(kronecker_sequence(cf, window)).witness(p)
 
 
 def _cascade_witness(seq, p, period, steps):
@@ -72,6 +126,16 @@ def _cascade_witness(seq, p, period, steps):
             if j < len(seq) and gap % p == 0 and seq[j] != seq[k]:
                 return (k, j)
     return None
+
+
+def _recheck_exact(cf, seq, indices):
+    # one exact walk of the convergents up to the largest index
+    wanted = set(indices)
+    for k, (s, t) in zip(range(max(wanted) + 1), iter_convergent_pairs(cf)):
+        if k in wanted and kronecker(s, t) != seq[k]:
+            raise OracleMismatch(
+                f"{cf}: window symbol {seq[k]:+d} at {k} differs from the "
+                f"exact Kronecker symbol")
 
 
 def cross_check(cf: PeriodicCF, window: int | None = None,
@@ -86,6 +150,18 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     max_period (default 4 times the analysis period).  Any disagreement
     raises OracleMismatch.  ``analysis`` and ``verdict``, when given, are
     the results of :func:`analyze` and :func:`classify` for ``cf``.
+
+    The window comes from the same residue pass the analysis relies on, so
+    the symbols at both indices of the first and the last witness (those
+    of candidates 1 and max_period) are rechecked with exact
+    ``kronecker(s_k, t_k)`` on one walk of the exact convergents, and any
+    difference raises OracleMismatch too.  Only these two are rechecked
+    because an exact symbol on convergents thousands of bits long costs
+    far more than a residue term: on 1,500-term windows, rechecking every
+    witness takes longer than the rest of the call.  The pass carries its
+    sign c_k from term to term, so a slip in that sign anywhere before the
+    largest rechecked index flips a rechecked symbol; a single wrong term
+    elsewhere goes unseen.
     """
     if max_period is not None and max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -99,26 +175,26 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     if window < 2 * P:
         raise WindowTooShort(f"window {window} < 2*{P}")
     seq = kronecker_sequence(cf, window)
+    packed = _PackedWindow(seq)
 
     if isinstance(verdict, Aperiodic):
         falsified = []
         for p in range(1, P + 1):
-            witness = _cascade_witness(seq, p, analysis.period, verdict.cascade)
-            if witness is None:
-                witness = _find_witness(seq, p)
+            witness = (_cascade_witness(seq, p, analysis.period, verdict.cascade)
+                       or packed.witness(p))
             if witness is None:
                 raise OracleMismatch(
                     f"{cf} classified aperiodic but period {p} holds on a "
                     f"window of {window}")
             falsified.append((p, witness))
-        emp = empirical_period(seq)
-        return PeriodReport(window, emp, tuple(falsified), True)
+        _recheck_exact(cf, seq, falsified[0][1] + falsified[-1][1])
+        return PeriodReport(window, packed.period(), tuple(falsified), True)
 
     claimed = verdict.period
-    if seq[claimed:] != seq[:-claimed]:
-        i, j = _find_witness(seq, claimed)
+    witness = packed.witness(claimed)
+    if witness is not None:
+        i, j = witness
         raise OracleMismatch(
             f"{cf} classified periodic with period {claimed}, but symbols at "
             f"{i} and {j} differ")
-    emp = empirical_period(seq)
-    return PeriodReport(window, emp, (), True)
+    return PeriodReport(window, packed.period(), (), True)

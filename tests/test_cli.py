@@ -448,3 +448,23 @@ def test_golden_digest_of_every_command_and_format(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_BATCH))
         record(["batch", "-", "--format", fmt])
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# verify on long windows: four periodic seed-0 bench blocks, and four
+# aperiodic ones with 96-192 falsified candidates each
+LONG_WINDOW_BLOCKS = ("6,8,2,9,2,5", "3,3,2,9,6,3,4,7", "4,7,5,9,3,1",
+                      "2,5,3,9,7,7,4,2", "6,5,2,6,5,3", "2,5,9,9,5,3,2,3",
+                      "7,9,8,1,5,3", "9,5,6,5,4,2,1,9")
+LONG_WINDOW_DIGEST = "81face7d7893333cdf287971a4929707f94d701aab34d759f02fd80f0d3b55ea"
+
+
+def test_long_window_verify_digest(capsys, monkeypatch):
+    # SHA-256 over argv, exit code and stdout of 16 calls
+    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
+    digest = hashlib.sha256()
+    for fmt in ("json", "text"):
+        for block in LONG_WINDOW_BLOCKS:
+            argv = ["verify", block, "--window", "1500", "--format", fmt]
+            code, out, _ = run(capsys, argv)
+            digest.update(f"{' '.join(argv)}\n{code}\n{out}\0".encode())
+    assert digest.hexdigest() == LONG_WINDOW_DIGEST

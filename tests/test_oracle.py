@@ -1,7 +1,13 @@
+import itertools
+import random
+
 import pytest
 
-from kronseq import (Aperiodic, Periodic2L, PeriodicL, WindowTooShort,
-                     cross_check, empirical_period, falsify_period)
+import kronseq.oracle as oracle
+from kronseq import (STAR, Aperiodic, OracleMismatch, Periodic2L, PeriodicL,
+                     WindowTooShort, cross_check, empirical_period,
+                     falsify_period, kronecker_sequence)
+from kronseq.cli import EXIT_MISMATCH, main
 
 from conftest import (CORPUS, block_analysis, block_certified_length,
                       block_cf, block_classification, jacobi_window,
@@ -14,6 +20,26 @@ def naive_period(seq):
         if all(seq[k] == seq[k + p] for k in range(n - p)):
             return p
     return None
+
+
+def naive_find_witness(seq, p):
+    # the slice-based scan the packed window replaced
+    if seq[p:] == seq[:-p]:
+        return None
+    n = len(seq)
+    for i in range(p):
+        base = seq[i]
+        for j in range(i + p, n, p):
+            if seq[j] != base:
+                return (i, j)
+    return None
+
+
+def assert_packed_matches_naive(seq):
+    packed = oracle._PackedWindow(seq)
+    assert empirical_period(seq) == naive_period(seq), seq
+    for p in range(1, len(seq) // 2 + 1):
+        assert packed.witness(p) == naive_find_witness(seq, p), (seq, p)
 
 
 # ---------------------------------------------------------------------------
@@ -38,15 +64,16 @@ def test_empirical_period_window_too_short():
 
 
 def test_empirical_period_matches_naive_scan():
-    import random
+    # three-valued windows up to 200 terms, half of them periodic; the
+    # witnesses are compared too
     rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randrange(4, 40)
-        seq = [rng.choice([1, -1, "*"]) for _ in range(n)]
+    for _ in range(300):
+        n = rng.randrange(4, 201)
+        seq = [rng.choice([1, -1, STAR]) for _ in range(n)]
         if rng.random() < 0.5:
-            p = rng.randrange(1, 6)
+            p = rng.randrange(1, n // 2 + 1)
             seq = (seq[:p] * (n // p + 1))[:n]
-        assert empirical_period(seq) == naive_period(seq)
+        assert_packed_matches_naive(seq)
 
 
 def test_empirical_period_stable_under_window_doubling():
@@ -57,6 +84,29 @@ def test_empirical_period_stable_under_window_doubling():
         n = 4 * c.period
         assert (empirical_period(kronecker_window(block, n))
                 == empirical_period(kronecker_window(block, 2 * n))), block
+
+
+# ---------------------------------------------------------------------------
+# the packed window against the slice-based scans
+
+def test_packed_window_every_pm1_window_up_to_12():
+    for n in range(4, 13):
+        for bits in itertools.product((1, -1), repeat=n):
+            assert_packed_matches_naive(list(bits))
+
+
+def test_packed_window_periodic_with_one_flip():
+    # a flip late in a periodic window puts the witness at the end of its
+    # class, after a long run of equal entries
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randrange(8, 201)
+        p = rng.randrange(1, n // 4 + 1)
+        head = [rng.choice([1, -1, STAR]) for _ in range(p)]
+        seq = (head * (n // p + 1))[:n]
+        k = rng.randrange(max(0, n - 2 * p), n)
+        seq[k] = 1 if seq[k] != 1 else -1
+        assert_packed_matches_naive(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +230,31 @@ def test_symbol_sequences_have_period_dividing_certified_length():
                        reciprocal_window(block, 10 * L)):
             emp = empirical_period(window)
             assert emp is not None and L % emp == 0, block
+
+
+def flip_entry(monkeypatch, index):
+    # the residue pass gets one symbol wrong
+    def flipped(cf, count):
+        seq = kronecker_sequence(cf, count)
+        seq[index] = -seq[index]
+        return seq
+    monkeypatch.setattr(oracle, "kronecker_sequence", flipped)
+
+
+def test_cross_check_rechecks_witness_symbols_exactly(monkeypatch):
+    # (1,2,2) on 400 terms: the first witness is (6, 294), and with entry 6
+    # flipped the first witness still starts at 6
+    assert cross_check(block_cf((1, 2, 2)), window=400).falsified_periods[0] \
+        == (1, (6, 294))
+    flip_entry(monkeypatch, 6)
+    with pytest.raises(OracleMismatch, match="at 6 differs"):
+        cross_check(block_cf((1, 2, 2)), window=400)
+
+
+def test_verify_exits_4_on_a_wrong_window_symbol(monkeypatch, capsys):
+    flip_entry(monkeypatch, 6)
+    assert main(["verify", "1,2,2", "--window", "400"]) == EXIT_MISMATCH
+    assert "oracle mismatch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_period", [0, -3])
