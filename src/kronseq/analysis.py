@@ -56,18 +56,29 @@ needed: for A = [[113, 80], [24, 17]], which is I mod 8, (delta/g) =
 Periodic-case period claims are made at the certified base, the smallest
 admissible L that is also a Jacobi period.  By (4) it is L4 when the
 Jacobi symbols at k and k + L4 agree for all k < L4, and 2*L4 otherwise;
-2*L4 <= 12l terms decide it, and no other multiple is ever needed.  At 2*L4 the decomposition follows
-from that at L4: D(2L) = (I + 2^m U)^2 = I + 2^(m+1) U' with
-U' = U + 2^(m-1) U^2, which is U mod 2 as m >= 2, so m' = m + 1; and
-U'_21 = u (1 + 2^(m-1) (x + v)) for U = [[x, y], [u, v]], so e' = e.
+2*L4 <= 12l terms decide it, and no other multiple is ever needed.  At
+2*L4 the decomposition follows from that at L4: D(2L) = (I + 2^m U)^2 =
+I + 2^(m+1) U' with U' = U + 2^(m-1) U^2, which is U mod 2 as m >= 2, so
+m' = m + 1; and U'_21 = u (1 + 2^(m-1) (x + v)) for U = [[x, y], [u, v]],
+so e' = e.
+
+The base 2*L4 is only used when L = L4 has no critical index, and then
+2*L4 has no critical and no subcritical index either, so it is never
+scanned.  Proof: (s_{k+L}, t_{k+L}) = D(L) (s_k, t_k) (see
+:func:`cascade`), so t_{k+L} = 2^m u s_k + (1 + 2^m v) t_k and, as
+m >= 2, s_{k+L} = s_k mod 4.  Take k < L with s_k = 3 mod 4.  Then
+v2(2^m u s_k) = m + e, no critical index gives v2(t_k) < m + e, and
+1 + 2^m v is odd, so v2(t_{k+L}) = v2(t_k) < m + e.  Hence every index
+below 2L with s = 3 mod 4 has v2(t) < m + e, while at 2L a subcritical
+index needs v2(t) = m' + e - 1 = m + e and a critical one more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cf import (PeriodicCF, _mat_mul_mod, iter_convergent_pairs, matrix_at,
-                 matrix_at_mod2)
+from .cf import (PeriodicCF, _column_step, _mat_mul_mod, _square_mod,
+                 iter_convergent_pairs, matrix_at, matrix_at_mod2)
 from .errors import PrecisionExhausted
 from .symbols import jacobi_sequence
 
@@ -241,7 +252,8 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     L4 is not a Jacobi period, the analysis is redone at the certified
     length 2*L4, which is the base at which the period claims of the
     classification actually hold; its decomposition is derived from the
-    one at L4.
+    one at L4, and it has no critical or subcritical index (module
+    docstring).
     """
     L = mod4_period_length(cf)
     m, U, e = decompose(cf, L, precision)
@@ -250,11 +262,7 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     if critical or certified:
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified)
     m, U = _doubled(m, U, precision)
-    critical, subcritical = critical_scan(cf, 2 * L, m, e)
-    if critical:
-        raise AssertionError(
-            f"critical indices appeared at {2 * L} but not at {L} for {cf}")
-    return PeriodAnalysis(2 * L, m, U, e, critical, subcritical, precision, True)
+    return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True)
 
 
 def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
@@ -295,13 +303,15 @@ def threshold_valuation(cf: PeriodicCF, period: int, doublings: int,
     repeated squaring mod 2**precision.
 
     Squaring raises (m, e) to (m+1, e), so this equals m + e + doublings;
-    the equality is asserted by tests, not assumed here.
+    the equality is asserted by tests, not assumed here.  det D(n) =
+    (-1)^n (the convergent identity), and every square has determinant 1.
     """
     M = matrix_at_mod2(cf, period - 1, precision)
     mask = M.modulus - 1
+    P, det = (M.s, M.s_prev, M.t, M.t_prev), -1 if period & 1 else 1
     for _ in range(doublings):
-        M = M @ M
-    return _resolved_v2(M.t & mask, precision, (period << doublings) - 1)
+        P, det = _square_mod(P, mask, det), 1
+    return _resolved_v2(P[2], precision, (period << doublings) - 1)
 
 
 def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
@@ -312,17 +322,24 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     and k_{j+1} = k_j + 2^(r_j) * period.  Both coordinates increase
     strictly.  Valuations of t_{k_j} are read off mod 2**precision.
 
-    The matrices M_k = matrix_at(cf, k) are walked incrementally: for N a
-    multiple of the block length, D(N) * M_k = M_{k+N}.  Proof: M_{k+N} is
-    the product of the quotient matrices of a_0..a_{k+N}; its first N
-    factors make D(N), and since a_{N+i} = a_i the remaining k+1 factors
-    make M_k.  The same argument gives D(2^r * period) = D(period)^(2^r).
-    So with M = M_{k_j} and P = D(period)^(2^(r_j)), the next matrix is
-    P * M, exact in Z/2^precision.  Because r_j rises strictly, P is only
-    ever squared further: a cascade of the given depth costs at most
-    r_depth squarings and depth - 1 products, plus the two logarithmic
-    powers that give M_start and D(period).  The threshold m + e is
-    v2(t_{period-1}), read off the same D(period) mod 2**precision.
+    The convergents are walked incrementally: for N a multiple of the
+    block length, D(N) * M_k = M_{k+N} with M_k = matrix_at(cf, k).
+    Proof: M_{k+N} is the product of the quotient matrices of
+    a_0..a_{k+N}; its first N factors make D(N), and since a_{N+i} = a_i
+    the remaining k+1 factors make M_k.  The same argument gives
+    D(2^r * period) = D(period)^(2^r).  Only t_k is read, and the first
+    column (s_k, t_k) of M_k is mapped by D(N) on its own, so the walk
+    keeps that column: with P = D(period)^(2^(r_j)), (s, t) at k_{j+1} is
+    P * (s, t) at k_j, exact in Z/2^precision.
+
+    P is squared by Cayley-Hamilton, P^2 = tr(P) P - I, which needs
+    det P = 1: det D(n) = (-1)^n, and D(period) = I mod 4 forces
+    (-1)^period = 1 mod 4, so period is even and every power of D(period)
+    has determinant 1.  Because r_j rises strictly, P is only ever squared
+    further: a cascade of the given depth costs at most r_depth squarings
+    and depth - 1 column steps, four multiplications each, plus the two
+    logarithmic powers that give M_start and D(period).  The threshold
+    m + e is v2(t_{period-1}), read off the same D(period) mod 2**precision.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -330,7 +347,7 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
         raise ValueError(f"period {period} is not a multiple of the block length of {cf}")
     mask = (1 << precision) - 1
     M = matrix_at_mod2(cf, start, precision)
-    M = (M.s, M.s_prev, M.t, M.t_prev)
+    s, t = M.s, M.t
     P = matrix_at_mod2(cf, period - 1, precision)
     P = (P.s, P.s_prev, P.t, P.t_prev)
     if not _is_identity_mod4(P):
@@ -341,7 +358,7 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     k = start
     prev_r = -1
     for j in range(depth):
-        r = _resolved_v2(M[2], precision, k) - base
+        r = _resolved_v2(t, precision, k) - base
         if not out and r < 0:
             raise ValueError(f"start index {start} is not critical for period {period}")
         if r <= prev_r:
@@ -351,8 +368,8 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
         if j == depth - 1:
             break
         while p_r < r:
-            P = _mat_mul_mod(P, P, mask)
+            P = _square_mod(P, mask)
             p_r += 1
-        M = _mat_mul_mod(P, M, mask)
+        s, t = _column_step(P, s, t, mask)
         k += (1 << r) * period
     return tuple(out)

@@ -198,6 +198,24 @@ def _mat_mul_mod(A, B, mask):
             (A[2] * B[0] + A[3] * B[2]) & mask, (A[2] * B[1] + A[3] * B[3]) & mask)
 
 
+def _square_mod(P, mask, det=1):
+    """P @ P for the 2x2 tuple P of determinant det, reduced by mask.
+
+    Cayley-Hamilton gives P^2 = tr(P) P - det(P) I over Z, hence mod 2^B,
+    so a square costs four multiplications instead of the eight of
+    :func:`_mat_mul_mod`.
+    """
+    a, b, c, d = P
+    T = a + d
+    return (T * a - det) & mask, (T * b) & mask, (T * c) & mask, (T * d - det) & mask
+
+
+def _column_step(P, s, t, mask):
+    """P @ (s, t), reduced by mask: the first column of P @ M from that
+    of M, in four multiplications."""
+    return (P[0] * s + P[1] * t) & mask, (P[2] * s + P[3] * t) & mask
+
+
 def _mat_pow_mod(A, n, mask):
     R = (1, 0, 0, 1)
     while n:

@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
                        PeriodicL, analyze, cascade, classify)
-from .cf import convergents, normalize_period, quad_irrational_of
+from .cf import (convergents, iter_convergent_pairs, normalize_period,
+                 quad_irrational_of)
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
                      WindowTooShort)
 from .oracle import PeriodReport, cross_check
@@ -94,8 +96,10 @@ def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisRep
     analysis = analyze(cf, precision)
     verdict = classify(cf, precision, analysis=analysis)
     q = quad_irrational_of(cf)
-    pairs = convergents(cf, analysis.period)
-    detail = lambda k: ConvergentDetail(k, pairs[k].s, pairs[k].t, _v2(pairs[k].t))
+    # only the printed indices need exact convergents
+    shown = analysis.critical_indices + analysis.subcritical_indices
+    pairs = list(itertools.islice(iter_convergent_pairs(cf), max(shown, default=-1) + 1))
+    detail = lambda k: ConvergentDetail(k, *pairs[k], _v2(pairs[k][1]))
     oracle = cross_check(cf, window=window, precision=precision,
                          analysis=analysis, verdict=verdict) if window else None
     return AnalysisReport(

@@ -59,6 +59,9 @@ STAR = "*"
 # Working precision (bits) of the residue pass before any escalation.
 _START_PRECISION = 64
 
+# The sequence a residue pass builds.
+_KRONECKER, _JACOBI, _RECIPROCAL = range(3)
+
 
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1; 0 when gcd(a, n) > 1.
@@ -109,34 +112,34 @@ def reciprocity_sign(s_odd: int, t_odd: int) -> int:
 
 def jacobi_sequence(cf: PeriodicCF, count: int) -> list:
     """(s_k/t_k) for k < count, with STAR wherever t_k is even."""
-    return _symbol_sequences(cf, count)[1]
+    return _symbol_sequence(cf, count, _JACOBI)
 
 
 def reciprocal_jacobi_sequence(cf: PeriodicCF, count: int) -> list:
     """(t_k/s_k) for k < count, with STAR wherever s_k is even."""
-    return _symbol_sequences(cf, count)[2]
+    return _symbol_sequence(cf, count, _RECIPROCAL)
 
 
 def kronecker_sequence(cf: PeriodicCF, count: int) -> list[int]:
     """Kronecker symbols (s_k/t_k) for k < count; entries are always +-1
     because consecutive convergents are coprime."""
-    return _symbol_sequences(cf, count)[0]
+    return _symbol_sequence(cf, count, _KRONECKER)
 
 
-def _symbol_sequences(cf, count, precision=_START_PRECISION):
-    """(Kronecker, Jacobi, reciprocal Jacobi) lists of length count, from
-    the residue pass at the smallest doubling of precision that resolves
-    every term."""
+def _symbol_sequence(cf, count, kind, precision=_START_PRECISION):
+    """The Kronecker, Jacobi or reciprocal Jacobi list (by ``kind``) of
+    length count, from the residue pass at the smallest doubling of
+    precision that resolves every term."""
     if count < 1:
         raise ValueError("count must be >= 1")
     while True:
         try:
-            return _residue_pass(cf, count, precision)
+            return _residue_pass(cf, count, kind, precision)
         except PrecisionExhausted:
             precision *= 2
 
 
-def _residue_pass(cf, count, precision):
+def _residue_pass(cf, count, kind, precision):
     # Loop state before step k: s = s_{k-1}, s_prev = s_{k-2}, t = t_{k-1},
     # t_prev = t_{k-2} (all mod 2^precision), w = v2(t_{k-1}),
     # o = u_{k-1} mod 8 and c = c_{k-1}.
@@ -146,7 +149,7 @@ def _residue_pass(cf, count, precision):
     l = len(quotients)
     s, s_prev, t, t_prev = quotients[0], 1, 1, 0
     w, o, c = 0, 1, 1
-    kro, jac, rec = [1], [1], [1 if s & 1 else STAR]
+    out = [STAR if kind == _RECIPROCAL and not s & 1 else 1]
     for k in range(1, count):
         a = quotients[k % l]
         s, s_prev = (a * s + s_prev) & mask, s
@@ -169,10 +172,12 @@ def _residue_pass(cf, count, precision):
             sym = -sym
         if v & 1 and (s * t) & 7 in (3, 5):  # chi(s_k t_{k-1})^v
             sym = -sym
-        kro.append(sym)
-        jac.append(STAR if v else sym)
-        # (t_k/s_k) = R(s_k, t_k) * (s_k/t_k)
-        rec.append(STAR if not s & 1 else -sym if s & u & 2 else sym)
+        if kind == _KRONECKER:
+            out.append(sym)
+        elif kind == _JACOBI:
+            out.append(STAR if v else sym)
+        else:  # (t_k/s_k) = R(s_k, t_k) * (s_k/t_k)
+            out.append(STAR if not s & 1 else -sym if s & u & 2 else sym)
         t, t_prev = t_new, t
         w, o = v, u
-    return kro, jac, rec
+    return out

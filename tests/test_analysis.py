@@ -123,13 +123,21 @@ def check_base_search(cf):
         m, U, e = decompose(cf, L4, precision)
         derived = (*kronseq.analysis._doubled(m, U, precision), e)
         assert derived == decompose(cf, 2 * L4, precision), (cf, precision)
+    # no critical index at L4 leaves nothing to scan at 2*L4 (module
+    # docstring), so analyze does not scan there
+    m, _, e = decompose(cf, L4)
+    if critical_scan(cf, L4, m, e)[0]:
+        return False
+    assert critical_scan(cf, 2 * L4, m + 1, e) == ((), ()), cf
+    a = analyze(cf)
+    assert a.period == Lc and a.critical_indices == (), cf
+    return a.period == 2 * L4  # analyze reached 2*L4
 
 
 def test_base_search_matches_exact_loops_on_small_blocks():
     blocks = list(minimal_blocks(4, 5))
     assert len(blocks) == 745
-    for cf in blocks:
-        check_base_search(cf)
+    assert sum(check_base_search(cf) for cf in blocks) == 367
 
 
 @settings(deadline=None, max_examples=25)
@@ -355,6 +363,15 @@ def test_threshold_valuation_examples():
     assert threshold_valuation(cf, 12, 1) == 3
 
 
+@pytest.mark.parametrize("block, period", [((1, 2, 3), 3), ((1, 2, 3), 9), ((2,), 1)])
+def test_threshold_valuation_odd_period(block, period):
+    # det D(period) = -1, so the first squaring subtracts -I, later ones I
+    cf = block_cf(block)
+    for r in range(5):
+        exact = matrix_at(cf, (period << r) - 1).t
+        assert threshold_valuation(cf, period, r) == v2(exact), (block, r)
+
+
 def test_threshold_valuation_precision_exhaustion():
     # the entry is t_{2^8 * 12 - 1}
     with pytest.raises(PrecisionExhausted, match=r"v2\(t_3071\) not resolvable at precision 8"):
@@ -508,21 +525,83 @@ def test_cascade_matches_per_index_reference():
 
 def test_cascade_cost_is_linear_in_depth(monkeypatch):
     # one attempt makes the two logarithmic powers, r_max squarings and
-    # depth - 1 steps; the per-index formula makes 64,622 products here
+    # depth - 1 column steps; the per-index formula makes 64,622 products
+    # here.  Products, squarings and column steps are all counted.
     products = []
-    original = kronseq.cf._mat_mul_mod
 
-    def counted(A, B, mask):
-        products.append(None)
-        return original(A, B, mask)
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            products.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
 
-    for module in (kronseq.cf, kronseq.analysis):
-        monkeypatch.setattr(module, "_mat_mul_mod", counted)
+    for name in ("_mat_mul_mod", "_square_mod", "_column_step"):
+        wrapper = counted(getattr(kronseq.cf, name))
+        for module in (kronseq.cf, kronseq.analysis):
+            monkeypatch.setattr(module, name, wrapper)
     cf, period, depth = block_cf((1, 2, 5)), 12, 200
     steps = cascade(cf, period, 7, depth, precision=512)
     assert len(steps) == depth
     r_max = steps[-1][1]
     assert len(products) <= r_max + depth + 4 * (len(cf) + period.bit_length())
+    assert products.count("_square_mod") == steps[-2][1]  # the last step walks no further
+    assert products.count("_column_step") == depth - 1
+
+
+def full_matrix_cascade(cf, period, start, depth, precision):
+    """The cascade walking whole 2x2 matrices: P * M_{k_j} = M_{k_{j+1}} by
+    an eight-multiplication product and P squared by another."""
+    mask = (1 << precision) - 1
+    M = matrix_at_mod2(cf, start, precision)
+    M = (M.s, M.s_prev, M.t, M.t_prev)
+    P = matrix_at_mod2(cf, period - 1, precision)
+    P = (P.s, P.s_prev, P.t, P.t_prev)
+    base = kronseq.analysis._resolved_v2(P[2], precision, period - 1)
+    p_r, out, k, prev_r = 0, [], start, -1
+    for j in range(depth):
+        r = kronseq.analysis._resolved_v2(M[2], precision, k) - base
+        if not out and r < 0:
+            raise ValueError(f"start index {start} is not critical for period {period}")
+        if r <= prev_r:
+            raise AssertionError(f"cascade not strictly increasing at k={k}")
+        out.append((k, r))
+        prev_r = r
+        if j == depth - 1:
+            break
+        while p_r < r:
+            P = kronseq.cf._mat_mul_mod(P, P, mask)
+            p_r += 1
+        M = kronseq.cf._mat_mul_mod(P, M, mask)
+        k += (1 << r) * period
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionExhausted, ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_cascade_column_walk_matches_full_matrix_walk():
+    # seeded random aperiodic blocks at 128-1024 bits: the same steps, or
+    # the same error with the same message at the same depth
+    rng = random.Random(20151008)
+    blocks = errors = 0
+    while blocks < 40:
+        cf = normalize_period([rng.randint(1, 30) for _ in range(rng.randint(1, 8))])
+        a = analyze(cf)
+        if not a.critical_indices:
+            continue
+        blocks += 1
+        start = a.critical_indices[0]
+        for precision in (128, 256, 512, 1024):
+            depth = rng.randint(1, 250)
+            expected = outcome(full_matrix_cascade, cf, a.period, start, depth, precision)
+            assert outcome(cascade, cf, a.period, start, depth, precision) == expected, \
+                (cf, precision, depth)
+            errors += isinstance(expected[0], type)
+    assert errors > 10
 
 
 # ---------------------------------------------------------------------------

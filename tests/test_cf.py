@@ -11,7 +11,8 @@ from kronseq import (Convergent, EmptyInput, NonPositiveQuotient, NotCoprime,
                      PeriodicCF, QuadIrrational, cf_of_rational, convergents,
                      matrix_at, matrix_at_mod2, normalize_period,
                      quad_irrational_of)
-from kronseq.cf import _largest_reduction
+from kronseq.cf import (_column_step, _largest_reduction, _mat_mul_mod,
+                        _square_mod)
 
 blocks = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(tuple)
 
@@ -168,6 +169,19 @@ def test_mod2_matrix_deep_spot_check():
 def test_mod2_matrix_rejects_tiny_precision():
     with pytest.raises(ValueError):
         matrix_at_mod2(normalize_period((1, 2)), 3, 1)
+
+
+@given(blocks, st.integers(0, 300), st.sampled_from([8, 64, 512]))
+def test_square_and_column_step_match_full_product(block, k, B):
+    # det M_k = (-1)^(k+1); the mask -1 keeps the product exact
+    cf = normalize_period(block)
+    M = matrix_at(cf, k)
+    P = (M.s, M.s_prev, M.t, M.t_prev)
+    det = (-1) ** (k + 1)
+    for mask in ((1 << B) - 1, -1):
+        assert _square_mod(P, mask, det) == _mat_mul_mod(P, P, mask)
+        full = _mat_mul_mod(P, P, mask)
+        assert _column_step(P, P[0], P[2], mask) == (full[0], full[2])
 
 
 # ---------------------------------------------------------------------------

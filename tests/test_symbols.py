@@ -10,7 +10,8 @@ from kronseq import (STAR, EvenArgument, EvenModulus, NotCoprime,
                      jacobi_sequence, kronecker, kronecker_sequence,
                      normalize_period, reciprocal_jacobi_sequence,
                      reciprocity_sign)
-from kronseq.symbols import _residue_pass, _symbol_sequences
+from kronseq.symbols import (_JACOBI, _KRONECKER, _RECIPROCAL, _residue_pass,
+                             _symbol_sequence)
 
 from conftest import (CORPUS, block_certified_decomposition,
                       block_certified_length, block_cf, convergent_pairs,
@@ -258,6 +259,9 @@ def test_engine_escalates_from_low_precision(block):
     # higher precision and still agree with the exact symbols, here beyond
     # the deep cascade index k=139 of (1,2,5)
     cf = normalize_period(block)
-    with pytest.raises(PrecisionExhausted):
-        _residue_pass(cf, 200, 8)
-    assert tuple(_symbol_sequences(cf, 200, 8)) == exact_sequences(cf, 200)
+    kinds = (_KRONECKER, _JACOBI, _RECIPROCAL)
+    for kind in kinds:
+        with pytest.raises(PrecisionExhausted):
+            _residue_pass(cf, 200, kind, 8)
+    assert tuple(_symbol_sequence(cf, 200, kind, 8)
+                 for kind in kinds) == exact_sequences(cf, 200)
