@@ -272,16 +272,33 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
 
     A critical index makes the sequence aperiodic and yields a witness
     cascade.  Otherwise the sequence is purely periodic: a subcritical index
-    doubles the period, else the certified period itself is one.  On
-    precision exhaustion the working precision doubles, up to MAX_PRECISION.
+    doubles the period, else the certified period itself is one.
     ``analysis``, when given, is the result of :func:`analyze` for ``cf``
     and is used instead of analyzing again.
+
+    The cascade runs on the ladder precision * 2^i, capped at
+    MAX_PRECISION: it starts at the first rung that reaches the predicted
+    need m + e + 2*depth + 3, and doubles on precision exhaustion.  Step j
+    reads v2(t_{k_j}) = m + e + r_j, which a residue mod 2^B resolves only
+    if B >= m + e + r_j + 3.  r_j rises strictly, so r_depth >= r_1 +
+    depth - 1, and rungs at or below m + e + r_1 + depth + 1 are certain
+    to fail.  Each increment r_{j+1} - r_j is v2 of a sum of two odd
+    2-adic units, so it behaves like a geometric variable with mean 2:
+    the measured slope (r_depth - r_1) / (depth - 1) is 1.80-2.27 on all
+    96 ``cascade-deep`` blocks of bench seeds 0-7 (depth 150-200), hence
+    2*depth.  A rung one too high costs wider multiplications, one too
+    low a retry.  Skipping rungs changes no output: an attempt that
+    succeeds, or raises anything but PrecisionExhausted, does the same
+    at every higher rung, since the residues it resolved stay resolved.
     """
     if analysis is None:
         analysis = analyze(cf, precision)
     if analysis.critical_indices:
         first = analysis.critical_indices[0]
+        need = analysis.m + analysis.e + 2 * depth + 3
         B = precision
+        while B < need and B < MAX_PRECISION:
+            B = min(2 * B, MAX_PRECISION)
         while True:
             try:
                 steps = cascade(cf, analysis.period, first, depth, B)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
-                       PeriodicL, analyze, cascade, classify)
+                       PeriodicL, analyze, classify)
 from .cf import (convergents, iter_convergent_pairs, normalize_period,
                  quad_irrational_of)
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
@@ -507,7 +507,8 @@ def _add_common(p, precision):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", metavar="PATH", default=None)
     p.add_argument("--precision", type=_precision, default=precision,
-                   help="working 2-adic precision (bits, >= 8)")
+                   help="working 2-adic precision (bits, >= 8), the first "
+                        "rung of a doubling ladder; a deep cascade may start higher")
 
 
 def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:

@@ -469,8 +469,94 @@ def test_cascade_escalation_decomposes_once(monkeypatch):
     monkeypatch.setattr(kronseq.analysis, "cascade", counted_cascade)
     got = classify(block_cf((1, 2, 5)), depth=200)
     assert len(got.cascade) == 200
-    assert precisions == [128, 256, 512]
+    assert precisions == [512]  # predicted need 2 + 2*200 + 3 = 405 bits
     assert decomposed == [12]
+
+
+def record_cascade_precisions(monkeypatch):
+    precisions = []
+    original_cascade = kronseq.analysis.cascade
+
+    def counted_cascade(*a, **k):
+        precisions.append(a[4])
+        return original_cascade(*a, **k)
+
+    monkeypatch.setattr(kronseq.analysis, "cascade", counted_cascade)
+    return precisions
+
+
+def test_cascade_start_below_need_falls_back_to_doubling(monkeypatch):
+    # the predicted need 2 + 2*60 + 3 = 125 bits gives 128, but r_60 = 131
+    # needs 136, so the first attempt runs out and the ladder doubles
+    precisions = record_cascade_precisions(monkeypatch)
+    cf = block_cf((1, 2, 5))
+    got = classify(cf, depth=60)
+    assert precisions == [128, 256]
+    assert got.cascade == cascade(cf, 12, 7, 60, precision=4096)
+    assert got.cascade[-1][1] == 131
+
+
+def doubling_ladder_classify(cf, precision, depth, analysis):
+    """The cascade as classify ran it before it predicted its start: every
+    rung of precision * 2^i from the first, capped at MAX_PRECISION."""
+    first = analysis.critical_indices[0]
+    B = precision
+    while True:
+        try:
+            return kronseq.analysis.cascade(cf, analysis.period, first, depth, B)
+        except PrecisionExhausted:
+            if B >= kronseq.analysis.MAX_PRECISION:
+                raise
+            B = min(2 * B, kronseq.analysis.MAX_PRECISION)
+
+
+@pytest.mark.parametrize("max_precision", [512, 4096])
+def test_predicted_start_matches_doubling_ladder(monkeypatch, max_precision):
+    # seeded random aperiodic blocks, start precisions below, between and
+    # above the rungs: the same cascade, or the same error and message.  The
+    # attempts climb the old ladder from the first rung that covers the
+    # predicted need, and stop where the old ladder stopped, or at once if
+    # the prediction was higher
+    monkeypatch.setattr(kronseq.analysis, "MAX_PRECISION", max_precision)
+    precisions = record_cascade_precisions(monkeypatch)
+    rng = random.Random(20151009)
+    blocks = errors = 0
+    while blocks < 16:
+        cf = normalize_period([rng.randint(1, 30) for _ in range(rng.randint(1, 8))])
+        a = analyze(cf)
+        if not a.critical_indices:
+            continue
+        blocks += 1
+        for precision in (8, 100, 128, 5000):
+            depth = rng.randint(1, 300)
+            expected = outcome(doubling_ladder_classify, cf, precision, depth, a)
+            old_attempts = precisions[:]
+            precisions.clear()
+            got = outcome(lambda: classify(cf, precision, depth, a).cascade)
+            assert got == expected, (cf, precision, depth)
+            rungs = [precision]
+            while rungs[-1] < max_precision:
+                rungs.append(min(2 * rungs[-1], max_precision))
+            need = a.m + a.e + 2 * depth + 3
+            first = next((i for i, B in enumerate(rungs) if B >= need), len(rungs) - 1)
+            last = max(first, rungs.index(old_attempts[-1]))
+            assert precisions == rungs[first:last + 1], (cf, precision, depth)
+            precisions.clear()
+            errors += isinstance(expected[0], type)
+    assert errors > 0 if max_precision == 512 else errors == 0
+
+
+def test_predicted_start_past_the_cap_makes_one_attempt(monkeypatch):
+    monkeypatch.setattr(kronseq.analysis, "MAX_PRECISION", 256)
+    cf = block_cf((1, 2, 5))
+    a = analyze(cf)
+    expected = outcome(doubling_ladder_classify, cf, 128, 200, a)
+    assert expected[0] is PrecisionExhausted
+    precisions = record_cascade_precisions(monkeypatch)
+    with pytest.raises(PrecisionExhausted) as exc:
+        classify(cf, 128, 200, a)
+    assert str(exc.value) == expected[1]
+    assert precisions == [256]
 
 
 def test_cascade_rejects_period_off_the_block_length():
