@@ -9,6 +9,10 @@ Exit codes are a stable contract:
      other package error
   3  aperiodic classification (analyze)
   4  oracle mismatch (verify)
+
+Each subcommand computes its rows once and returns its exit code with one
+zero-argument renderer per --format; main calls the chosen renderer and
+writes its text once.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def parse_block(text: str) -> tuple[int, ...]:
     for chunk in s.split(","):
         token = chunk.strip()
         at = base + pos + (chunk.index(token) if token else 0)
-        if not token.isdigit() or int(token) < 1:
+        if not token.isdecimal() or int(token) < 1:
             raise ParseError(f"expected a positive integer at position {at}",
                              position=at)
         out.append(int(token))
@@ -117,6 +121,22 @@ def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisRep
 # ---------------------------------------------------------------------------
 # serialization
 
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+_KIND = {PeriodicL: "periodic-L", Periodic2L: "periodic-2L", Aperiodic: "aperiodic"}
+_KIND_TYPE = {kind: cls for cls, kind in _KIND.items()}
+
+
 def sym_str(v):
     if v == STAR:
         return "*"
@@ -124,26 +144,24 @@ def sym_str(v):
 
 
 def _classification_to_dict(c: Classification):
-    if isinstance(c, PeriodicL):
-        return {"kind": "periodic-L", "period": c.period}
-    if isinstance(c, Periodic2L):
-        return {"kind": "periodic-2L", "period": c.period, "witness": c.witness}
-    return {"kind": "aperiodic", "first_critical": c.first_critical,
-            "cascade": [[k, r] for k, r in c.cascade]}
+    # vars, not asdict: asdict's deep copy costs about 10 us per report
+    d = {"kind": _KIND[type(c)], **vars(c)}
+    if isinstance(c, Aperiodic):
+        d["cascade"] = [[k, r] for k, r in c.cascade]
+    return d
 
 
 def _classification_from_dict(d) -> Classification:
-    if d["kind"] == "periodic-L":
-        return PeriodicL(period=d["period"])
-    if d["kind"] == "periodic-2L":
-        return Periodic2L(period=d["period"], witness=d["witness"])
-    return Aperiodic(first_critical=d["first_critical"],
-                     cascade=tuple((k, r) for k, r in d["cascade"]))
+    cls = _KIND_TYPE[d["kind"]]
+    fields = {name: value for name, value in d.items() if name != "kind"}
+    if cls is Aperiodic:
+        fields["cascade"] = tuple((k, r) for k, r in fields["cascade"])
+    return cls(**fields)
 
 
 def report_to_dict(rep: AnalysisReport) -> dict:
     a = rep.analysis
-    d = {
+    return {
         "block": list(rep.block),
         "l": len(rep.block),
         "reduced": rep.reduced,
@@ -159,7 +177,6 @@ def report_to_dict(rep: AnalysisReport) -> dict:
         "classification": _classification_to_dict(rep.classification),
         "oracle": _oracle_to_dict(rep.oracle),
     }
-    return d
 
 
 def _detail_to_dict(c: ConvergentDetail):
@@ -216,7 +233,7 @@ def report_from_dict(d: dict) -> AnalysisReport:
 
 
 def report_to_json(rep: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(rep), sort_keys=True, separators=(",", ":"))
+    return _json(report_to_dict(rep))
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -265,31 +282,36 @@ def report_to_text(rep: AnalysisReport) -> str:
 def report_to_csv(rep: AnalysisReport) -> str:
     a = rep.analysis
     c = rep.classification
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["block", "l", "P", "D", "Q", "L", "m", "e", "u", "certified",
-                "classification", "period", "witness", "first_critical",
-                "critical", "subcritical", "cascade"])
-    w.writerow([
+    header = ["block", "l", "P", "D", "Q", "L", "m", "e", "u", "certified",
+              "classification", "period", "witness", "first_critical",
+              "critical", "subcritical", "cascade"]
+    row = [
         " ".join(map(str, rep.block)), len(rep.block),
         rep.quad[0], rep.quad[1], rep.quad[2],
         a.period, a.m, a.e, a.u, a.certified,
-        _classification_to_dict(c)["kind"],
+        _KIND[type(c)],
         getattr(c, "period", ""),
         getattr(c, "witness", ""),
         getattr(c, "first_critical", ""),
         " ".join(str(d.k) for d in rep.critical),
         " ".join(str(d.k) for d in rep.subcritical),
         " ".join(f"{k}:{r}" for k, r in getattr(c, "cascade", ())),
-    ])
-    return buf.getvalue()
+    ]
+    return _csv(header, [row])
+
+
+def _table_text(header, rows) -> str:
+    """Columns right-justified to their widest entry, two spaces apart."""
+    widths = [max(len(str(v)) for v in column) for column in zip(header, *rows)]
+    return "\n".join("  ".join(str(v).rjust(w) for v, w in zip(row, widths))
+                     for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-class _CannotWrite(Exception):
-    """The --output path could not be written; main exits with EXIT_USAGE."""
+class _UsageError(Exception):
+    """An input or --output path that cannot be used; main exits with EXIT_USAGE."""
 
 
 def _emit(text, output):
@@ -300,7 +322,7 @@ def _emit(text, output):
             with open(output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CannotWrite(f"cannot write {output}: {exc}") from exc
+            raise _UsageError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -311,110 +333,79 @@ def _read_block_arg(arg):
     return parse_block(arg)
 
 
-def cmd_expand(args) -> int:
-    block = _read_block_arg(args.block)
-    cf = normalize_period(block)
+def cmd_expand(args):
+    cf = normalize_period(_read_block_arg(args.block))
     n = args.count
-    rows = []
     convs = convergents(cf, n)
     jac = jacobi_sequence(cf, n)
     rec = reciprocal_jacobi_sequence(cf, n)
     kro = kronecker_sequence(cf, n)
-    for k in range(n):
-        rows.append((k, convs[k].s, convs[k].t,
-                     sym_str(jac[k]), sym_str(rec[k]), sym_str(kro[k])))
+    rows = [(k, convs[k].s, convs[k].t, sym_str(jac[k]), sym_str(rec[k]), sym_str(kro[k]))
+            for k in range(n)]
     header = ("k", "s", "t", "jacobi", "reciprocal_jacobi", "kronecker")
-    if args.format == "json":
-        data = [{"k": k, "s": str(s), "t": str(t), "jacobi": j,
-                 "reciprocal_jacobi": r, "kronecker": q}
-                for k, s, t, j, r, q in rows]
-        payload = {"block": list(cf.quotients), "count": n, "rows": data}
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        w.writerows(rows)
-        _emit(buf.getvalue(), args.output)
-    else:
-        widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(6)]
-        lines = ["  ".join(str(v).rjust(widths[i]) for i, v in enumerate(header))]
-        for r in rows:
-            lines.append("  ".join(str(v).rjust(widths[i]) for i, v in enumerate(r)))
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK
+
+    def to_json():
+        data = [dict(zip(header, (k, str(s), str(t), *symbols)))
+                for k, s, t, *symbols in rows]
+        return _json({"block": list(cf.quotients), "count": n, "rows": data})
+
+    return EXIT_OK, {"text": lambda: _table_text(header, rows), "json": to_json,
+                     "csv": lambda: _csv(header, rows)}
 
 
-def cmd_analyze(args) -> int:
-    block = _read_block_arg(args.block)
-    rep = build_report(block, precision=args.precision, window=args.window)
-    if args.format == "json":
-        _emit(report_to_json(rep), args.output)
-    elif args.format == "csv":
-        _emit(report_to_csv(rep), args.output)
-    else:
-        _emit(report_to_text(rep), args.output)
-    return EXIT_APERIODIC if isinstance(rep.classification, Aperiodic) else EXIT_OK
+def cmd_analyze(args):
+    rep = build_report(_read_block_arg(args.block), precision=args.precision,
+                       window=args.window)
+    code = EXIT_APERIODIC if isinstance(rep.classification, Aperiodic) else EXIT_OK
+    return code, {"text": lambda: report_to_text(rep),
+                  "json": lambda: report_to_json(rep),
+                  "csv": lambda: report_to_csv(rep)}
 
 
-def cmd_cascade(args) -> int:
-    block = _read_block_arg(args.block)
-    cf = normalize_period(block)
+def cmd_cascade(args):
+    cf = normalize_period(_read_block_arg(args.block))
     analysis = analyze(cf, args.precision)
     verdict = classify(cf, args.precision, depth=args.depth, analysis=analysis)
     if not isinstance(verdict, Aperiodic):
         raise NotAperiodic(f"{cf} has a periodic Kronecker sequence; no cascade")
     period = analysis.period
-    steps = verdict.cascade
-    if args.format == "json":
-        payload = {
-            "block": list(cf.quotients), "L": period,
-            "cascade": [{"j": j + 1, "k": k, "r": r,
-                         "falsified_period_multiple": (1 << (r + 1)) * period}
-                        for j, (k, r) in enumerate(steps)],
-        }
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["j", "k", "r", "falsified_period_multiple"])
-        for j, (k, r) in enumerate(steps):
-            w.writerow([j + 1, k, r, (1 << (r + 1)) * period])
-        _emit(buf.getvalue(), args.output)
-    else:
+    rows = [(j, k, r, (1 << (r + 1)) * period)
+            for j, (k, r) in enumerate(verdict.cascade, start=1)]
+    header = ("j", "k", "r", "falsified_period_multiple")
+
+    def to_text():
         lines = [f"base period L = {period}"]
-        for j, (k, r) in enumerate(steps):
-            lines.append(f"j={j + 1}: k={k}, r={r}, falsifies periods dividing "
-                         f"2^{r + 1}*L = {(1 << (r + 1)) * period}")
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK
+        for j, k, r, multiple in rows:
+            lines.append(f"j={j}: k={k}, r={r}, falsifies periods dividing "
+                         f"2^{r + 1}*L = {multiple}")
+        return "\n".join(lines)
+
+    def to_json():
+        # a dict display, not dict(zip(header, row)): that cost about 4 % of a
+        # depth-180 cascade call
+        steps = [{"j": j, "k": k, "r": r, "falsified_period_multiple": multiple}
+                 for j, k, r, multiple in rows]
+        return _json({"block": list(cf.quotients), "L": period, "cascade": steps})
+
+    return EXIT_OK, {"text": to_text, "json": to_json, "csv": lambda: _csv(header, rows)}
 
 
-def cmd_verify(args) -> int:
-    block = _read_block_arg(args.block)
-    cf = normalize_period(block)
+def cmd_verify(args):
+    cf = normalize_period(_read_block_arg(args.block))
     report = cross_check(cf, window=args.window, max_period=args.max_period,
                          precision=args.precision)
-    if args.format == "json":
-        _emit(json.dumps(_oracle_to_dict(report), sort_keys=True,
-                         separators=(",", ":")), args.output)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["window", "empirical_period", "falsified_count", "agreement"])
-        w.writerow([report.window_length, report.empirical_period,
-                    len(report.falsified_periods), report.verdict_agreement])
-        _emit(buf.getvalue(), args.output)
-    else:
-        lines = [f"window            {report.window_length}",
-                 f"empirical period  {report.empirical_period}",
-                 f"falsified periods {len(report.falsified_periods)}",
-                 f"agreement         {report.verdict_agreement}"]
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK
+    row = (report.window_length, report.empirical_period,
+           len(report.falsified_periods), report.verdict_agreement)
+    labels = ("window", "empirical period", "falsified periods", "agreement")
+    header = ("window", "empirical_period", "falsified_count", "agreement")
+    return EXIT_OK, {
+        "text": lambda: "\n".join(f"{label:<18}{v}" for label, v in zip(labels, row)),
+        "json": lambda: _json(_oracle_to_dict(report)),
+        "csv": lambda: _csv(header, [row]),
+    }
 
 
-def cmd_batch(args) -> int:
+def cmd_batch(args):
     if args.input == "-":
         content = sys.stdin.read()
     else:
@@ -422,8 +413,7 @@ def cmd_batch(args) -> int:
             with open(args.input) as fh:
                 content = fh.read()
         except OSError as exc:
-            sys.stderr.write(f"cannot read {args.input}: {exc}\n")
-            return EXIT_USAGE
+            raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     records = []
     for lineno, raw in enumerate(content.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -434,37 +424,30 @@ def cmd_batch(args) -> int:
             records.append((lineno, line, rep, None))
         except KronseqError as exc:
             records.append((lineno, line, None, str(exc)))
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["line", "input", "classification", "period", "L", "m", "e", "error"])
+
+    def to_text():
+        return "\n\n".join(f"# line {lineno}: {line}\n"
+                           + (report_to_text(rep) if rep else f"error: {err}")
+                           for lineno, line, rep, err in records)
+
+    def to_json():
+        return "\n".join(
+            _json({"line": lineno, "input": line, "report": report_to_dict(rep)} if rep
+                  else {"line": lineno, "input": line, "error": err})
+            for lineno, line, rep, err in records)
+
+    def to_csv():
+        rows = []
         for lineno, line, rep, err in records:
             if rep is None:
-                w.writerow([lineno, line, "", "", "", "", "", err])
+                rows.append([lineno, line, "", "", "", "", "", err])
             else:
-                c = rep.classification
-                w.writerow([lineno, line, _classification_to_dict(c)["kind"],
-                            getattr(c, "period", ""), rep.analysis.period,
-                            rep.analysis.m, rep.analysis.e, ""])
-        _emit(buf.getvalue(), args.output)
-    elif args.format == "text":
-        chunks = []
-        for lineno, line, rep, err in records:
-            head = f"# line {lineno}: {line}"
-            body = report_to_text(rep) if rep else f"error: {err}"
-            chunks.append(head + "\n" + body)
-        _emit("\n\n".join(chunks) if chunks else "", args.output)
-    else:
-        lines = []
-        for lineno, line, rep, err in records:
-            if rep is None:
-                lines.append(json.dumps({"line": lineno, "input": line, "error": err},
-                                        sort_keys=True, separators=(",", ":")))
-            else:
-                d = {"line": lineno, "input": line, "report": report_to_dict(rep)}
-                lines.append(json.dumps(d, sort_keys=True, separators=(",", ":")))
-        _emit("\n".join(lines) if lines else "", args.output)
-    return EXIT_OK
+                c, a = rep.classification, rep.analysis
+                rows.append([lineno, line, _KIND[type(c)], getattr(c, "period", ""),
+                             a.period, a.m, a.e, ""])
+        return _csv(["line", "input", "classification", "period", "L", "m", "e", "error"], rows)
+
+    return EXIT_OK, {"text": to_text, "json": to_json, "csv": to_csv}
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +550,13 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
         if args.precision is None:
             args.precision = precision
-        return args.func(args)
+        code, render = args.func(args)
+        _emit(render[args.format](), args.output)
+        return code
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except _CannotWrite as exc:
+    except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
     except (NotAperiodic, WindowTooShort) as exc:

@@ -30,6 +30,9 @@ def test_parse_block_errors_carry_position():
     with pytest.raises(ParseError) as ei:
         parse_block("1,x,3")
     assert ei.value.position == 2
+    with pytest.raises(ParseError) as ei:
+        parse_block("1,\u00b2")  # a digit that int() rejects
+    assert ei.value.position == 2
     with pytest.raises(ParseError):
         parse_block("")
     with pytest.raises(ParseError):
@@ -234,8 +237,9 @@ def test_batch_empty_file(tmp_path, capsys):
 
 
 def test_batch_missing_file(capsys):
-    code, _, err = run(capsys, ["batch", "/no/such/file"])
-    assert code == EXIT_USAGE
+    code, out, err = run(capsys, ["batch", "/no/such/file"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("cannot read /no/such/file: ") and err.count("\n") == 1
 
 
 def test_batch_csv(tmp_path, capsys):
@@ -370,6 +374,17 @@ def test_precision_below_eight_is_parse_error(capsys):
     assert "--precision" in err
 
 
+def test_non_decimal_digit_is_parse_error(capsys, monkeypatch):
+    code, err = run_to_exit(capsys, ["analyze", "1,\u00b2"])
+    assert code == EXIT_PARSE and err.startswith("parse error: ")
+    monkeypatch.setattr("sys.stdin", io.StringIO("1,2,3\n1,\u00b2\n2\n"))
+    code, out, _ = run(capsys, ["batch", "-"])
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in out.splitlines()]
+    assert ["report" in r for r in records] == [True, False, True]
+    assert records[1]["error"] == "expected a positive integer at position 2"
+
+
 def test_any_package_error_maps_to_exit_2(capsys, monkeypatch):
     import kronseq.cli as cli
 
@@ -468,3 +483,30 @@ def test_long_window_verify_digest(capsys, monkeypatch):
             code, out, _ = run(capsys, argv)
             digest.update(f"{' '.join(argv)}\n{code}\n{out}\0".encode())
     assert digest.hexdigest() == LONG_WINDOW_DIGEST
+
+
+# non-minimal inputs, whose text report carries the reduction note as its
+# second line, and expand past ten rows, whose columns widen to two digits
+REDUCED_BLOCKS = ("2,2", "1,2,1,2", "1,2,5,1,2,5")
+REDUCED_COMMANDS = (["analyze"], ["analyze", "--window", "300"],
+                    ["verify", "--window", "400"], ["expand", "--count", "12"])
+REDUCED_BATCH = "# reduced inputs\n2,2\n1,2,1,2\n1,2,5,1,2,5\n"
+REDUCED_DIGEST = "4dd9fcea5e6601969887327b4d5d7fbb863ce0b660b692f4ec41a0ccf7b5ead9"
+
+
+def test_reduced_input_digest(capsys, monkeypatch):
+    # SHA-256 over argv, exit code and stdout of 39 calls
+    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
+    digest = hashlib.sha256()
+
+    def record(argv):
+        code, out, _ = run(capsys, argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}\0".encode())
+
+    for fmt in ("text", "json", "csv"):
+        for command in REDUCED_COMMANDS:
+            for block in REDUCED_BLOCKS:
+                record([command[0], block, *command[1:], "--format", fmt])
+        monkeypatch.setattr("sys.stdin", io.StringIO(REDUCED_BATCH))
+        record(["batch", "-", "--format", fmt])
+    assert digest.hexdigest() == REDUCED_DIGEST
