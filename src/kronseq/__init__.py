@@ -14,7 +14,7 @@ from .errors import (EmptyInput, EvenArgument, EvenModulus, KronseqError,
                      NonPositiveQuotient, NotAperiodic, NotCoprime,
                      OracleMismatch, ParseError, PrecisionExhausted,
                      WindowTooShort)
-from .oracle import PeriodReport, cross_check, empirical_period, falsify_period
+from .oracle import PeriodReport, cross_check, empirical_period
 from .symbols import (STAR, jacobi, jacobi_sequence, kronecker,
                       kronecker_sequence, reciprocal_jacobi_sequence,
                       reciprocity_sign)
@@ -30,7 +30,7 @@ __all__ = [
     "PeriodAnalysis", "PeriodicL", "Periodic2L", "Aperiodic", "Classification",
     "mod4_period_length", "certified_period_length", "decompose",
     "critical_scan", "analyze", "classify", "threshold_valuation", "cascade",
-    "PeriodReport", "empirical_period", "falsify_period", "cross_check",
+    "PeriodReport", "empirical_period", "cross_check",
     "KronseqError", "EmptyInput", "NonPositiveQuotient", "NotCoprime",
     "EvenModulus", "EvenArgument", "PrecisionExhausted",
     "NotAperiodic", "WindowTooShort", "OracleMismatch", "ParseError",

@@ -12,55 +12,56 @@ squaring sends (m, e) to (m+1, e), an odd multiple keeps both, and v2(t_k)
 is carried along correspondingly, so critical indices exist for one
 admissible base iff they exist for every other.
 
-Four facts fix the base and its threshold.  (1) D(d*l) = B^d for the
+Five facts fix the base and its threshold.  (1) D(d*l) = B^d for the
 block matrix B = D(l) (see :func:`cascade`), so the L with D(L) = I mod 4
 are the multiples of L4 = ord(B mod 4) * l.  They are all even, since
 det D(L) = (-1)^L must be 1 mod 4.  Every element of GL2(Z/4) has order
 1, 2, 3, 4 or 6 (by enumeration of all 96), so L4 <= 6l.
 (2) The lower-left entry of D(L) - I is t_{L-1}, so m + e = v2(t_{L-1}),
 which D(L) mod 2^B gives while it is below B.  (3) t_{L-1} >= 1, so e is
-always finite.  (4) 2*L4 is a period of the Jacobi sequence (s_k/t_k),
-with STAR at even t_k, while L4 alone need not be one: for (2,), D(4) =
-I mod 4 but the Jacobi period is 8.
+always finite.  Write D(L4) = [[a, b], [c, d]] and f = (d/c), a Kronecker
+symbol.  (4) The Jacobi sequence (s_k/t_k), with STAR at even t_k,
+satisfies jac[k + L4] = f * jac[k], so 2*L4 is always a Jacobi period.
+(5) L4 is a Jacobi period iff f = +1, and f = (a/c) = (s_{L4-1}/t_{L4-1}):
+for (2,), D(4) = I mod 4 but f = -1 and the Jacobi period is 8.
 
-Proof of (4).  Lemma: let A = [[alpha, beta], [gamma, delta]] be in
-SL2(Z) with non-negative entries, gamma >= 1 and A = I mod 8, let s >= 1
-and odd t >= 1 be coprime, and put s' = alpha*s + beta*t and
-t' = gamma*s + delta*t.  Then t' is odd and (s'/t') = (delta/g)(s/t),
-where g is the odd part of gamma.  Proof: pick i >= 0 with
+Lemma: let A = [[alpha, beta], [gamma, delta]] be in SL2(Z) with
+non-negative entries, gamma >= 1 and A = I mod 4, let s >= 1 and odd
+t >= 1 be coprime, and put s' = alpha*s + beta*t and t' = gamma*s +
+delta*t.  Then t' is odd and (s'/t') = (delta/gamma)(s/t), with
+(delta/gamma) the Kronecker symbol.  Proof: pick i >= 0 with
 sigma = s - 4it != 0 and gcd(d', t') = 1, where d' = delta + 4i*gamma.
 Such an i exists by the Chinese remainder theorem: a prime p | t' with
-p !| gamma excludes one class of i mod p, and a prime dividing both t'
-and gamma divides delta*t', so never delta, as gcd(gamma, delta) = 1.
+p !| gamma excludes one class of i mod p, and a prime dividing gamma
+never divides d' = delta mod gamma, as gcd(gamma, delta) = 1.
 Since alpha*delta - beta*gamma = 1, delta*s' = s + beta*t' and
 gamma*s' = -t (mod t'), so sigma = d'*s' (mod t').  Also
-t' = gamma*sigma + d'*t = d'*t (mod 8|sigma|).  As n -> (sigma/n) is a
+t' = gamma*sigma + d'*t = d'*t (mod 4|sigma|).  As n -> (sigma/n) is a
 character mod 4|sigma| on odd n > 0,
     (d'/t')(s'/t') = (sigma/t') = (sigma/d')(sigma/t) = (sigma/d')(s/t).
-Reciprocity with d' = 1 mod 8 gives (d'/t') = (t'/d') =
+Reciprocity with d' = 1 mod 4 gives (d'/t') = (t'/d') =
 (gamma*sigma/d'), and gcd(sigma, d') = 1 because any common prime would
-divide t'.  Hence (s'/t') = (gamma/d')(s/t) = (g/d')(s/t) =
-(d'/g)(s/t) = (delta/g)(s/t).
-Now take A = D(2*L4) = B'^2 for B' = D(L4) = [[a, b], [c, d]] = I mod 4
-(fact (1)), so A = I mod 8, and with T = a + d, gamma = c*T >= 1
-(c = t_{L4-1}) and delta = d*T - 1.  Then delta = bc + d^2 = d^2 (mod c), and
-delta = -1 (mod T).  ad = 1 + bc = 1 mod 16 forces a = d mod 8, so
-T = 2 mod 8 and T/2 = 1 mod 4.  The odd part of gamma is c0*(T/2), c0 the
-odd part of c (coprime to d), so (delta/g) = (d^2/c0)(-1/(T/2)) = 1.
-Finally M_{k+N} = D(N) * M_k for N a multiple of l (see :func:`cascade`),
-so (s_{k+2L4}, t_{k+2L4}) = A (s_k, t_k): t_k and t_{k+2L4} have the same
-parity, and by the lemma the same Jacobi symbol when odd.  The square is
-needed: for A = [[113, 80], [24, 17]], which is I mod 8, (delta/g) =
-(17/3) = -1.
+divide t'.  Hence (s'/t') = (gamma/d')(s/t).  Finally (gamma/d') =
+(delta/gamma): for gamma = 2^j g with g odd, (g/d') = (d'/g) = (delta/g)
+by reciprocity and d' = delta mod gamma, and (2/d') = (delta/2) since
+d' = delta mod 16.
+Proof of (4) and (5).  M_{k+N} = D(N) * M_k for N a multiple of l (see
+:func:`cascade`), so (s_{k+L4}, t_{k+L4}) = D(L4) (s_k, t_k), and D(L4) =
+I mod 4 has determinant 1 (fact (1)) and c = t_{L4-1} >= 1.  So t_k and
+t_{k+L4} have the same parity, and by the lemma jac[k+L4] = f * jac[k]
+when t_k is odd; f^2 = 1 gives (4).  If f = -1, k = 0 (t_0 = 1) is a
+witness that L4 is no Jacobi period, which gives (5).  ad = 1 + bc =
+1 mod 16 and modulo the odd part of c, so (a/c)(d/c) = (ad/c) = 1 and
+f = (a/c).  The sign is not always +1 even for A = I mod 8: for
+A = [[113, 80], [24, 17]], (delta/gamma) = (17/24) = -1.
 
 Periodic-case period claims are made at the certified base, the smallest
-admissible L that is also a Jacobi period.  By (4) it is L4 when the
-Jacobi symbols at k and k + L4 agree for all k < L4, and 2*L4 otherwise;
-2*L4 <= 12l terms decide it, and no other multiple is ever needed.  At
-2*L4 the decomposition follows from that at L4: D(2L) = (I + 2^m U)^2 =
-I + 2^(m+1) U' with U' = U + 2^(m-1) U^2, which is U mod 2 as m >= 2, so
-m' = m + 1; and U'_21 = u (1 + 2^(m-1) (x + v)) for U = [[x, y], [u, v]],
-so e' = e.
+admissible L that is also a Jacobi period.  By (5) it is L4 when the
+Kronecker symbol (s_{L4-1}/t_{L4-1}) is +1, and 2*L4 otherwise; no
+other multiple is ever needed.  At 2*L4 the decomposition follows from
+that at L4: D(2L) = (I + 2^m U)^2 = I + 2^(m+1) U' with U' = U +
+2^(m-1) U^2, which is U mod 2 as m >= 2, so m' = m + 1; and U'_21 =
+u (1 + 2^(m-1) (x + v)) for U = [[x, y], [u, v]], so e' = e.
 
 The base 2*L4 is only used when L = L4 has no critical index, and then
 2*L4 has no critical and no subcritical index either, so it is never
@@ -78,9 +79,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cf import (PeriodicCF, _column_step, _mat_mul_mod, _square_mod,
-                 iter_convergent_pairs, matrix_at, matrix_at_mod2)
+                 iter_convergent_pairs, matrix_at_mod2)
 from .errors import PrecisionExhausted
-from .symbols import jacobi_sequence
+from .symbols import kronecker_sequence
 
 __all__ = [
     "PeriodAnalysis",
@@ -172,15 +173,15 @@ def mod4_period_length(cf: PeriodicCF) -> int:
 
 def _is_jacobi_period(cf, L4):
     """Whether L4 = mod4_period_length(cf) is a period of the Jacobi
-    sequence; 2*L4 always is (fact (4)), so 2*L4 terms decide it."""
-    jac = jacobi_sequence(cf, 2 * L4)
-    return jac[L4:] == jac[:L4]
+    sequence: exactly when (s_{L4-1}/t_{L4-1}) = +1 (fact (5))."""
+    return kronecker_sequence(cf, L4)[L4 - 1] == 1
 
 
 def certified_period_length(cf: PeriodicCF) -> int:
     """Smallest multiple of L4 = mod4_period_length(cf) that is also a
-    period of the Jacobi sequence: L4 itself if it is one, else 2*L4,
-    which always is one (fact (4) of the module docstring).
+    period of the Jacobi sequence: L4 itself if the Kronecker symbol
+    (s_{L4-1}/t_{L4-1}) is +1, else 2*L4 (facts (4) and (5) of the module
+    docstring).
     """
     L4 = mod4_period_length(cf)
     return L4 if _is_jacobi_period(cf, L4) else 2 * L4
@@ -197,6 +198,38 @@ def _resolved_v2(t, precision, k):
     return _v2(t)
 
 
+def _walk(cf, period):
+    """One exact walk of the convergents k < period.  Returns D(period) as
+    the 4-tuple (s, s_prev, t, t_prev), and (k, v2(t_k)) for every k with
+    s_k = 3 mod 4 and t_k even, the only candidates for a critical or
+    subcritical index (m + e - 1 >= 1, as m >= 2)."""
+    candidates = []
+    prev, pair = (0, 1), (1, 0)  # D(0) = I: (s_{-2}, t_{-2}), (s_{-1}, t_{-1})
+    for k, (s, t) in zip(range(period), iter_convergent_pairs(cf)):
+        if s & 3 == 3 and not t & 1:
+            candidates.append((k, _v2(t)))
+        prev, pair = pair, (s, t)
+    return (pair[0], prev[0], pair[1], prev[1]), candidates
+
+
+def _split(cf, period, D, precision):
+    """(m, U mod 2**precision, e) of D = D(period) = I + 2^m * U."""
+    if not _is_identity_mod4(D):
+        raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
+    diff = (D[0] - 1, D[1], D[2], D[3] - 1)
+    m = min(_v2(x) for x in diff if x != 0)
+    mask = (1 << precision) - 1
+    x, y, u, v = (d >> m for d in diff)
+    return m, ((x & mask, y & mask), (u & mask, v & mask)), _v2(u)
+
+
+def _critical(candidates, m, e):
+    """The candidates of :func:`_walk` split by v2(t_k): at least m+e gives
+    a critical index, exactly m+e-1 a subcritical one."""
+    return (tuple(k for k, w in candidates if w >= m + e),
+            tuple(k for k, w in candidates if w == m + e - 1))
+
+
 def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
     """Split D(period) = I + 2^m * U; returns (m, U mod 2**precision, e).
 
@@ -205,15 +238,7 @@ def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
     """
     if precision < 8:
         raise ValueError("precision must be >= 8")
-    M = matrix_at(cf, period - 1)
-    if not _is_identity_mod4((M.s, M.s_prev, M.t, M.t_prev)):
-        raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
-    diff = (M.s - 1, M.s_prev, M.t, M.t_prev - 1)
-    m = min(_v2(x) for x in diff if x != 0)
-    mask = (1 << precision) - 1
-    x, y, u, v = (d >> m for d in diff)
-    U = ((x & mask, y & mask), (u & mask, v & mask))
-    return m, U, _v2(u)
+    return _split(cf, period, _walk(cf, period)[0], precision)
 
 
 def _doubled(m, U, precision):
@@ -228,36 +253,31 @@ def _doubled(m, U, precision):
 
 
 def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
-    """Indices k < period with s_k = 3 mod 4, split by v2(t_k): at least
-    m+e gives a critical index, exactly m+e-1 a subcritical one."""
-    critical, subcritical = [], []
-    it = iter_convergent_pairs(cf)
-    for k in range(period):
-        s, t = next(it)
-        if s % 4 != 3:
-            continue
-        w = _v2(t)
-        if w >= m + e:
-            critical.append(k)
-        elif w == m + e - 1:
-            subcritical.append(k)
-    return tuple(critical), tuple(subcritical)
+    """Indices k < period with s_k = 3 mod 4 and t_k even, split by
+    v2(t_k): at least m+e gives a critical index, exactly m+e-1 a
+    subcritical one (m >= 2 for every decomposition)."""
+    return _critical(_walk(cf, period)[1], m, e)
 
 
 def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysis:
     """Period analysis underlying :func:`classify`.
 
-    Critical indices are base-independent, so the aperiodic case is reported
-    at the plain mod-4 period length L4.  When no critical index exists and
-    L4 is not a Jacobi period, the analysis is redone at the certified
-    length 2*L4, which is the base at which the period claims of the
-    classification actually hold; its decomposition is derived from the
-    one at L4, and it has no critical or subcritical index (module
-    docstring).
+    L4 comes from the mod-4 search, then one exact walk of the first L4
+    convergents gives D(L4), hence (m, U, e), and the critical and
+    subcritical indices.  Critical indices are base-independent, so the
+    aperiodic case is reported at L4.  L4 is certified when the Kronecker
+    symbol (s_{L4-1}/t_{L4-1}) is +1 (fact (5)); when it is -1 and no
+    critical index exists, the analysis is reported at the certified
+    length 2*L4, the base at which the period claims of the classification
+    actually hold.  Its decomposition is derived from the one at L4, and
+    it has no critical or subcritical index (module docstring).
     """
+    if precision < 8:
+        raise ValueError("precision must be >= 8")
     L = mod4_period_length(cf)
-    m, U, e = decompose(cf, L, precision)
-    critical, subcritical = critical_scan(cf, L, m, e)
+    D, candidates = _walk(cf, L)
+    m, U, e = _split(cf, L, D, precision)
+    critical, subcritical = _critical(candidates, m, e)
     certified = _is_jacobi_period(cf, L)
     if critical or certified:
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified)

@@ -86,23 +86,6 @@ class ConvergentMatrix:
     def rows(self):
         return ((self.s, self.s_prev), (self.t, self.t_prev))
 
-    def det(self):
-        return self.s * self.t_prev - self.s_prev * self.t
-
-    def __matmul__(self, other):
-        """Matrix product; the combined index is valid whenever the left
-        factor spans a whole number of quotient blocks."""
-        if self.modulus != other.modulus:
-            raise ValueError("cannot mix exact and reduced matrices")
-        s = self.s * other.s + self.s_prev * other.t
-        sp = self.s * other.s_prev + self.s_prev * other.t_prev
-        t = self.t * other.s + self.t_prev * other.t
-        tp = self.t * other.s_prev + self.t_prev * other.t_prev
-        if self.modulus is not None:
-            mask = self.modulus - 1
-            s, sp, t, tp = s & mask, sp & mask, t & mask, tp & mask
-        return ConvergentMatrix(self.k + other.k + 1, s, sp, t, tp, self.modulus)
-
 
 @dataclass(frozen=True)
 class QuadIrrational:

@@ -543,8 +543,10 @@ def _shared_parser():
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # big integers print in full decimal
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:  # big integers print in full decimal, until main returns
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         precision = _default_precision()  # read per call, before parsing
         args = _shared_parser().parse_args(argv)
@@ -569,6 +571,9 @@ def main(argv=None) -> int:
         # every other package error (bad quotients, precision exhausted, ...)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from .cf import PeriodicCF, iter_convergent_pairs
 from .errors import OracleMismatch, WindowTooShort
 from .symbols import kronecker, kronecker_sequence
 
-__all__ = ["PeriodReport", "empirical_period", "falsify_period", "cross_check"]
+__all__ = ["PeriodReport", "empirical_period", "cross_check"]
 
 DEFAULT_WINDOW = 600
 
@@ -106,16 +106,6 @@ class _PackedWindow:
 def empirical_period(seq) -> int | None:
     """Smallest p <= len(seq)/2 consistent with the whole window, or None."""
     return _PackedWindow(seq).period()
-
-
-def falsify_period(cf: PeriodicCF, p: int, window: int):
-    """A witness pair (i, j) with i = j mod p and differing Kronecker
-    symbols inside the window, or None if the window is p-consistent."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if window < 2 * p:
-        raise WindowTooShort(f"window {window} < 2*{p}")
-    return _PackedWindow(kronecker_sequence(cf, window)).witness(p)
 
 
 def _cascade_witness(seq, p, period, steps):

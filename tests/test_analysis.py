@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 import kronseq.analysis
 import kronseq.cf
-from kronseq import (Aperiodic, Periodic2L, PeriodicL, PrecisionExhausted,
-                     analyze, cascade, certified_period_length, classify,
-                     convergents, critical_scan, decompose, jacobi,
-                     jacobi_sequence, matrix_at, matrix_at_mod2,
-                     mod4_period_length, normalize_period,
+import kronseq.symbols
+from kronseq import (Aperiodic, PeriodAnalysis, Periodic2L, PeriodicL,
+                     PrecisionExhausted, analyze, cascade,
+                     certified_period_length, classify, convergents,
+                     critical_scan, decompose, jacobi, jacobi_sequence,
+                     kronecker, kronecker_sequence, matrix_at,
+                     matrix_at_mod2, mod4_period_length, normalize_period,
                      threshold_valuation)
 
 from conftest import CORPUS, block_analysis, block_classification, block_cf
@@ -115,6 +117,12 @@ def check_base_search(cf):
     # fact (4): 2*L4 is a period of the Jacobi sequence
     window = jacobi_sequence(cf, 48 * len(cf))
     assert window[2 * L4:] == window[:-2 * L4], cf
+    # fact (5): the sign f = (d/c) = (a/c) of D(L4) = [[a, b], [c, d]]
+    # decides whether L4 is a Jacobi period
+    D = matrix_at(cf, L4 - 1)
+    f = kronecker(D.t_prev, D.t)
+    assert f == kronecker(D.s, D.t) == kronecker_sequence(cf, L4)[L4 - 1], cf
+    assert (Lc == L4) == (f == 1), cf
     for L in (L4, 2 * L4):
         m, _, e = decompose(cf, L)
         assert m + e == v2(matrix_at(cf, L - 1).t), (cf, L)
@@ -123,15 +131,21 @@ def check_base_search(cf):
         m, U, e = decompose(cf, L4, precision)
         derived = (*kronseq.analysis._doubled(m, U, precision), e)
         assert derived == decompose(cf, 2 * L4, precision), (cf, precision)
+    # analyze's one walk gives what the public steps give one by one
+    m, U, e = decompose(cf, L4)
+    critical, subcritical = critical_scan(cf, L4, m, e)
+    if critical or Lc == L4:
+        expected = PeriodAnalysis(L4, m, U, e, critical, subcritical, 128, Lc == L4)
+    else:
+        expected = PeriodAnalysis(2 * L4, *kronseq.analysis._doubled(m, U, 128), e,
+                                  (), (), 128, True)
+    assert analyze(cf) == expected, cf
     # no critical index at L4 leaves nothing to scan at 2*L4 (module
     # docstring), so analyze does not scan there
-    m, _, e = decompose(cf, L4)
-    if critical_scan(cf, L4, m, e)[0]:
+    if critical:
         return False
     assert critical_scan(cf, 2 * L4, m + 1, e) == ((), ()), cf
-    a = analyze(cf)
-    assert a.period == Lc and a.critical_indices == (), cf
-    return a.period == 2 * L4  # analyze reached 2*L4
+    return Lc == 2 * L4  # analyze reached 2*L4
 
 
 def test_base_search_matches_exact_loops_on_small_blocks():
@@ -180,8 +194,8 @@ def lemma_cases(rng, A, count):
 
 
 def test_jacobi_lemma_on_squares_of_identity_mod4():
-    # fact (4): for A = B^2 with B = I mod 4, (s'/t') = (delta/g)(s/t) and
-    # (delta/g) = 1, also when gcd(gamma, t) > 1
+    # fact (4) by the square: for A = B^2 with B = I mod 4, A = I mod 8 and
+    # (s'/t') = (delta/g)(s/t) with (delta/g) = 1, also when gcd(gamma, t) > 1
     rng = random.Random(20150412)
     cases = shared = 0
     for _ in range(300):
@@ -201,45 +215,66 @@ def test_jacobi_lemma_on_squares_of_identity_mod4():
 
 
 def test_jacobi_lemma_needs_the_square():
-    # the lemma holds for any A = I mod 8, but off the squares (delta/g)
-    # can be -1, and then the Jacobi symbol flips
+    # the lemma holds for any A = I mod 4 with factor the Kronecker symbol
+    # (delta/gamma), but off the squares it can be -1, and then the Jacobi
+    # symbol flips; for A = I mod 8 it is (delta/g), g the odd part of gamma
     rng = random.Random(7)
-    flipped = 0
-    for _ in range(300):
-        A = random_sl2(rng, 8)
-        sign = jacobi(A[3], odd_part(A[2]))
-        flipped += sign == -1
-        for s, t, s2, t2 in lemma_cases(rng, A, 4):
-            assert jacobi(s2, t2) == sign * jacobi(s, t), (A, s, t)
-    assert flipped > 50
-    A = (113, 80, 24, 17)  # I mod 8, det 1, (17/3) = -1
-    assert A[0] * A[3] - A[1] * A[2] == 1 and jacobi(17, 3) == -1
+    flipped = not_mod8 = 0
+    for q in (8, 4):
+        for _ in range(300):
+            A = random_sl2(rng, q)
+            sign = kronecker(A[3], A[2])
+            if q == 8:
+                assert sign == jacobi(A[3], odd_part(A[2])), A
+            flipped += sign == -1
+            not_mod8 += any(x % 8 != y for x, y in zip(A, (1, 0, 0, 1)))
+            for s, t, s2, t2 in lemma_cases(rng, A, 4):
+                assert jacobi(s2, t2) == sign * jacobi(s, t), (A, s, t)
+    assert flipped > 100 and not_mod8 > 150
+    A = (113, 80, 24, 17)  # I mod 8, det 1, (17/24) = (17/3) = -1
+    assert A[0] * A[3] - A[1] * A[2] == 1 and kronecker(17, 24) == -1
     assert jacobi(A[0] + A[1], A[2] + A[3]) == -jacobi(1, 1)
 
 
 @pytest.mark.parametrize("block, L4, period, certified", [
     ((1, 2, 2), 18, 18, False),  # aperiodic: reported at L4, not certified
     ((2,), 4, 8, True),  # periodic: certified base 2*L4, derived from L4
-], ids=["aperiodic-122", "periodic-2"])
+    ((1, 2, 3), 6, 6, True),  # periodic: L4 certified
+], ids=["aperiodic-122", "periodic-2", "periodic-123"])
 def test_analyze_makes_one_base_search_one_jacobi_pass_one_decompose(
         monkeypatch, block, L4, period, certified):
-    # in both blocks L4 is not a Jacobi period; 2*L4 terms decide that
-    calls = {"mod4": [], "jacobi": [], "decompose": []}
+    # one mod-4 search, one exact walk of L4 convergents that yields the
+    # decomposition and the critical indices, and one Kronecker symbol pass
+    # of L4 terms whose last term certifies L4 (fact (5)); none of the
+    # public steps, no exact matrix and no Jacobi pass
+    calls = {"mod4": [], "walk": [], "kronecker": [], "other": []}
+    mod = kronseq.analysis
 
-    def counted(key, fn, arg):
+    def counted(key, fn, arg=None):
         def wrapper(*a, **k):
-            calls[key].append(a[arg] if arg is not None else None)
+            calls[key].append(a[arg] if arg is not None else fn.__name__)
             return fn(*a, **k)
         return wrapper
 
-    mod = kronseq.analysis
-    monkeypatch.setattr(mod, "mod4_period_length",
-                        counted("mod4", mod.mod4_period_length, None))
-    monkeypatch.setattr(mod, "jacobi_sequence", counted("jacobi", mod.jacobi_sequence, 1))
-    monkeypatch.setattr(mod, "decompose", counted("decompose", mod.decompose, 1))
+    def counted_walk(cf):
+        calls["walk"].append(0)
+        for pair in kronseq.cf.iter_convergent_pairs(cf):
+            calls["walk"][-1] += 1
+            yield pair
+
+    assert not hasattr(mod, "matrix_at") and not hasattr(mod, "jacobi_sequence")
+    monkeypatch.setattr(mod, "mod4_period_length", counted("mod4", mod.mod4_period_length))
+    monkeypatch.setattr(mod, "iter_convergent_pairs", counted_walk)
+    monkeypatch.setattr(mod, "kronecker_sequence",
+                        counted("kronecker", mod.kronecker_sequence, 1))
+    for owner, name in [(mod, "decompose"), (mod, "critical_scan"),
+                        (kronseq.cf, "matrix_at"), (kronseq.symbols, "jacobi_sequence")]:
+        monkeypatch.setattr(owner, name, counted("other", getattr(owner, name)))
     a = analyze(block_cf(block))
-    assert calls == {"mod4": [None], "jacobi": [2 * L4], "decompose": [L4]}
+    assert calls == {"mod4": ["mod4_period_length"], "walk": [L4],
+                     "kronecker": [L4], "other": []}
     assert (a.period, a.certified) == (period, certified)
+    monkeypatch.undo()
     m, U, e = decompose(block_cf(block), period)
     assert (a.m, a.U, a.e) == (m, U, e)
 
@@ -452,7 +487,8 @@ def test_cascade_threshold_precision_exhaustion(precision):
 
 
 def test_cascade_escalation_decomposes_once(monkeypatch):
-    # the cascade reads m + e off D(L) mod 2^B, so only analyze decomposes
+    # the cascade reads m + e off D(L) mod 2^B, and analyze takes (m, U, e)
+    # from its own walk, so nothing calls decompose
     decomposed, precisions = [], []
     original_decompose = kronseq.analysis.decompose
     original_cascade = kronseq.analysis.cascade
@@ -470,7 +506,7 @@ def test_cascade_escalation_decomposes_once(monkeypatch):
     got = classify(block_cf((1, 2, 5)), depth=200)
     assert len(got.cascade) == 200
     assert precisions == [512]  # predicted need 2 + 2*200 + 3 = 405 bits
-    assert decomposed == [12]
+    assert decomposed == []
 
 
 def record_cascade_precisions(monkeypatch):

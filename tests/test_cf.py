@@ -104,7 +104,12 @@ def test_determinant_and_coprimality(block):
 def test_shift_identity(block, k, d):
     cf = normalize_period(block)
     L = d * len(cf)
-    assert matrix_at(cf, k + L).rows == (matrix_at(cf, L - 1) @ matrix_at(cf, k)).rows
+    D, M = matrix_at(cf, L - 1), matrix_at(cf, k)
+    # M_{k+N} = D(N) M_k, on 4-tuples; the mask -1 keeps the product exact
+    product = _mat_mul_mod((D.s, D.s_prev, D.t, D.t_prev),
+                           (M.s, M.s_prev, M.t, M.t_prev), -1)
+    N = matrix_at(cf, k + L)
+    assert (N.s, N.s_prev, N.t, N.t_prev) == product
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +134,7 @@ def test_matrix_125_at_11_identity_mod4_with_odd_corner():
 
 def test_matrix_det():
     M = matrix_at(normalize_period((2, 1)), 7)
-    assert M.det() == (-1) ** 8
+    assert M.s * M.t_prev - M.s_prev * M.t == (-1) ** 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -255,6 +256,35 @@ def test_batch_csv(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "999", "--count", "1500", "--format", "csv"],  # t_1499 has 4,497 digits
+    ["analyze", "1,2,3"], ["cascade", "1,2,5", "--depth", "4"],
+    ["verify", "1,2,2", "--format", "json"], ["batch", "-"],
+    ["analyze", "1,x"],  # parse error, exit 2
+    ["batch", "/no/such/file"],  # usage error, exit 1
+    ["expand", "1,2", "--count", "0"],  # argparse error, SystemExit
+], ids=["expand", "analyze", "cascade", "verify", "batch", "parse-error",
+        "usage-error", "argparse-error"])
+def test_main_restores_int_str_limit(capsys, monkeypatch, argv):
+    # main lifts the int-to-str digit limit while it prints, and gives the
+    # caller's limit back on every exit path
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this Python")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1,2,3\nnot-a-block\n"))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4400)
+    try:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert sys.get_int_max_str_digits() == 4400
+    finally:
+        sys.set_int_max_str_digits(before)
+    out = capsys.readouterr().out
+    if argv[0] == "expand" and out:
+        assert len(out.splitlines()[-1].split(",")[2]) > 4400
 
 def test_stdin_block(capsys, monkeypatch):
     import io

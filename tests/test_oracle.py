@@ -6,7 +6,7 @@ import pytest
 import kronseq.oracle as oracle
 from kronseq import (STAR, Aperiodic, OracleMismatch, Periodic2L, PeriodicL,
                      WindowTooShort, cross_check, empirical_period,
-                     falsify_period, kronecker_sequence)
+                     kronecker_sequence)
 from kronseq.cli import EXIT_MISMATCH, main
 
 from conftest import (CORPUS, block_analysis, block_certified_length,
@@ -110,10 +110,14 @@ def test_packed_window_periodic_with_one_flip():
 
 
 # ---------------------------------------------------------------------------
-# falsify_period
+# witnesses on a Kronecker window
+
+def falsify(block, p, window):
+    return oracle._PackedWindow(kronecker_sequence(block_cf(block), window)).witness(p)
+
 
 def test_falsify_125_candidate_12():
-    witness = falsify_period(block_cf((1, 2, 5)), 12, 100)
+    witness = falsify((1, 2, 5), 12, 100)
     assert witness == (0, 12)
     seq = kronecker_window((1, 2, 5), 100)
     i, j = witness
@@ -121,11 +125,11 @@ def test_falsify_125_candidate_12():
 
 
 def test_falsify_123_true_period_consistent():
-    assert falsify_period(block_cf((1, 2, 3)), 12, 120) is None
+    assert falsify((1, 2, 3), 12, 120) is None
 
 
 def test_falsify_123_rejects_half_period():
-    witness = falsify_period(block_cf((1, 2, 3)), 6, 60)
+    witness = falsify((1, 2, 3), 6, 60)
     assert witness is not None
     i, j = witness
     seq = kronecker_window((1, 2, 3), 60)
@@ -134,20 +138,14 @@ def test_falsify_123_rejects_half_period():
 
 def test_falsify_witnesses_are_valid_everywhere():
     for block in [(1, 2, 5), (1, 2, 2), (2, 1, 5)]:
-        cf = block_cf(block)
         seq = kronecker_window(block, 200)
         for p in range(1, 40):
-            w = falsify_period(cf, p, 200)
+            w = falsify(block, p, 200)
             if w is None:
                 assert seq[p:] == seq[:-p]
             else:
                 i, j = w
                 assert i < j < 200 and (j - i) % p == 0 and seq[i] != seq[j]
-
-
-def test_falsify_window_too_short():
-    with pytest.raises(WindowTooShort):
-        falsify_period(block_cf((1, 2, 5)), 60, 100)
 
 
 # ---------------------------------------------------------------------------
