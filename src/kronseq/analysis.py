@@ -14,7 +14,8 @@ admissible base iff they exist for every other.
 
 Five facts fix the base and its threshold.  (1) D(d*l) = B^d for the
 block matrix B = D(l) (see :func:`cascade`), so the L with D(L) = I mod 4
-are the multiples of L4 = ord(B mod 4) * l.  They are all even, since
+are the multiples of L4 = ord(B mod 4) * l, the first block boundary
+d*l of the convergents with D(d*l) = I mod 4.  They are all even, as
 det D(L) = (-1)^L must be 1 mod 4.  Every element of GL2(Z/4) has order
 1, 2, 3, 4 or 6 (by enumeration of all 96), so L4 <= 6l.
 (2) The lower-left entry of D(L) - I is t_{L-1}, so m + e = v2(t_{L-1}),
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cf import (PeriodicCF, _column_step, _mat_mul_mod, _square_mod,
+from .cf import (PeriodicCF, _column_step, _mat_mul_mod, _square_mod, _v2,
                  iter_convergent_pairs, matrix_at_mod2)
 from .errors import PrecisionExhausted
 from .symbols import kronecker_sequence
@@ -156,19 +157,9 @@ def _is_identity_mod4(M):
 
 
 def mod4_period_length(cf: PeriodicCF) -> int:
-    """Smallest even multiple L of the block length with D(L) = I mod 4.
-
-    D(d*l) = B^d for the block matrix B = D(l), so L = ord(B mod 4) * l,
-    found by powering B on 2x2 matrices mod 4; it is even and at most 6l
-    (see the module docstring).
-    """
-    M = matrix_at_mod2(cf, len(cf) - 1, 2)
-    B = (M.s, M.s_prev, M.t, M.t_prev)
-    P, order = B, 1
-    while not _is_identity_mod4(P):
-        P = _mat_mul_mod(P, B, 3)
-        order += 1
-    return order * len(cf)
+    """Smallest even multiple L4 of the block length with D(L4) = I mod 4,
+    read off the exact walk of :func:`analyze`; L4 <= 6l (fact (1))."""
+    return _walk(cf)[0]
 
 
 def _is_jacobi_period(cf, L4):
@@ -187,10 +178,6 @@ def certified_period_length(cf: PeriodicCF) -> int:
     return L4 if _is_jacobi_period(cf, L4) else 2 * L4
 
 
-def _v2(n):
-    return (n & -n).bit_length() - 1
-
-
 def _resolved_v2(t, precision, k):
     """v2(t_k) from t = t_k mod 2**precision, if that residue settles it."""
     if t == 0 or _v2(t) >= precision - 2:
@@ -198,18 +185,28 @@ def _resolved_v2(t, precision, k):
     return _v2(t)
 
 
-def _walk(cf, period):
-    """One exact walk of the convergents k < period.  Returns D(period) as
-    the 4-tuple (s, s_prev, t, t_prev), and (k, v2(t_k)) for every k with
-    s_k = 3 mod 4 and t_k even, the only candidates for a critical or
-    subcritical index (m + e - 1 >= 1, as m >= 2)."""
+def _check_period(cf, period):
+    if period < 1 or period % len(cf):
+        raise ValueError(f"period {period} is not a multiple of the block length of {cf}")
+
+
+def _walk(cf, period=None):
+    """One exact walk of the convergents k < L, for L = ``period`` or, when
+    that is None, L4: the first block boundary d*l with D(d*l) = I mod 4,
+    at most 6l terms in (fact (1)).  Returns L, D(L) as the 4-tuple (s,
+    s_prev, t, t_prev), and (k, v2(t_k)) for every k < L with s_k = 3 mod
+    4 and t_k even, the only candidates for a critical or subcritical
+    index (m + e - 1 >= 1, as m >= 2)."""
     candidates = []
-    prev, pair = (0, 1), (1, 0)  # D(0) = I: (s_{-2}, t_{-2}), (s_{-1}, t_{-1})
-    for k, (s, t) in zip(range(period), iter_convergent_pairs(cf)):
+    s_prev, t_prev = 1, 0  # (s_{-1}, t_{-1})
+    for k, (s, t) in enumerate(iter_convergent_pairs(cf)):
         if s & 3 == 3 and not t & 1:
             candidates.append((k, _v2(t)))
-        prev, pair = pair, (s, t)
-    return (pair[0], prev[0], pair[1], prev[1]), candidates
+        if (k + 1) % len(cf) == 0:
+            D = (s, s_prev, t, t_prev)
+            if k + 1 == period or period is None and _is_identity_mod4(D):
+                return k + 1, D, candidates
+        s_prev, t_prev = s, t
 
 
 def _split(cf, period, D, precision):
@@ -238,7 +235,8 @@ def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
     """
     if precision < 8:
         raise ValueError("precision must be >= 8")
-    return _split(cf, period, _walk(cf, period)[0], precision)
+    _check_period(cf, period)
+    return _split(cf, period, _walk(cf, period)[1], precision)
 
 
 def _doubled(m, U, precision):
@@ -256,26 +254,26 @@ def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     """Indices k < period with s_k = 3 mod 4 and t_k even, split by
     v2(t_k): at least m+e gives a critical index, exactly m+e-1 a
     subcritical one (m >= 2 for every decomposition)."""
-    return _critical(_walk(cf, period)[1], m, e)
+    _check_period(cf, period)
+    return _critical(_walk(cf, period)[2], m, e)
 
 
 def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysis:
     """Period analysis underlying :func:`classify`.
 
-    L4 comes from the mod-4 search, then one exact walk of the first L4
-    convergents gives D(L4), hence (m, U, e), and the critical and
-    subcritical indices.  Critical indices are base-independent, so the
-    aperiodic case is reported at L4.  L4 is certified when the Kronecker
-    symbol (s_{L4-1}/t_{L4-1}) is +1 (fact (5)); when it is -1 and no
-    critical index exists, the analysis is reported at the certified
-    length 2*L4, the base at which the period claims of the classification
-    actually hold.  Its decomposition is derived from the one at L4, and
-    it has no critical or subcritical index (module docstring).
+    One exact walk of the first L4 convergents finds L4 (fact (1)) and
+    gives D(L4), hence (m, U, e), and the critical and subcritical
+    indices.  Critical indices are base-independent, so the aperiodic case
+    is reported at L4.  L4 is certified when the Kronecker symbol
+    (s_{L4-1}/t_{L4-1}) is +1 (fact (5)); when it is -1 and no critical
+    index exists, the analysis is reported at the certified length 2*L4,
+    the base at which the period claims of the classification actually
+    hold.  Its decomposition is derived from the one at L4, and it has no
+    critical or subcritical index (module docstring).
     """
     if precision < 8:
         raise ValueError("precision must be >= 8")
-    L = mod4_period_length(cf)
-    D, candidates = _walk(cf, L)
+    L, D, candidates = _walk(cf)
     m, U, e = _split(cf, L, D, precision)
     critical, subcritical = _critical(candidates, m, e)
     certified = _is_jacobi_period(cf, L)
@@ -343,6 +341,7 @@ def threshold_valuation(cf: PeriodicCF, period: int, doublings: int,
     the equality is asserted by tests, not assumed here.  det D(n) =
     (-1)^n (the convergent identity), and every square has determinant 1.
     """
+    _check_period(cf, period)
     M = matrix_at_mod2(cf, period - 1, precision)
     mask = M.modulus - 1
     P, det = (M.s, M.s_prev, M.t, M.t_prev), -1 if period & 1 else 1
@@ -380,8 +379,7 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if period % len(cf):
-        raise ValueError(f"period {period} is not a multiple of the block length of {cf}")
+    _check_period(cf, period)
     mask = (1 << precision) - 1
     M = matrix_at_mod2(cf, start, precision)
     s, t = M.s, M.t

@@ -176,6 +176,10 @@ def matrix_at(cf: PeriodicCF, k: int) -> ConvergentMatrix:
     return ConvergentMatrix(k, s, s_prev, t, t_prev)
 
 
+def _v2(n):  # 2-adic valuation of n != 0
+    return (n & -n).bit_length() - 1
+
+
 def _mat_mul_mod(A, B, mask):
     return ((A[0] * B[0] + A[1] * B[2]) & mask, (A[0] * B[1] + A[1] * B[3]) & mask,
             (A[2] * B[0] + A[3] * B[2]) & mask, (A[2] * B[1] + A[3] * B[3]) & mask)
@@ -237,10 +241,13 @@ def quad_irrational_of(cf: PeriodicCF) -> QuadIrrational:
     The value z satisfies t_{l-1} z^2 + (t_{l-2} - s_{l-1}) z - s_{l-2} = 0
     where l is the block length; take the positive root and normalize.
     """
-    l = len(cf)
-    M = matrix_at(cf, l - 1)
-    s1, t1 = M.s, M.t
-    s2, t2 = M.s_prev, M.t_prev
+    M = matrix_at(cf, len(cf) - 1)
+    return _quad_irrational(M.s, M.t, M.s_prev, M.t_prev)
+
+
+def _quad_irrational(s1, t1, s2, t2):
+    """:func:`quad_irrational_of` from the columns (s1, t1) = (s_{l-1},
+    t_{l-1}) and (s2, t2) = (s_{l-2}, t_{l-2}) of the block matrix D(l)."""
     P = s1 - t2
     D = (t2 - s1) ** 2 + 4 * t1 * s2
     Q = 2 * t1

@@ -21,7 +21,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import os
 import sys
@@ -30,8 +29,8 @@ from dataclasses import dataclass
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
                        PeriodicL, analyze, classify)
-from .cf import (convergents, iter_convergent_pairs, normalize_period,
-                 quad_irrational_of)
+from .cf import (_quad_irrational, _v2, convergents, iter_convergent_pairs,
+                 normalize_period)
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
                      WindowTooShort)
 from .oracle import PeriodReport, cross_check
@@ -91,18 +90,17 @@ class AnalysisReport:
     oracle: PeriodReport | None = None
 
 
-def _v2(n):
-    return (n & -n).bit_length() - 1 if n else 0
-
-
 def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisReport:
     cf = normalize_period(block)
     analysis = analyze(cf, precision)
     verdict = classify(cf, precision, analysis=analysis)
-    q = quad_irrational_of(cf)
-    # only the printed indices need exact convergents
-    shown = analysis.critical_indices + analysis.subcritical_indices
-    pairs = list(itertools.islice(iter_convergent_pairs(cf), max(shown, default=-1) + 1))
+    # one walk keeps only the printed pairs and the columns of D(l), the
+    # pairs at l-1 and l-2, with (s_{-1}, t_{-1}) = (1, 0)
+    l = len(cf)
+    wanted = {l - 1, l - 2, *analysis.critical_indices, *analysis.subcritical_indices}
+    pairs = {k: pair for k, pair in zip(range(max(wanted) + 1), iter_convergent_pairs(cf))
+             if k in wanted}
+    q = _quad_irrational(*pairs[l - 1], *pairs.get(l - 2, (1, 0)))
     detail = lambda k: ConvergentDetail(k, *pairs[k], _v2(pairs[k][1]))
     oracle = cross_check(cf, window=window, precision=precision,
                          analysis=analysis, verdict=verdict) if window else None

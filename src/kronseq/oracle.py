@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .analysis import (Aperiodic, Classification, DEFAULT_PRECISION,
                        PeriodAnalysis, analyze, classify)
-from .cf import PeriodicCF, iter_convergent_pairs
+from .cf import PeriodicCF, _v2, iter_convergent_pairs
 from .errors import OracleMismatch, WindowTooShort
 from .symbols import kronecker, kronecker_sequence
 
@@ -49,10 +49,6 @@ class PeriodReport:
     empirical_period: int | None
     falsified_periods: tuple[tuple[int, tuple[int, int]], ...]
     verdict_agreement: bool
-
-
-def _lowest_bit(x):
-    return (x & -x).bit_length() - 1
 
 
 class _PackedWindow:
@@ -98,8 +94,8 @@ class _PackedWindow:
             shift <<= 1
         # entry i of g is nonzero iff class i mod p holds a mismatch, and
         # m << i*width covers every class-i entry of d
-        i = _lowest_bit(g & ((1 << span) - 1)) // width
-        q = _lowest_bit(d & (m << (i * width))) // width
+        i = _v2(g & ((1 << span) - 1)) // width
+        q = _v2(d & (m << (i * width))) // width
         return (i, q + p)
 
 

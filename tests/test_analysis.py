@@ -243,11 +243,11 @@ def test_jacobi_lemma_needs_the_square():
 ], ids=["aperiodic-122", "periodic-2", "periodic-123"])
 def test_analyze_makes_one_base_search_one_jacobi_pass_one_decompose(
         monkeypatch, block, L4, period, certified):
-    # one mod-4 search, one exact walk of L4 convergents that yields the
+    # one exact walk of exactly L4 convergents that finds L4 and yields the
     # decomposition and the critical indices, and one Kronecker symbol pass
     # of L4 terms whose last term certifies L4 (fact (5)); none of the
-    # public steps, no exact matrix and no Jacobi pass
-    calls = {"mod4": [], "walk": [], "kronecker": [], "other": []}
+    # public steps, no matrix power, no exact matrix and no Jacobi pass
+    calls = {"walk": [], "kronecker": [], "other": []}
     mod = kronseq.analysis
 
     def counted(key, fn, arg=None):
@@ -263,16 +263,15 @@ def test_analyze_makes_one_base_search_one_jacobi_pass_one_decompose(
             yield pair
 
     assert not hasattr(mod, "matrix_at") and not hasattr(mod, "jacobi_sequence")
-    monkeypatch.setattr(mod, "mod4_period_length", counted("mod4", mod.mod4_period_length))
     monkeypatch.setattr(mod, "iter_convergent_pairs", counted_walk)
     monkeypatch.setattr(mod, "kronecker_sequence",
                         counted("kronecker", mod.kronecker_sequence, 1))
-    for owner, name in [(mod, "decompose"), (mod, "critical_scan"),
+    for owner, name in [(mod, "mod4_period_length"), (mod, "decompose"),
+                        (mod, "critical_scan"), (mod, "matrix_at_mod2"),
                         (kronseq.cf, "matrix_at"), (kronseq.symbols, "jacobi_sequence")]:
         monkeypatch.setattr(owner, name, counted("other", getattr(owner, name)))
     a = analyze(block_cf(block))
-    assert calls == {"mod4": ["mod4_period_length"], "walk": [L4],
-                     "kronecker": [L4], "other": []}
+    assert calls == {"walk": [L4], "kronecker": [L4], "other": []}
     assert (a.period, a.certified) == (period, certified)
     monkeypatch.undo()
     m, U, e = decompose(block_cf(block), period)
@@ -314,6 +313,18 @@ def test_decompose_has_odd_entry_and_matches_matrix():
 def test_decompose_rejects_wrong_period():
     with pytest.raises(ValueError):
         decompose(block_cf((1, 2, 5)), 6)
+
+
+@pytest.mark.parametrize("period", [0, -3, 5])
+@pytest.mark.parametrize("call", [
+    lambda cf, period: decompose(cf, period),
+    lambda cf, period: critical_scan(cf, period, 2, 0),
+    lambda cf, period: threshold_valuation(cf, period, 1),
+    lambda cf, period: cascade(cf, period, 7, depth=2),
+], ids=["decompose", "critical_scan", "threshold_valuation", "cascade"])
+def test_period_must_be_a_positive_multiple_of_the_block_length(call, period):
+    with pytest.raises(ValueError, match="not a multiple of the block length"):
+        call(block_cf((1, 2, 5)), period)
 
 
 # ---------------------------------------------------------------------------

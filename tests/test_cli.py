@@ -1,11 +1,15 @@
 import hashlib
 import io
+import itertools
 import json
 import sys
 
 import pytest
 
-from kronseq import NotCoprime, OracleMismatch, ParseError
+import kronseq.cf
+import kronseq.cli
+from kronseq import (NotCoprime, OracleMismatch, ParseError, normalize_period,
+                     quad_irrational_of)
 from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_USAGE, build_report, main, parse_block,
                          report_from_json, report_to_json)
@@ -371,6 +375,47 @@ def test_each_command_analyzes_once(capsys, analyze_calls, argv):
     main(argv)
     capsys.readouterr()
     assert len(analyze_calls) == 1
+
+
+@pytest.mark.parametrize("block, walked", [
+    ((1, 2, 5), 8),  # aperiodic: critical 7 and subcritical 1 printed, past l
+    ((1, 2, 3), 3),  # subcritical 1 printed, before l
+    ((1, 2, 2), 7),  # critical 6 printed
+    ((1,), 1),  # nothing printed; (s_{-1}, t_{-1}) = (1, 0) closes D(1)
+    ((2,), 1),
+], ids=["1,2,5", "1,2,3", "1,2,2", "1", "2"])
+def test_build_report_walks_once_to_the_last_printed_index(monkeypatch, block, walked):
+    # one walk of max(l, largest printed index + 1) convergents gives both the
+    # closed form and the printed pairs; no exact matrix
+    walks, matrices = [], []
+    original = kronseq.cf.matrix_at
+
+    def counted_walk(cf):
+        walks.append(0)
+        for pair in kronseq.cf.iter_convergent_pairs(cf):
+            walks[-1] += 1
+            yield pair
+
+    def counted_matrix(*a, **k):
+        matrices.append(a)
+        return original(*a, **k)
+
+    monkeypatch.setattr(kronseq.cli, "iter_convergent_pairs", counted_walk)
+    monkeypatch.setattr(kronseq.cf, "matrix_at", counted_matrix)
+    rep = build_report(block)
+    assert (walks, matrices) == ([walked], [])
+    shown = rep.critical + rep.subcritical
+    assert walked == max([len(block)] + [c.k + 1 for c in shown])
+
+
+def test_build_report_closed_form_matches_quad_irrational_of():
+    # every minimal block with l <= 4 and quotients <= 5, l = 1 included
+    blocks = [b for l in range(1, 5) for b in itertools.product(range(1, 6), repeat=l)
+              if normalize_period(b).quotients == b]
+    assert len(blocks) == 745
+    for b in blocks:
+        q = quad_irrational_of(normalize_period(b))
+        assert build_report(b).quad == (q.P, q.D, q.Q), b
 
 
 # ---------------------------------------------------------------------------
