@@ -16,8 +16,8 @@ from .errors import (EmptyInput, EvenArgument, EvenModulus, KronseqError,
                      WindowTooShort)
 from .oracle import PeriodReport, cross_check, empirical_period
 from .symbols import (STAR, jacobi, jacobi_sequence, kronecker,
-                      kronecker_sequence, reciprocal_jacobi_sequence,
-                      reciprocity_sign)
+                      kronecker_bits, kronecker_sequence,
+                      reciprocal_jacobi_sequence, reciprocity_sign)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "normalize_period", "convergents", "iter_convergent_pairs", "matrix_at",
     "matrix_at_mod2", "quad_irrational_of", "cf_of_rational",
     "STAR", "jacobi", "kronecker", "reciprocity_sign", "jacobi_sequence",
-    "reciprocal_jacobi_sequence", "kronecker_sequence",
+    "reciprocal_jacobi_sequence", "kronecker_sequence", "kronecker_bits",
     "PeriodAnalysis", "PeriodicL", "Periodic2L", "Aperiodic", "Classification",
     "mod4_period_length", "certified_period_length", "decompose",
     "critical_scan", "analyze", "classify", "threshold_valuation", "cascade",

@@ -82,7 +82,6 @@ from dataclasses import dataclass
 from .cf import (PeriodicCF, _column_step, _mat_mul_mod, _square_mod, _v2,
                  iter_convergent_pairs, matrix_at_mod2)
 from .errors import PrecisionExhausted
-from .symbols import kronecker_sequence
 
 __all__ = [
     "PeriodAnalysis",
@@ -162,20 +161,14 @@ def mod4_period_length(cf: PeriodicCF) -> int:
     return _walk(cf)[0]
 
 
-def _is_jacobi_period(cf, L4):
-    """Whether L4 = mod4_period_length(cf) is a period of the Jacobi
-    sequence: exactly when (s_{L4-1}/t_{L4-1}) = +1 (fact (5))."""
-    return kronecker_sequence(cf, L4)[L4 - 1] == 1
-
-
 def certified_period_length(cf: PeriodicCF) -> int:
     """Smallest multiple of L4 = mod4_period_length(cf) that is also a
     period of the Jacobi sequence: L4 itself if the Kronecker symbol
-    (s_{L4-1}/t_{L4-1}) is +1, else 2*L4 (facts (4) and (5) of the module
-    docstring).
+    f = (t_{L4-2}/t_{L4-1}) is +1, else 2*L4 (facts (4) and (5) of the
+    module docstring), with f read off the exact walk of :func:`analyze`.
     """
-    L4 = mod4_period_length(cf)
-    return L4 if _is_jacobi_period(cf, L4) else 2 * L4
+    L4, _, _, f = _walk(cf)
+    return L4 if f == 1 else 2 * L4
 
 
 def _resolved_v2(t, precision, k):
@@ -194,19 +187,38 @@ def _walk(cf, period=None):
     """One exact walk of the convergents k < L, for L = ``period`` or, when
     that is None, L4: the first block boundary d*l with D(d*l) = I mod 4,
     at most 6l terms in (fact (1)).  Returns L, D(L) as the 4-tuple (s,
-    s_prev, t, t_prev), and (k, v2(t_k)) for every k < L with s_k = 3 mod
-    4 and t_k even, the only candidates for a critical or subcritical
-    index (m + e - 1 >= 1, as m >= 2)."""
+    s_prev, t, t_prev), (k, v2(t_k)) for every k < L with s_k = 3 mod 4
+    and t_k even, the only candidates for a critical or subcritical index
+    (m + e - 1 >= 1, as m >= 2), and the Kronecker symbol
+    c_{L-1} = (t_{L-2}/t_{L-1}), which is f of fact (5) at L = L4.
+
+    c_k is carried by the recurrence of the ``symbols`` module docstring,
+    c_k = R(t_{k-1}, t_k) c_{k-1} chi(t_k t_{k-2})^v2(t_{k-1}): it needs
+    only t_k mod 8, the parity of v2(t_k) and bit v2(t_k) + 1 of t_k, which
+    is 1 exactly when the odd part of t_k is 3 mod 4."""
     candidates = []
     s_prev, t_prev = 1, 0  # (s_{-1}, t_{-1})
+    c = 1  # c_k
+    h_prev, w_prev, t8_prev, t8_prev2 = 0, 0, 0, 0  # at k-1 and k-2
     for k, (s, t) in enumerate(iter_convergent_pairs(cf)):
-        if s & 3 == 3 and not t & 1:
-            candidates.append((k, _v2(t)))
+        t8 = t & 7
+        if t8 & 1:
+            v, h = 0, t8 & 2
+        else:
+            v = _v2(t)
+            h = t & (2 << v)
+            if s & 3 == 3:
+                candidates.append((k, v))
+        if h and h_prev:  # R(t_{k-1}, t_k)
+            c = -c
+        if w_prev & 1 and t8 ^ t8_prev2 in (2, 4):  # chi(t_k t_{k-2})
+            c = -c
         if (k + 1) % len(cf) == 0:
             D = (s, s_prev, t, t_prev)
             if k + 1 == period or period is None and _is_identity_mod4(D):
-                return k + 1, D, candidates
+                return k + 1, D, candidates, c
         s_prev, t_prev = s, t
+        h_prev, w_prev, t8_prev, t8_prev2 = h, v, t8, t8_prev
 
 
 def _split(cf, period, D, precision):
@@ -265,18 +277,19 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     gives D(L4), hence (m, U, e), and the critical and subcritical
     indices.  Critical indices are base-independent, so the aperiodic case
     is reported at L4.  L4 is certified when the Kronecker symbol
-    (s_{L4-1}/t_{L4-1}) is +1 (fact (5)); when it is -1 and no critical
-    index exists, the analysis is reported at the certified length 2*L4,
-    the base at which the period claims of the classification actually
-    hold.  Its decomposition is derived from the one at L4, and it has no
-    critical or subcritical index (module docstring).
+    f = (t_{L4-2}/t_{L4-1}), carried on the same walk, is +1 (fact (5));
+    when it is -1 and no critical index exists, the analysis is reported
+    at the certified length 2*L4, the base at which the period claims of
+    the classification actually hold.  Its decomposition is derived from
+    the one at L4, and it has no critical or subcritical index (module
+    docstring).
     """
     if precision < 8:
         raise ValueError("precision must be >= 8")
-    L, D, candidates = _walk(cf)
+    L, D, candidates, f = _walk(cf)
     m, U, e = _split(cf, L, D, precision)
     critical, subcritical = _critical(candidates, m, e)
-    certified = _is_jacobi_period(cf, L)
+    certified = f == 1
     if critical or certified:
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified)
     m, U = _doubled(m, U, precision)

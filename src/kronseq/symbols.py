@@ -28,11 +28,50 @@ The Jacobi entry is that value when t_k is odd, and the reciprocal entry
 (t_k/s_k) = R(s_k, t_k) * (s_k/t_k) when s_k is odd.  As in computing the
 Jacobi symbol from the Euclidean quotient sequence (Brent & Zimmermann,
 ANTS 2010), the quotients are known up front: here they are the block
-itself.  Each term needs only v2(t_k) and the residues mod 8 of odd parts.
-The pass reads them off t_k mod 2^B while v2(t_k) < B-3 (bits v2 to v2+2
-lie inside the residue, with one to spare); when t_k = 0 mod 2^B or
-v2(t_k) >= B-3 it restarts at twice the precision, which ends once 2^B
-exceeds 8 t_k.
+itself.  Each term needs only v2(t_k) and the residues mod 8 of odd parts,
+read off t_k mod 2^B while v2(t_k) < B-3 (bits v2 to v2+2 lie inside the
+residue, with one to spare).  When some t_k = 0 mod 2^B or v2(t_k) >= B-3
+the pass raises PrecisionExhausted and restarts at twice the precision,
+which ends once 2^B exceeds 8 t_k.
+
+The pass works on all terms at once.  Lane k of two ints S and T holds
+s_k and t_k mod 2^B at bit k*W, W = 2B + 8 bits apart, so that a lane
+times a B-bit scalar, plus another such product, stays inside its lane.
+For N a multiple of the block length l, (s, t)_{k+N} = D(N) (s, t)_k,
+with D(N) = [[s_{N-1}, s_{N-2}], [t_{N-1}, t_{N-2}]] (the column identity
+of :func:`kronseq.analysis.cascade`).  So the first l lanes, from the
+recurrence, fill lanes N..2N-1 from lanes 0..N-1 with four scalar
+multiplications of the whole window by D(N) mod 2^B, for N = l, 2l, 4l,
+...  Each term's data is then a few word operations over the window, with
+ONES the int holding 1 in every lane and LM the one holding 2^B - 1:
+
+    low  = T & ((LM ^ T) + ONES)   # 2^v2(t_k) in lane k (-t = ~t + 1)
+    V_k  = [low_k at an odd bit]   # v2(t_k) odd
+    H_k  = [t_k & (low_k << 1)]    # bit v2+1 of t_k: u_k = 3 mod 4
+    X(x) = bit 1 ^ bit 2 of x      # chi(x) = -1, for odd x
+
+each flag moved to bit 0 of its lane by adding LM (a nonzero lane carries
+into bit B) and shifting.  Lane shifts by W give the flags of t_{k-1} and
+t_{k-2}.  With bit 1 standing for -1, the recurrence for c_k is a running
+XOR of the flips
+
+    F_k = H_{k-1} H_k ^ V_{k-1} (X(t_k) ^ X(t_{k-2})),
+
+and (s_k/t_k) = c_k ^ G_k with G_k = [k even] H_k ^ V_k (X(s_k) ^
+X(t_{k-1})).  F_0 = F_1 = G_0 = 0, since t_{-1} = 0 gives no flag and
+t_0 = 1.  The Jacobi entry is STAR where bit 0 of t_k is clear, the
+reciprocal entry STAR where bit 0 of s_k is, and R(s_k, t_k) = bit 1 of
+s_k and H_k.  The low byte of lane k, holding these flags, is cut out of
+the bytes of the window as one byte per term; ``bytes.translate`` turns
+one flag of every term into a digit string, read as one int with bit k
+for term k.  The running XOR c is then the prefix XOR of F, in
+ceil(log2 n) shift-XORs c ^= c << 2^i.
+
+Memory stays bounded by doing this in chunks of C = l * 2^j lanes (about
+_CHUNK_LANES): the next chunk is D(C) times the current one, again four
+scalar multiplications, and the last two lanes of T are carried below it
+as lanes -2 and -1, which makes the flags of t_{k-1} and t_{k-2} at the
+chunk's bottom.  Only the flag bytes, one per term, are kept.
 """
 
 from __future__ import annotations
@@ -50,17 +89,32 @@ __all__ = [
     "jacobi_sequence",
     "reciprocal_jacobi_sequence",
     "kronecker_sequence",
+    "kronecker_bits",
 ]
 
 # Placeholder entry for sequence positions where the Jacobi symbol is
 # undefined (even lower argument).  Serialized as-is.
 STAR = "*"
 
-# Working precision (bits) of the residue pass before any escalation.
-_START_PRECISION = 64
+# Working precision (bits) of the lane pass before any escalation; a lane
+# is 2B + 8 bits wide, so B sets the cost of every word operation.
+_START_PRECISION = 32
+
+# Lanes per chunk of the lane pass, before rounding to l * 2^j.  About two
+# dozen chunk-sized ints are alive at once, 2.3 KB each at B = 32, so a
+# pass needs tens of KB beside its one flag byte per term; on 1,500-term
+# windows, chunks of 4,096 lanes measured no faster and held 310 KB.
+_CHUNK_LANES = 256
 
 # The sequence a residue pass builds.
 _KRONECKER, _JACOBI, _RECIPROCAL = range(3)
+
+# Bits of a term's flag byte.
+_F, _G, _T_EVEN, _S_EVEN, _FLIP = (1 << i for i in range(5))
+
+# bytes.translate tables: flag byte -> b"1" if the flag is set, else b"0".
+_DIGIT = {flag: bytes(b"01"[bool(b & flag)] for b in range(256))
+          for flag in (_F, _G, _T_EVEN, _S_EVEN, _FLIP)}
 
 
 def jacobi(a: int, n: int) -> int:
@@ -126,10 +180,25 @@ def kronecker_sequence(cf: PeriodicCF, count: int) -> list[int]:
     return _symbol_sequence(cf, count, _KRONECKER)
 
 
+def kronecker_bits(cf: PeriodicCF, count: int) -> int:
+    """The Kronecker symbols (s_k/t_k), k < count, packed: bit k is set
+    exactly when (s_k/t_k) = -1."""
+    return _packed_sequence(cf, count, _KRONECKER)[0]
+
+
 def _symbol_sequence(cf, count, kind, precision=_START_PRECISION):
     """The Kronecker, Jacobi or reciprocal Jacobi list (by ``kind``) of
-    length count, from the residue pass at the smallest doubling of
-    precision that resolves every term."""
+    length count, read off :func:`_packed_sequence`."""
+    minus, star = _packed_sequence(cf, count, kind, precision)
+    signs = format(minus, f"0{count}b")[::-1]
+    stars = format(star, f"0{count}b")[::-1]
+    return [STAR if a == "1" else -1 if b == "1" else 1
+            for a, b in zip(stars, signs)]
+
+
+def _packed_sequence(cf, count, kind, precision=_START_PRECISION):
+    """:func:`_residue_pass` at the smallest doubling of precision that
+    resolves every term."""
     if count < 1:
         raise ValueError("count must be >= 1")
     while True:
@@ -140,44 +209,109 @@ def _symbol_sequence(cf, count, kind, precision=_START_PRECISION):
 
 
 def _residue_pass(cf, count, kind, precision):
-    # Loop state before step k: s = s_{k-1}, s_prev = s_{k-2}, t = t_{k-1},
-    # t_prev = t_{k-2} (all mod 2^precision), w = v2(t_{k-1}),
-    # o = u_{k-1} mod 8 and c = c_{k-1}.
-    mask = (1 << precision) - 1
-    limit = precision - 3
-    quotients = [a & mask for a in cf.quotients]
-    l = len(quotients)
-    s, s_prev, t, t_prev = quotients[0], 1, 1, 0
-    w, o, c = 0, 1, 1
-    out = [STAR if kind == _RECIPROCAL and not s & 1 else 1]
-    for k in range(1, count):
-        a = quotients[k % l]
+    """(minus, star) for the ``kind`` sequence of length count, from the
+    lane pass at ``precision`` bits: bit k of minus is set iff entry k is
+    -1, bit k of star iff it is STAR (then bit k of minus means nothing)."""
+    flags = _lane_flags(cf, count, precision)
+
+    def read(flag):
+        return int(flags.translate(_DIGIT[flag])[::-1], 2)
+
+    c, shift = read(_F), 1  # c_k, the prefix XOR of F
+    while shift < count:
+        c ^= c << shift
+        shift <<= 1
+    minus = (c ^ read(_G)) & ((1 << count) - 1)
+    if kind == _KRONECKER:
+        return minus, 0
+    if kind == _JACOBI:
+        return minus, read(_T_EVEN)
+    return minus ^ read(_FLIP), read(_S_EVEN)
+
+
+def _chunk(l):
+    """Lanes per chunk for block length l: l * 2^j, at most _CHUNK_LANES
+    and more than half of it, or l itself when l exceeds it."""
+    return l << max(0, (_CHUNK_LANES // l).bit_length() - 1)
+
+
+def _lane_flags(cf, count, precision):
+    """One flag byte per term k < count (module docstring), computed mod
+    2**precision; raises PrecisionExhausted at the first k whose t_k has
+    its low precision - 3 bits all zero."""
+    B = precision
+    size = (2 * B + 15) // 8  # bytes per lane
+    W = 8 * size  # 2B + 8 bits when B is a multiple of 4
+    mask = (1 << B) - 1
+
+    def lane(X, k):
+        return (X >> (k * W)) & mask
+
+    C = _chunk(len(cf))
+    n = min(count, C)  # lanes of the current chunk
+    # masks for the first chunk, with two carried lanes below it
+    ONES = int.from_bytes(b"\1".ljust(size, b"\0") * (n + 2), "little")
+    EVEN = int.from_bytes(b"\1".ljust(2 * size, b"\0") * (n // 2 + 1), "little")
+    LM, ODD = ONES * mask, ONES * (int("10" * B, 2) & mask)  # ODD: odd bits
+    TOP = (ONES << (B - 3)) & ((1 << (n * W)) - 1)
+    LOW = TOP - (TOP >> (B - 3))  # the bits of t_k that must not all be 0
+
+    # lanes 0..l-1 by the recurrence, from (s, t)_{-2} = (0, 1) and
+    # (s, t)_{-1} = (1, 0)
+    s, s_prev, t, t_prev = 1, 0, 0, 1
+    S, T = [], []
+    for a in cf.quotients:
         s, s_prev = (a * s + s_prev) & mask, s
-        t_new = (a * t + t_prev) & mask
-        if t_new & 1:
-            v, u = 0, t_new & 7
-        else:
-            if not t_new:
-                raise PrecisionExhausted(f"t_{k} = 0 mod 2^{precision}")
-            v = (t_new & -t_new).bit_length() - 1
-            if v >= limit:
-                raise PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {precision}")
-            u = (t_new >> v) & 7
-        if o & u & 2:  # R(t_{k-1}, t_k)
-            c = -c
-        if w & 1 and (t_new * t_prev) & 7 in (3, 5):  # chi(t_k t_{k-2})^w
-            c = -c
-        sym = c
-        if not k & 1 and u & 2:  # ((-1)^(k+1) / u_k)
-            sym = -sym
-        if v & 1 and (s * t) & 7 in (3, 5):  # chi(s_k t_{k-1})^v
-            sym = -sym
-        if kind == _KRONECKER:
-            out.append(sym)
-        elif kind == _JACOBI:
-            out.append(STAR if v else sym)
-        else:  # (t_k/s_k) = R(s_k, t_k) * (s_k/t_k)
-            out.append(STAR if not s & 1 else -sym if s & u & 2 else sym)
-        t, t_prev = t_new, t
-        w, o = v, u
-    return out
+        t, t_prev = (a * t + t_prev) & mask, t
+        S.append(s.to_bytes(size, "little"))
+        T.append(t.to_bytes(size, "little"))
+    S = int.from_bytes(b"".join(S), "little")
+    T = int.from_bytes(b"".join(T), "little")
+    filled = len(cf)
+    while filled < n:  # lanes N..2N-1 are D(N) times lanes 0..N-1
+        N = filled
+        a, c = lane(S, N - 1), lane(T, N - 1)
+        b, d = (lane(S, N - 2), lane(T, N - 2)) if N > 1 else (1, 0)
+        S, T = (S | ((a * S + b * T) & LM) << (N * W),
+                T | ((c * S + d * T) & LM) << (N * W))
+        filled *= 2
+    if count > C:
+        step = lane(S, C - 1), lane(S, C - 2), lane(T, C - 1), lane(T, C - 2)
+    window = (1 << (n * W)) - 1
+    S &= window
+    T &= window
+
+    out = []
+    base, t1, t2 = 0, 0, 1  # t_{base-1}, t_{base-2}
+    while True:
+        if ((T & LOW) + LOW) & TOP != TOP:
+            unsettled = TOP ^ (((T & LOW) + LOW) & TOP)
+            k = base + ((unsettled & -unsettled).bit_length() - 1) // W
+            raise PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {B}")
+        # lanes of X: t_{base-2}, t_{base-1}, t_base, ..., t_{base+n-1}
+        X = (T << (2 * W)) | (t1 << W) | t2
+        lowbit = X & ((LM ^ X) + ONES)
+        V = (((lowbit & ODD) + LM) >> B) & ONES
+        H = (((X & (lowbit << 1)) + LM) >> B) & ONES
+        Xt = X >> 1
+        Xt = (Xt ^ (Xt >> 1)) & ONES
+        S1 = S >> 1
+        Hk = H >> (2 * W)
+        # lanes n and n + 1 of these hold garbage, cut off below
+        F = ((H >> W) & Hk) ^ ((V >> W) & (Xt ^ (Xt >> (2 * W))))
+        G = ((EVEN >> (base & 1) * W) & Hk) ^ ((V >> (2 * W)) & (S1 ^ (S1 >> 1) ^ (Xt >> W)))
+        flags = (F | G << 1 | ((T & ONES) ^ ONES) << 2
+                 | ((S & ONES) ^ ONES) << 3 | (S1 & Hk) << 4)
+        out.append(flags.to_bytes((n + 2) * size, "little")[:n * size:size])
+        base += n
+        if base >= count:
+            return b"".join(out)
+        t1, t2 = lane(T, n - 1), lane(T, n - 2)
+        a, b, c, d = step
+        S, T = (a * S + b * T) & LM, (c * S + d * T) & LM
+        if count - base < n:  # a shorter last chunk
+            n = count - base
+            window = (1 << (n * W)) - 1
+            S, T, LOW, TOP = S & window, T & window, LOW & window, TOP & window
+            window = (1 << ((n + 2) * W)) - 1
+            ONES, LM, ODD = ONES & window, LM & window, ODD & window

@@ -241,12 +241,12 @@ def test_jacobi_lemma_needs_the_square():
     ((2,), 4, 8, True),  # periodic: certified base 2*L4, derived from L4
     ((1, 2, 3), 6, 6, True),  # periodic: L4 certified
 ], ids=["aperiodic-122", "periodic-2", "periodic-123"])
-def test_analyze_makes_one_base_search_one_jacobi_pass_one_decompose(
+def test_analyze_makes_one_walk_and_no_symbol_pass(
         monkeypatch, block, L4, period, certified):
-    # one exact walk of exactly L4 convergents that finds L4 and yields the
-    # decomposition and the critical indices, and one Kronecker symbol pass
-    # of L4 terms whose last term certifies L4 (fact (5)); none of the
-    # public steps, no matrix power, no exact matrix and no Jacobi pass
+    # one exact walk of exactly L4 convergents that finds L4, yields the
+    # decomposition and the critical indices, and carries the Kronecker
+    # symbol (t_{L4-2}/t_{L4-1}) that certifies L4 (fact (5)); no symbol
+    # pass, none of the public steps, no matrix power and no exact matrix
     calls = {"walk": [], "kronecker": [], "other": []}
     mod = kronseq.analysis
 
@@ -263,15 +263,16 @@ def test_analyze_makes_one_base_search_one_jacobi_pass_one_decompose(
             yield pair
 
     assert not hasattr(mod, "matrix_at") and not hasattr(mod, "jacobi_sequence")
+    assert not hasattr(mod, "kronecker_sequence")
     monkeypatch.setattr(mod, "iter_convergent_pairs", counted_walk)
-    monkeypatch.setattr(mod, "kronecker_sequence",
-                        counted("kronecker", mod.kronecker_sequence, 1))
+    monkeypatch.setattr(kronseq.symbols, "_lane_flags",
+                        counted("kronecker", kronseq.symbols._lane_flags, 1))
     for owner, name in [(mod, "mod4_period_length"), (mod, "decompose"),
                         (mod, "critical_scan"), (mod, "matrix_at_mod2"),
                         (kronseq.cf, "matrix_at"), (kronseq.symbols, "jacobi_sequence")]:
         monkeypatch.setattr(owner, name, counted("other", getattr(owner, name)))
     a = analyze(block_cf(block))
-    assert calls == {"walk": [L4], "kronecker": [L4], "other": []}
+    assert calls == {"walk": [L4], "kronecker": [], "other": []}
     assert (a.period, a.certified) == (period, certified)
     monkeypatch.undo()
     m, U, e = decompose(block_cf(block), period)

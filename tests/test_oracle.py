@@ -6,7 +6,7 @@ import pytest
 import kronseq.oracle as oracle
 from kronseq import (STAR, Aperiodic, OracleMismatch, Periodic2L, PeriodicL,
                      WindowTooShort, cross_check, empirical_period,
-                     kronecker_sequence)
+                     kronecker_bits)
 from kronseq.cli import EXIT_MISMATCH, main
 
 from conftest import (CORPUS, block_analysis, block_certified_length,
@@ -36,7 +36,7 @@ def naive_find_witness(seq, p):
 
 
 def assert_packed_matches_naive(seq):
-    packed = oracle._PackedWindow(seq)
+    packed = oracle._PackedWindow.of(seq)
     assert empirical_period(seq) == naive_period(seq), seq
     for p in range(1, len(seq) // 2 + 1):
         assert packed.witness(p) == naive_find_witness(seq, p), (seq, p)
@@ -64,16 +64,30 @@ def test_empirical_period_window_too_short():
 
 
 def test_empirical_period_matches_naive_scan():
-    # three-valued windows up to 200 terms, half of them periodic; the
-    # witnesses are compared too
+    # windows up to 200 terms of three values (two bits an entry) and of
+    # five (three bits), half of them periodic, so that the prefix also
+    # recurs at offsets that are not entry boundaries; the witnesses are
+    # compared too
     rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randrange(4, 201)
-        seq = [rng.choice([1, -1, STAR]) for _ in range(n)]
-        if rng.random() < 0.5:
-            p = rng.randrange(1, n // 2 + 1)
-            seq = (seq[:p] * (n // p + 1))[:n]
-        assert_packed_matches_naive(seq)
+    for values in ([1, -1, STAR], [1, -1, STAR, "a", "b"]):
+        for _ in range(200):
+            n = rng.randrange(4, 201)
+            seq = [rng.choice(values) for _ in range(n)]
+            if rng.random() < 0.5:
+                p = rng.randrange(1, n // 2 + 1)
+                seq = (seq[:p] * (n // p + 1))[:n]
+            assert_packed_matches_naive(seq)
+
+
+def test_empirical_period_with_many_near_periods():
+    # 'ab'*k + 'x' and its kin: the prefix recurs at every multiple of the
+    # unit, and only the last entry rules each recurrence out
+    for unit in (["a", "b"], [1, -1, 1], [STAR, 1], [1, -1, STAR, "a", "b"]):
+        for k in range(2, 40):
+            for tail in (["x"], unit[:1], unit[:-1] + ["x"]):
+                seq = unit * k + tail
+                assert_packed_matches_naive(seq)
+    assert oracle._PackedWindow.of([1, -1, STAR, "a", "b"] * 3).width == 3
 
 
 def test_empirical_period_stable_under_window_doubling():
@@ -113,7 +127,8 @@ def test_packed_window_periodic_with_one_flip():
 # witnesses on a Kronecker window
 
 def falsify(block, p, window):
-    return oracle._PackedWindow(kronecker_sequence(block_cf(block), window)).witness(p)
+    bits = kronecker_bits(block_cf(block), window)
+    return oracle._PackedWindow(bits, window).witness(p)
 
 
 def test_falsify_125_candidate_12():
@@ -231,12 +246,10 @@ def test_symbol_sequences_have_period_dividing_certified_length():
 
 
 def flip_entry(monkeypatch, index):
-    # the residue pass gets one symbol wrong
+    # the lane pass gets one symbol wrong
     def flipped(cf, count):
-        seq = kronecker_sequence(cf, count)
-        seq[index] = -seq[index]
-        return seq
-    monkeypatch.setattr(oracle, "kronecker_sequence", flipped)
+        return kronecker_bits(cf, count) ^ (1 << index)
+    monkeypatch.setattr(oracle, "kronecker_bits", flipped)
 
 
 def test_cross_check_rechecks_witness_symbols_exactly(monkeypatch):

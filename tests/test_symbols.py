@@ -1,17 +1,21 @@
 import itertools
 import math
+import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kronseq.symbols
 from kronseq import (STAR, EvenArgument, EvenModulus, NotCoprime,
                      PrecisionExhausted, iter_convergent_pairs, jacobi,
-                     jacobi_sequence, kronecker, kronecker_sequence,
-                     normalize_period, reciprocal_jacobi_sequence,
-                     reciprocity_sign)
-from kronseq.symbols import (_JACOBI, _KRONECKER, _RECIPROCAL, _residue_pass,
-                             _symbol_sequence)
+                     jacobi_sequence, kronecker, kronecker_bits,
+                     kronecker_sequence, normalize_period,
+                     reciprocal_jacobi_sequence, reciprocity_sign)
+from kronseq.symbols import (_JACOBI, _KRONECKER, _RECIPROCAL, _chunk,
+                             _residue_pass, _symbol_sequence)
 
 from conftest import (CORPUS, block_certified_decomposition,
                       block_certified_length, block_cf, convergent_pairs,
@@ -265,3 +269,135 @@ def test_engine_escalates_from_low_precision(block):
             _residue_pass(cf, 200, kind, 8)
     assert tuple(_symbol_sequence(cf, 200, kind, 8)
                  for kind in kinds) == exact_sequences(cf, 200)
+
+
+def test_kronecker_bits_packs_the_kronecker_sequence():
+    for block in [(1, 2, 3), (1, 2, 5), (2,), (3, 1, 1, 2)]:
+        cf = normalize_period(block)
+        bits = kronecker_bits(cf, 300)
+        assert [-1 if bits >> k & 1 else 1 for k in range(300)] \
+            == kronecker_sequence(cf, 300), block
+        assert bits < 1 << 300
+
+
+# ---------------------------------------------------------------------------
+# the lane pass against the scalar pass it replaced
+
+def scalar_residue_pass(cf, count, kind, precision):
+    # one term at a time, as the package computed the sequences before the
+    # lane pass
+    # Loop state before step k: s = s_{k-1}, s_prev = s_{k-2}, t = t_{k-1},
+    # t_prev = t_{k-2} (all mod 2^precision), w = v2(t_{k-1}),
+    # o = u_{k-1} mod 8 and c = c_{k-1}.
+    mask = (1 << precision) - 1
+    limit = precision - 3
+    quotients = [a & mask for a in cf.quotients]
+    l = len(quotients)
+    s, s_prev, t, t_prev = quotients[0], 1, 1, 0
+    w, o, c = 0, 1, 1
+    out = [STAR if kind == _RECIPROCAL and not s & 1 else 1]
+    for k in range(1, count):
+        a = quotients[k % l]
+        s, s_prev = (a * s + s_prev) & mask, s
+        t_new = (a * t + t_prev) & mask
+        if t_new & 1:
+            v, u = 0, t_new & 7
+        else:
+            if not t_new:
+                raise PrecisionExhausted(f"t_{k} = 0 mod 2^{precision}")
+            v = (t_new & -t_new).bit_length() - 1
+            if v >= limit:
+                raise PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {precision}")
+            u = (t_new >> v) & 7
+        if o & u & 2:  # R(t_{k-1}, t_k)
+            c = -c
+        if w & 1 and (t_new * t_prev) & 7 in (3, 5):  # chi(t_k t_{k-2})^w
+            c = -c
+        sym = c
+        if not k & 1 and u & 2:  # ((-1)^(k+1) / u_k)
+            sym = -sym
+        if v & 1 and (s * t) & 7 in (3, 5):  # chi(s_k t_{k-1})^v
+            sym = -sym
+        if kind == _KRONECKER:
+            out.append(sym)
+        elif kind == _JACOBI:
+            out.append(STAR if v else sym)
+        else:  # (t_k/s_k) = R(s_k, t_k) * (s_k/t_k)
+            out.append(STAR if not s & 1 else -sym if s & u & 2 else sym)
+        t, t_prev = t_new, t
+        w, o = v, u
+    return out
+
+
+def pass_outcome(residue_pass, cf, count, kind, precision):
+    """The list of a pass, or the index its PrecisionExhausted names."""
+    try:
+        out = residue_pass(cf, count, kind, precision)
+    except PrecisionExhausted as exc:
+        return int(re.search(r"t_(\d+)", str(exc)).group(1))
+    if isinstance(out, list):
+        return out
+    minus, star = out
+    return [STAR if star >> k & 1 else -1 if minus >> k & 1 else 1
+            for k in range(count)]
+
+
+def lane_pass_cases():
+    # seeded blocks of lengths 1 to 9 with quotients up to 2^40, one block
+    # longer than a chunk, and counts around one and two chunks
+    rng = random.Random(13)
+    blocks = [(1,), (2,), (1, 2, 5)]
+    blocks += [tuple(rng.randint(1, q) for _ in range(rng.randint(1, 9)))
+               for q in (9, 1000, 2 ** 40) for _ in range(2)]
+    blocks.append(tuple(rng.randint(1, 9) for _ in range(kronseq.symbols._CHUNK_LANES + 3)))
+    for block in blocks:
+        cf = normalize_period(block)
+        C = _chunk(len(cf))
+        for count in (C - 1, C, C + 1, 2 * C + 1):
+            yield cf, count
+
+
+@pytest.mark.parametrize("precision", [8, 16, 32, 64])
+def test_lane_pass_matches_scalar_pass(precision):
+    # every kind, and where PrecisionExhausted is raised
+    raised = settled = 0
+    for cf, count in lane_pass_cases():
+        for kind in (_KRONECKER, _JACOBI, _RECIPROCAL):
+            expected = pass_outcome(scalar_residue_pass, cf, count, kind, precision)
+            assert pass_outcome(_residue_pass, cf, count, kind, precision) \
+                == expected, (cf.quotients[:9], count, kind)
+            raised += isinstance(expected, int)
+            settled += isinstance(expected, list)
+    assert settled or precision == 8
+    assert raised or precision >= 32
+
+
+def test_lane_pass_chunk_size():
+    limit = kronseq.symbols._CHUNK_LANES
+    for l in (1, 2, 3, 6, 8, 1000, limit, limit + 1):
+        C = _chunk(l)
+        assert C % l == 0 and (C // l) & (C // l - 1) == 0, l
+        assert limit // 2 < C <= limit or C == l > limit, l
+
+
+def test_lane_pass_memory_is_bounded(monkeypatch):
+    # 200,000 terms: a chunk of at most 256 lanes of 9 bytes (B = 32) is
+    # about 2.3 KB an int, and the pass keeps one flag byte per term, about
+    # 0.2 MB, and a few copies of it, so the measured peak is about
+    # 0.6 MiB.  Lanes over the whole window would be 1.8 MB an int, with a
+    # couple dozen of them alive at once: about 40 MiB.  4 MiB separates
+    # the two with room for either to drift.
+    bound = 4 << 20
+    cf = normalize_period((2, 5, 9, 9, 5, 3, 2, 3))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            kronecker_bits(cf, 200_000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    monkeypatch.setattr(kronseq.symbols, "_CHUNK_LANES", 1 << 20)  # one chunk
+    assert peak() > bound
