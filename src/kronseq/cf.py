@@ -167,13 +167,20 @@ def matrix_at(cf: PeriodicCF, k: int) -> ConvergentMatrix:
     """Exact matrix of the convergents at indices k and k-1."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    s_prev, t_prev = 1, 0
-    s, t = cf.quotients[0], 1
-    for i in range(1, k + 1):
-        a = cf.quotient(i)
-        s, s_prev = a * s + s_prev, s
-        t, t_prev = a * t + t_prev, t
+    pairs = _pairs_at(cf, (k, k - 1))
+    (s, t), (s_prev, t_prev) = pairs[k], pairs[k - 1]
     return ConvergentMatrix(k, s, s_prev, t, t_prev)
+
+
+def _pairs_at(cf, indices):
+    """{k: (s_k, t_k)} for the given indices k >= -1, from one exact walk
+    of max(indices) + 1 convergents; (s_{-1}, t_{-1}) = (1, 0)."""
+    wanted = set(indices)
+    pairs = {-1: (1, 0)} if -1 in wanted else {}
+    for k, pair in zip(range(max(wanted) + 1), iter_convergent_pairs(cf)):
+        if k in wanted:
+            pairs[k] = pair
+    return pairs
 
 
 def _v2(n):  # 2-adic valuation of n != 0

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
                        PeriodicL, analyze, classify)
-from .cf import (_quad_irrational, _v2, convergents, iter_convergent_pairs,
+from .cf import (_pairs_at, _quad_irrational, _v2, iter_convergent_pairs,
                  normalize_period)
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
                      WindowTooShort)
 from .oracle import PeriodReport, cross_check
-from .symbols import STAR, jacobi_sequence, kronecker_sequence, reciprocal_jacobi_sequence
+from .symbols import STAR, _sequences
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,12 +95,11 @@ def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisRep
     analysis = analyze(cf, precision)
     verdict = classify(cf, precision, analysis=analysis)
     # one walk keeps only the printed pairs and the columns of D(l), the
-    # pairs at l-1 and l-2, with (s_{-1}, t_{-1}) = (1, 0)
+    # pairs at l-1 and l-2
     l = len(cf)
-    wanted = {l - 1, l - 2, *analysis.critical_indices, *analysis.subcritical_indices}
-    pairs = {k: pair for k, pair in zip(range(max(wanted) + 1), iter_convergent_pairs(cf))
-             if k in wanted}
-    q = _quad_irrational(*pairs[l - 1], *pairs.get(l - 2, (1, 0)))
+    pairs = _pairs_at(cf, (l - 1, l - 2, *analysis.critical_indices,
+                           *analysis.subcritical_indices))
+    q = _quad_irrational(*pairs[l - 1], *pairs[l - 2])
     detail = lambda k: ConvergentDetail(k, *pairs[k], _v2(pairs[k][1]))
     oracle = cross_check(cf, window=window, precision=precision,
                          analysis=analysis, verdict=verdict) if window else None
@@ -334,12 +333,9 @@ def _read_block_arg(arg):
 def cmd_expand(args):
     cf = normalize_period(_read_block_arg(args.block))
     n = args.count
-    convs = convergents(cf, n)
-    jac = jacobi_sequence(cf, n)
-    rec = reciprocal_jacobi_sequence(cf, n)
-    kro = kronecker_sequence(cf, n)
-    rows = [(k, convs[k].s, convs[k].t, sym_str(jac[k]), sym_str(rec[k]), sym_str(kro[k]))
-            for k in range(n)]
+    jac, rec, kro = _sequences(cf, n)
+    rows = [(k, s, t, sym_str(jac[k]), sym_str(rec[k]), sym_str(kro[k]))
+            for k, (s, t) in zip(range(n), iter_convergent_pairs(cf))]
     header = ("k", "s", "t", "jacobi", "reciprocal_jacobi", "kronecker")
 
     def to_json():

@@ -67,6 +67,13 @@ one flag of every term into a digit string, read as one int with bit k
 for term k.  The running XOR c is then the prefix XOR of F, in
 ceil(log2 n) shift-XORs c ^= c << 2^i.
 
+So one pass yields four masks, bit k for term k: the Kronecker -1 mask
+c ^ G, the t-even and s-even masks, and the reciprocity-flip mask
+R(s_k, t_k).  Each sequence is read off them: the Kronecker one from the
+-1 mask, the Jacobi one from it with STAR at the t-even bits, the
+reciprocal one from its XOR with the flip mask, with STAR at the s-even
+bits.  A request for all three sequences makes one pass.
+
 Memory stays bounded by doing this in chunks of C = l * 2^j lanes (about
 _CHUNK_LANES): the next chunk is D(C) times the current one, again four
 scalar multiplications, and the last two lanes of T are carried below it
@@ -105,9 +112,6 @@ _START_PRECISION = 32
 # pass needs tens of KB beside its one flag byte per term; on 1,500-term
 # windows, chunks of 4,096 lanes measured no faster and held 310 KB.
 _CHUNK_LANES = 256
-
-# The sequence a residue pass builds.
-_KRONECKER, _JACOBI, _RECIPROCAL = range(3)
 
 # Bits of a term's flag byte.
 _F, _G, _T_EVEN, _S_EVEN, _FLIP = (1 << i for i in range(5))
@@ -166,53 +170,58 @@ def reciprocity_sign(s_odd: int, t_odd: int) -> int:
 
 def jacobi_sequence(cf: PeriodicCF, count: int) -> list:
     """(s_k/t_k) for k < count, with STAR wherever t_k is even."""
-    return _symbol_sequence(cf, count, _JACOBI)
+    minus, t_even, _, _ = _masks(cf, count)
+    return _read(minus, t_even, count)
 
 
 def reciprocal_jacobi_sequence(cf: PeriodicCF, count: int) -> list:
     """(t_k/s_k) for k < count, with STAR wherever s_k is even."""
-    return _symbol_sequence(cf, count, _RECIPROCAL)
+    minus, _, s_even, flip = _masks(cf, count)
+    return _read(minus ^ flip, s_even, count)
 
 
 def kronecker_sequence(cf: PeriodicCF, count: int) -> list[int]:
     """Kronecker symbols (s_k/t_k) for k < count; entries are always +-1
     because consecutive convergents are coprime."""
-    return _symbol_sequence(cf, count, _KRONECKER)
+    return _read(kronecker_bits(cf, count), 0, count)
 
 
 def kronecker_bits(cf: PeriodicCF, count: int) -> int:
     """The Kronecker symbols (s_k/t_k), k < count, packed: bit k is set
     exactly when (s_k/t_k) = -1."""
-    return _packed_sequence(cf, count, _KRONECKER)[0]
+    return _masks(cf, count)[0]
 
 
-def _symbol_sequence(cf, count, kind, precision=_START_PRECISION):
-    """The Kronecker, Jacobi or reciprocal Jacobi list (by ``kind``) of
-    length count, read off :func:`_packed_sequence`."""
-    minus, star = _packed_sequence(cf, count, kind, precision)
+def _sequences(cf, count):
+    """The Jacobi, reciprocal Jacobi and Kronecker lists of length count,
+    from one lane pass."""
+    minus, t_even, s_even, flip = _masks(cf, count)
+    return (_read(minus, t_even, count), _read(minus ^ flip, s_even, count),
+            _read(minus, 0, count))
+
+
+def _read(minus, star, count):
+    """The list whose entry k is STAR if bit k of star is set, else -1 if
+    bit k of minus is, else 1."""
     signs = format(minus, f"0{count}b")[::-1]
     stars = format(star, f"0{count}b")[::-1]
     return [STAR if a == "1" else -1 if b == "1" else 1
             for a, b in zip(stars, signs)]
 
 
-def _packed_sequence(cf, count, kind, precision=_START_PRECISION):
-    """:func:`_residue_pass` at the smallest doubling of precision that
-    resolves every term."""
+def _masks(cf, count, precision=_START_PRECISION):
+    """(minus, t_even, s_even, flip) for the terms k < count, each an int
+    with bit k for term k: (s_k/t_k) = -1, t_k even, s_k even, and
+    R(s_k, t_k) = -1.  The lane pass runs at the smallest doubling of
+    ``precision`` that resolves every term."""
     if count < 1:
         raise ValueError("count must be >= 1")
     while True:
         try:
-            return _residue_pass(cf, count, kind, precision)
+            flags = _lane_flags(cf, count, precision)
+            break
         except PrecisionExhausted:
             precision *= 2
-
-
-def _residue_pass(cf, count, kind, precision):
-    """(minus, star) for the ``kind`` sequence of length count, from the
-    lane pass at ``precision`` bits: bit k of minus is set iff entry k is
-    -1, bit k of star iff it is STAR (then bit k of minus means nothing)."""
-    flags = _lane_flags(cf, count, precision)
 
     def read(flag):
         return int(flags.translate(_DIGIT[flag])[::-1], 2)
@@ -222,11 +231,7 @@ def _residue_pass(cf, count, kind, precision):
         c ^= c << shift
         shift <<= 1
     minus = (c ^ read(_G)) & ((1 << count) - 1)
-    if kind == _KRONECKER:
-        return minus, 0
-    if kind == _JACOBI:
-        return minus, read(_T_EVEN)
-    return minus ^ read(_FLIP), read(_S_EVEN)
+    return minus, read(_T_EVEN), read(_S_EVEN), read(_FLIP)
 
 
 def _chunk(l):

@@ -657,6 +657,39 @@ def test_cascade_matches_per_index_reference():
     assert aperiodic == 55
 
 
+def test_cascade_is_the_binary_expansion_of_a_2adic_root():
+    # f(n) = t_{first + n*L} has v2(f(n)) = m + e + v2(n - n*) for one
+    # 2-adic integer n*, so n* mod 2^R is the one n < 2^R with
+    # v2(f(n)) >= m + e + R, found here by brute force, independently of
+    # the cascade's own walk: the cascade's r_j below R are the set bits
+    # of n*, and k_j = first + L * (n* mod 2^r_j)
+    R, B = 11, 64
+    mask = (1 << B) - 1
+    rng = random.Random(2026)
+    checked = 0
+    while checked < 60:
+        block = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 6)))
+        cf = normalize_period(block)
+        a = analyze(cf)
+        if cf.reduced or not a.critical_indices:
+            continue
+        L, first, base = a.period, a.critical_indices[0], a.m + a.e
+        assert base + R <= B, block
+        M, D = matrix_at_mod2(cf, first, B), matrix_at_mod2(cf, L - 1, B)
+        s, t = M.s, M.t
+        roots = []
+        for n in range(1 << R):
+            if t == 0 or v2(t) >= base + R:
+                roots.append(n)
+            s, t = (D.s * s + D.s_prev * t) & mask, (D.t * s + D.t_prev * t) & mask
+        assert len(roots) == 1, block
+        n_star = roots[0]
+        steps = [(k, r) for k, r in classify(cf, depth=30, analysis=a).cascade if r < R]
+        assert [r for _, r in steps] == [i for i in range(R) if n_star >> i & 1], block
+        assert all(k == first + L * (n_star % (1 << r)) for k, r in steps), block
+        checked += 1
+
+
 def test_cascade_cost_is_linear_in_depth(monkeypatch):
     # one attempt makes the two logarithmic powers, r_max squarings and
     # depth - 1 column steps; the per-index formula makes 64,622 products

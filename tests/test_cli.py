@@ -8,6 +8,7 @@ import pytest
 
 import kronseq.cf
 import kronseq.cli
+import kronseq.symbols
 from kronseq import (NotCoprime, OracleMismatch, ParseError, normalize_period,
                      quad_irrational_of)
 from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
@@ -73,6 +74,25 @@ def test_expand_golden_ratio_block(capsys):
     assert lines[1].startswith("0,1,1")
     assert lines[2].startswith("1,2,1")
     assert lines[3].startswith("2,3,2")
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["expand", "1,2,5", "--count", "2000"], 1),  # all three columns
+    (["verify", "1,2,5", "--window", "1500"], 1),
+    (["analyze", "1,2,5"], 0),
+], ids=["expand", "verify", "analyze"])
+def test_one_lane_pass_per_request(monkeypatch, capsys, argv, passes):
+    calls = []
+    lane_flags = kronseq.symbols._lane_flags
+
+    def counted(*a, **k):
+        calls.append(a[1])
+        return lane_flags(*a, **k)
+
+    monkeypatch.setattr(kronseq.symbols, "_lane_flags", counted)
+    code, _, _ = run(capsys, argv)
+    assert code in (EXIT_OK, EXIT_APERIODIC)
+    assert len(calls) == passes, calls
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +408,11 @@ def test_build_report_walks_once_to_the_last_printed_index(monkeypatch, block, w
     # one walk of max(l, largest printed index + 1) convergents gives both the
     # closed form and the printed pairs; no exact matrix
     walks, matrices = [], []
-    original = kronseq.cf.matrix_at
+    original, walk = kronseq.cf.matrix_at, kronseq.cf.iter_convergent_pairs
 
     def counted_walk(cf):
         walks.append(0)
-        for pair in kronseq.cf.iter_convergent_pairs(cf):
+        for pair in walk(cf):
             walks[-1] += 1
             yield pair
 
@@ -400,7 +420,8 @@ def test_build_report_walks_once_to_the_last_printed_index(monkeypatch, block, w
         matrices.append(a)
         return original(*a, **k)
 
-    monkeypatch.setattr(kronseq.cli, "iter_convergent_pairs", counted_walk)
+    # the pairs helper of kronseq.cf walks, so its walk is the one counted
+    monkeypatch.setattr(kronseq.cf, "iter_convergent_pairs", counted_walk)
     monkeypatch.setattr(kronseq.cf, "matrix_at", counted_matrix)
     rep = build_report(block)
     assert (walks, matrices) == ([walked], [])

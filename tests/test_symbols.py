@@ -14,8 +14,7 @@ from kronseq import (STAR, EvenArgument, EvenModulus, NotCoprime,
                      jacobi_sequence, kronecker, kronecker_bits,
                      kronecker_sequence, normalize_period,
                      reciprocal_jacobi_sequence, reciprocity_sign)
-from kronseq.symbols import (_JACOBI, _KRONECKER, _RECIPROCAL, _chunk,
-                             _residue_pass, _symbol_sequence)
+from kronseq.symbols import _chunk, _lane_flags, _masks, _read
 
 from conftest import (CORPUS, block_certified_decomposition,
                       block_certified_length, block_cf, convergent_pairs,
@@ -257,18 +256,23 @@ def test_engine_matches_exact_on_random_blocks(block, count):
     assert public_sequences(cf, count) == exact_sequences(cf, count)
 
 
+def mask_sequences(masks, count):
+    """(Kronecker, Jacobi, reciprocal Jacobi) lists read off the four masks
+    of one lane pass."""
+    minus, t_even, s_even, flip = masks
+    return (_read(minus, 0, count), _read(minus, t_even, count),
+            _read(minus ^ flip, s_even, count))
+
+
 @pytest.mark.parametrize("block", [(1, 2, 5), (1, 2, 2), (2,), (1, 1, 2), (3, 1, 1, 2)])
 def test_engine_escalates_from_low_precision(block):
     # at 8 bits v2(t_k) soon reaches the limit; the pass must restart at a
     # higher precision and still agree with the exact symbols, here beyond
     # the deep cascade index k=139 of (1,2,5)
     cf = normalize_period(block)
-    kinds = (_KRONECKER, _JACOBI, _RECIPROCAL)
-    for kind in kinds:
-        with pytest.raises(PrecisionExhausted):
-            _residue_pass(cf, 200, kind, 8)
-    assert tuple(_symbol_sequence(cf, 200, kind, 8)
-                 for kind in kinds) == exact_sequences(cf, 200)
+    with pytest.raises(PrecisionExhausted):
+        _lane_flags(cf, 200, 8)
+    assert mask_sequences(_masks(cf, 200, 8), 200) == exact_sequences(cf, 200)
 
 
 def test_kronecker_bits_packs_the_kronecker_sequence():
@@ -283,9 +287,9 @@ def test_kronecker_bits_packs_the_kronecker_sequence():
 # ---------------------------------------------------------------------------
 # the lane pass against the scalar pass it replaced
 
-def scalar_residue_pass(cf, count, kind, precision):
+def scalar_residue_pass(cf, count, precision):
     # one term at a time, as the package computed the sequences before the
-    # lane pass
+    # lane pass: the (Kronecker, Jacobi, reciprocal Jacobi) lists
     # Loop state before step k: s = s_{k-1}, s_prev = s_{k-2}, t = t_{k-1},
     # t_prev = t_{k-2} (all mod 2^precision), w = v2(t_{k-1}),
     # o = u_{k-1} mod 8 and c = c_{k-1}.
@@ -295,7 +299,7 @@ def scalar_residue_pass(cf, count, kind, precision):
     l = len(quotients)
     s, s_prev, t, t_prev = quotients[0], 1, 1, 0
     w, o, c = 0, 1, 1
-    out = [STAR if kind == _RECIPROCAL and not s & 1 else 1]
+    kro, jac, rec = [1], [1], [STAR if not s & 1 else 1]
     for k in range(1, count):
         a = quotients[k % l]
         s, s_prev = (a * s + s_prev) & mask, s
@@ -318,28 +322,28 @@ def scalar_residue_pass(cf, count, kind, precision):
             sym = -sym
         if v & 1 and (s * t) & 7 in (3, 5):  # chi(s_k t_{k-1})^v
             sym = -sym
-        if kind == _KRONECKER:
-            out.append(sym)
-        elif kind == _JACOBI:
-            out.append(STAR if v else sym)
-        else:  # (t_k/s_k) = R(s_k, t_k) * (s_k/t_k)
-            out.append(STAR if not s & 1 else -sym if s & u & 2 else sym)
+        kro.append(sym)
+        jac.append(STAR if v else sym)
+        # (t_k/s_k) = R(s_k, t_k) * (s_k/t_k)
+        rec.append(STAR if not s & 1 else -sym if s & u & 2 else sym)
         t, t_prev = t_new, t
         w, o = v, u
-    return out
+    return kro, jac, rec
 
 
-def pass_outcome(residue_pass, cf, count, kind, precision):
-    """The list of a pass, or the index its PrecisionExhausted names."""
+def lane_pass(cf, count, precision):
+    # the lane pass at this precision: _masks escalates only when
+    # _lane_flags raises
+    _lane_flags(cf, count, precision)
+    return mask_sequences(_masks(cf, count, precision), count)
+
+
+def pass_outcome(residue_pass, cf, count, precision):
+    """The lists of a pass, or the index its PrecisionExhausted names."""
     try:
-        out = residue_pass(cf, count, kind, precision)
+        return residue_pass(cf, count, precision)
     except PrecisionExhausted as exc:
         return int(re.search(r"t_(\d+)", str(exc)).group(1))
-    if isinstance(out, list):
-        return out
-    minus, star = out
-    return [STAR if star >> k & 1 else -1 if minus >> k & 1 else 1
-            for k in range(count)]
 
 
 def lane_pass_cases():
@@ -359,15 +363,15 @@ def lane_pass_cases():
 
 @pytest.mark.parametrize("precision", [8, 16, 32, 64])
 def test_lane_pass_matches_scalar_pass(precision):
-    # every kind, and where PrecisionExhausted is raised
+    # all three sequences of the one pass, and where PrecisionExhausted is
+    # raised
     raised = settled = 0
     for cf, count in lane_pass_cases():
-        for kind in (_KRONECKER, _JACOBI, _RECIPROCAL):
-            expected = pass_outcome(scalar_residue_pass, cf, count, kind, precision)
-            assert pass_outcome(_residue_pass, cf, count, kind, precision) \
-                == expected, (cf.quotients[:9], count, kind)
-            raised += isinstance(expected, int)
-            settled += isinstance(expected, list)
+        expected = pass_outcome(scalar_residue_pass, cf, count, precision)
+        assert pass_outcome(lane_pass, cf, count, precision) == expected, \
+            (cf.quotients[:9], count)
+        raised += isinstance(expected, int)
+        settled += isinstance(expected, tuple)
     assert settled or precision == 8
     assert raised or precision >= 32
 
