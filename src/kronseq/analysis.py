@@ -174,7 +174,7 @@ def certified_period_length(cf: PeriodicCF) -> int:
 def _resolved_v2(t, precision, k):
     """v2(t_k) from t = t_k mod 2**precision, if that residue settles it."""
     if t == 0 or _v2(t) >= precision - 2:
-        raise PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {precision}")
+        raise _unresolved(k, precision)
     return _v2(t)
 
 
@@ -311,16 +311,19 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     MAX_PRECISION: it starts at the first rung that reaches the predicted
     need m + e + 2*depth + 3, and doubles on precision exhaustion.  Step j
     reads v2(t_{k_j}) = m + e + r_j, which a residue mod 2^B resolves only
-    if B >= m + e + r_j + 3.  r_j rises strictly, so r_depth >= r_1 +
-    depth - 1, and rungs at or below m + e + r_1 + depth + 1 are certain
-    to fail.  Each increment r_{j+1} - r_j is v2 of a sum of two odd
-    2-adic units, so it behaves like a geometric variable with mean 2:
-    the measured slope (r_depth - r_1) / (depth - 1) is 1.80-2.27 on all
-    96 ``cascade-deep`` blocks of bench seeds 0-7 (depth 150-200), hence
-    2*depth.  A rung one too high costs wider multiplications, one too
-    low a retry.  Skipping rungs changes no output: an attempt that
-    succeeds, or raises anything but PrecisionExhausted, does the same
-    at every higher rung, since the residues it resolved stay resolved.
+    if B >= m + e + r_j + 3.  The r_j are the set bits of the 2-adic root
+    n* of :func:`cascade`, so r_depth >= r_1 + depth - 1, and rungs at or
+    below m + e + r_1 + depth + 1 are certain to fail.  The set bits of a
+    typical 2-adic integer are on average 2 apart (each bit is set with
+    probability 1/2, so the gap to the next set bit is geometric with mean
+    2), hence 2*depth; the measured slope (r_depth - r_1) / (depth - 1) is
+    1.80-2.27 on all 96 ``cascade-deep`` blocks of bench seeds 0-7 (depth
+    150-200).  A rung one too high costs twice the series terms of the
+    root, on numbers twice as wide (depth 200 of (1,2,5) took 0.26, 0.64
+    and 2.6 ms at 512, 1,024 and 2,048 bits), one too low a retry.
+    Skipping rungs changes no output: an attempt that succeeds, or raises
+    anything but PrecisionExhausted, does the same at every higher rung,
+    since the residues it resolved stay resolved.
     """
     if analysis is None:
         analysis = analyze(cf, precision)
@@ -363,32 +366,145 @@ def threshold_valuation(cf: PeriodicCF, period: int, doublings: int,
     return _resolved_v2(P[2], precision, (period << doublings) - 1)
 
 
+def _unresolved(k, precision):
+    return PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {precision}")
+
+
+def _inverse(a, w):
+    """a^-1 mod 2^w for odd a: y <- y (2 - a y) doubles the bits of y that
+    are right, and a itself is right to 3 bits, as a^2 = 1 mod 8.  For w-bit
+    a this is several times faster than pow(a, -1, 2**w), which runs
+    Euclid's algorithm: that took 0.06 ms at 500 bits and 1.7 ms at 4,076."""
+    y, n = a & 7, 3
+    while n < w:
+        n = min(2 * n, w)
+        y = y * (2 - a * y) & ((1 << n) - 1)
+    return y
+
+
+def _root(P, s, t, vg, precision):
+    """n' mod 2^w, w = precision - 2 - vg, by the closed form (d) of
+    :func:`cascade`: P = D(period)^(2^r0) and (s, t) = x_k mod
+    2**precision, with vg = m + e + r0 = v2(g)."""
+    w = precision - 2 - vg
+    mask, low = (1 << precision) - 1, (1 << w) - 1
+    a, _, c, d = P
+    tau = (a + d - 2) & mask
+    nu = tau + (tau * tau >> 2)  # c^2 - 1, exact mod 2**precision
+    mu = (nu >> 2) & low
+    phi, y, C, i = 1, mu, 1, 1
+    while y:
+        C = C * 2 * (2 * i - 1) // i  # binomial(2i, i)
+        term = C * y * pow(2 * i + 1, -1, 1 << w)
+        phi += -term if i & 1 else term
+        y, i = y * mu & low, i + 1
+    g = (c * s + (((d - a) & mask) >> 1) * t) & mask  # ((P - cI) x_k)_2
+    t = t >> vg
+    h = _inverse((g >> vg) * phi & low, w)  # 1 / (g phi), one inverse for two
+    z = -t * phi * h & low
+    q = z * z * nu & low
+    S, x, i = 1, q, 1
+    while x:
+        S += x * pow(2 * i + 1, -1, 1 << w)
+        x, i = x * q & low, i + 1
+    return -t * S * h & low
+
+
+# The switch point r0 of :func:`cascade`.  Measured on cascade((1,2,5),
+# 12, 7, depth, B) (Python 3.11, one core of a shared host), r0 = 0, 4, 8,
+# 16 and 24 took 1.05, 0.42, 0.35, 0.21 and 0.30 ms at depth 200 and 512
+# bits, the cascade-deep rung, and 107, 29, 24, 11.5 and 10.2 ms at depth
+# 1,500 and 4,096 bits: below 16 the root needs too many series terms,
+# above it the walk costs more than the terms it saves.  Every r0 >= 0
+# gives the same steps.  The root has a fixed cost, so the walk hands over
+# only when at least _ROOT_STEPS steps remain: on 40 seeded blocks at 128
+# and 512 bits, walking 1, 2 or 4 steps past the switch point was faster
+# than the root, and 8 or 16 slower.
+_SWITCH, _ROOT_STEPS = 16, 8
+
+
 def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
             precision: int = DEFAULT_PRECISION) -> tuple[tuple[int, int], ...]:
     """Witness cascade (k_j, r_j), j = 1..depth, from a critical index.
 
     k_j is critical for 2^(r_j) * period but not for 2^(r_j + 1) * period,
     and k_{j+1} = k_j + 2^(r_j) * period.  Both coordinates increase
-    strictly.  Valuations of t_{k_j} are read off mod 2**precision.
+    strictly.  Valuations of t_{k_j} are read off mod 2**precision = 2^B:
+    step j is made while v2(t_{k_j}) = m + e + r_j < B - 2, and the first
+    step past that raises PrecisionExhausted naming its t_k.
 
-    The convergents are walked incrementally: for N a multiple of the
-    block length, D(N) * M_k = M_{k+N} with M_k = matrix_at(cf, k).
-    Proof: M_{k+N} is the product of the quotient matrices of
-    a_0..a_{k+N}; its first N factors make D(N), and since a_{N+i} = a_i
-    the remaining k+1 factors make M_k.  The same argument gives
-    D(2^r * period) = D(period)^(2^r).  Only t_k is read, and the first
-    column (s_k, t_k) of M_k is mapped by D(N) on its own, so the walk
-    keeps that column: with P = D(period)^(2^(r_j)), (s, t) at k_{j+1} is
-    P * (s, t) at k_j, exact in Z/2^precision.
-
-    P is squared by Cayley-Hamilton, P^2 = tr(P) P - I, which needs
-    det P = 1: det D(n) = (-1)^n, and D(period) = I mod 4 forces
+    The walk.  For N a multiple of the block length, D(N) * M_k = M_{k+N}
+    with M_k = matrix_at(cf, k).  Proof: M_{k+N} is the product of the
+    quotient matrices of a_0..a_{k+N}; its first N factors make D(N), and
+    since a_{N+i} = a_i the remaining k+1 factors make M_k.  The same
+    argument gives D(2^r * period) = D(period)^(2^r).  Only t_k is read,
+    and the first column x_k = (s_k, t_k) of M_k is mapped by D(N) on its
+    own: with P = D(period)^(2^(r_j)), x at k_{j+1} is P * x at k_j, exact
+    in Z/2^B.  P is squared by Cayley-Hamilton, P^2 = tr(P) P - I, which
+    needs det P = 1: det D(n) = (-1)^n, and D(period) = I mod 4 forces
     (-1)^period = 1 mod 4, so period is even and every power of D(period)
-    has determinant 1.  Because r_j rises strictly, P is only ever squared
-    further: a cascade of the given depth costs at most r_depth squarings
-    and depth - 1 column steps, four multiplications each, plus the two
-    logarithmic powers that give M_start and D(period).  The threshold
-    m + e is v2(t_{period-1}), read off the same D(period) mod 2**precision.
+    has determinant 1.  The threshold m + e is v2(t_{period-1}), read off
+    the same D(period) mod 2^B.
+
+    Why the cascade is the binary expansion of a 2-adic root.  Let L =
+    period, D = D(L) = I + 2^m U with U = [[x, y], [u, v]], v2(u) = e,
+    and f(n) = t_{start + nL}, the second entry of x_n = D^n x_0, with
+    v2(f(0)) >= m + e (else ValueError: start is not critical).
+    (a) v2(f(a) - f(b)) = m + e + v2(a - b) for a != b.  Cayley-Hamilton
+    gives D^N = alpha_N D + beta_N I with alpha_0 = 0, alpha_1 = 1 and
+    alpha_{N+1} = tr(D) alpha_N - alpha_{N-1}, so alpha_N is odd for odd
+    N (tr D is even), and (D^N)^2 = tr(D^N) D^N - I gives alpha_{2N} =
+    tr(D^N) alpha_N with tr(D^N) = 2 mod 4: v2(alpha_N) = v2(N).  Write
+    D^N - I = alpha_N (D - I) + gamma_N I.  A matrix I + 2^j Y of
+    determinant 1 has trace 2 - 2^(2j) det Y, and D^N = I mod 2^(m +
+    v2(N)) (squaring raises m by one, odd powers keep it; module
+    docstring), so taking traces, 2 gamma_N = (tr D^N - 2) - alpha_N (tr D
+    - 2) has v2 >= 2m + v2(N).  Now f(b+N) - f(b) = alpha_N 2^m (u s_b +
+    v t_b) + gamma_N t_b.  With N = 1 this has v2 >= m + e, so every f(b)
+    does and s_b is odd (gcd(s_b, t_b) = 1); then v2(u s_b) = e < v2(v
+    t_b), the first term has v2 exactly m + e + v2(N), and the second at
+    least 2m - 1 + v2(N) + m + e, more as m >= 2.
+    (b) By (a), n -> f(n) / 2^(m+e) is injective on Z/2^i, so exactly one
+    class n mod 2^i has f(n) = 0 mod 2^(m+e+i).  These classes nest and
+    define one n* in the 2-adic integers, and v2(f(n)) = m + e + v2(n - n*)
+    (f extends to them by continuity, with f(n*) = 0).
+    (c) Hence r_1 = v2(n*), and if n_j = (k_j - start) / L = n* mod 2^(r_j)
+    with bit r_j of n* set, then n_{j+1} = n_j + 2^(r_j) = n* mod 2^(r_j+1)
+    and r_{j+1} = v2(n_{j+1} - n*) is the next set bit of n*.  So the r_j
+    are the set bits of n* and rise strictly, as a theorem; k_j = start +
+    L (n* mod 2^(r_j)).  The walk below keeps its AssertionError guard.
+    (d) The closed form.  The walk stops at the first step r >= r0, at
+    index k, unless fewer than 8 steps remain, which it walks.  Put P =
+    D^(2^r0) = I + 2^M U' (M = m + r0), c = tr(P)/2 and W = P - cI, so
+    W^2 = nu I with nu = c^2 - 1 = tau + tau^2/4, tau = tr P - 2 =
+    -2^(2M) det U': v2(nu) >= 2M.  By (b) for P, F(n) = (P^n x_k)_2
+    has one root n' = (n* - n_k) / 2^r0, with v2(n') = r - r0.  In the
+    commutative ring Q_2[W], P = c + W = exp(phi W) for phi = sum_i
+    (-1)^i binomial(2i, i) (nu/4)^i / (2i+1), which is arsinh(rho)/rho for
+    rho^2 = nu: the series identity exp(arsinh x) = x + sqrt(1 + x^2), with
+    c = 1 mod 4 the square root of 1 + nu that the binomial series gives.
+    So P^n = cosh(n phi rho) I + (sinh(n phi rho)/rho) W, each side a
+    series in nu (v2(nu) >= 2M makes every series here converge), for n
+    in N and by continuity for every 2-adic n.  With g = (W x_k)_2, F(n) =
+    0 iff tanh(n phi rho)/rho = z := -t_k/g, that is
+        n' = z * sum_i (z^2 nu)^i / (2i+1)  /  phi.
+    g = P_21 s_k + ((P_22 - P_11)/2) t_k has v2(g) = m + e + r0: v2(P_21)
+    = M + e by (a) and s_k is odd, while the second term has v2 >= M - 1 +
+    m + e + r.  So z, with v2(z) = r - r0, and nu are known mod 2^(w+2)
+    from x_k and P mod 2^B, w = B - 2 - m - e - r0.  Truncation: term i
+    of the numerator has v2 >= 2Mi, and of phi v2 >= 2(M - 1)i + 1
+    (v2(binomial(2i, i)) is the number of set bits of i), so about
+    w / (2M - 2) terms give n' mod 2^w.  Its set bits i > r - r0 are the
+    remaining r_j = r0 + i, exactly those with m + e + r_j < B - 2; each
+    k_{j+1} = k_j + 2^(r_j) L.  When they run out before depth, the next
+    step has v2(t) >= B - 2 and the error names the t_k the walk would.
+    So every output and every error is the walk's.
+
+    Cost: at most r0 = 16 squarings and r0 column steps, four
+    multiplications each, the two logarithmic powers that give M_start
+    and D(period), one 2-adic inverse and about w / (2M - 2) series terms
+    mod 2^w, whatever the depth; a cascade that ends within 8 steps of its
+    first r_j >= r0 walks those steps instead.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -405,7 +521,7 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     out = []
     k = start
     prev_r = -1
-    for j in range(depth):
+    for j in range(depth):  # the walk, up to the first r >= r0
         r = _resolved_v2(t, precision, k) - base
         if not out and r < 0:
             raise ValueError(f"start index {start} is not critical for period {period}")
@@ -413,11 +529,26 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
             raise AssertionError(f"cascade not strictly increasing at k={k}")
         out.append((k, r))
         prev_r = r
-        if j == depth - 1:
+        # the count of steps left only falls, so the walk hands over at the
+        # first r >= r0 or never, and P is then D(period)^(2^p_r), p_r < r0
+        if j == depth - 1 or r >= _SWITCH and depth - 1 - j >= _ROOT_STEPS:
             break
         while p_r < r:
             P = _square_mod(P, mask)
             p_r += 1
         s, t = _column_step(P, s, t, mask)
         k += (1 << r) * period
+    if len(out) < depth:  # the rest off the root n', its set bits above r - r0
+        while p_r < _SWITCH:
+            P = _square_mod(P, mask)
+            p_r += 1
+        bits = format(_root(P, s, t, base + _SWITCH, precision), "b")[::-1]
+        i = r - _SWITCH  # character i of bits is bit i of n', r_j = r0 + i
+        while len(out) < depth:
+            k += period << r
+            i = bits.find("1", i + 1)
+            if i < 0:
+                raise _unresolved(k, precision)
+            r = _SWITCH + i
+            out.append((k, r))
     return tuple(out)

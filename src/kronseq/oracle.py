@@ -100,13 +100,19 @@ def empirical_period(seq) -> int | None:
     return _smallest_period("".join(map(code.__getitem__, seq)))
 
 
-def _cascade_witness(bits, n, p, period, steps):
-    for k, r in steps:
-        for d in (1, 3):
-            gap = d * (1 << (r + 1)) * period
-            j = k + gap
-            if j < n and gap % p == 0 and (bits >> j ^ bits >> k) & 1:
-                return (k, j)
+def _cascade_pairs(steps, period):
+    """(k, gap) for each cascade step (k, r) and d in (1, 3), gap = d *
+    2^(r+1) * period: the symbols at k and k + gap should differ, so the
+    pair falsifies each candidate p dividing gap, once the window holds
+    k + gap and shows the difference."""
+    return [(k, d * (1 << (r + 1)) * period) for k, r in steps for d in (1, 3)]
+
+
+def _cascade_witness(bits, n, p, pairs):
+    for k, gap in pairs:
+        j = k + gap
+        if j < n and gap % p == 0 and (bits >> j ^ bits >> k) & 1:
+            return (k, j)
     return None
 
 
@@ -131,8 +137,11 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     Periodic verdicts must be consistent with their claimed period on the
     window; aperiodic verdicts must falsify every candidate period up to
     max_period (default 4 times the analysis period).  Any disagreement
-    raises OracleMismatch.  ``analysis`` and ``verdict``, when given, are
-    the results of :func:`analyze` and :func:`classify` for ``cf``.
+    raises OracleMismatch, except a candidate that the window is too short
+    to falsify: when no pair of the window falsifies p and the first
+    cascade pair that p divides lies past the window, WindowTooShort names
+    the window that pair needs.  ``analysis`` and ``verdict``, when given,
+    are the results of :func:`analyze` and :func:`classify` for ``cf``.
 
     The window comes from the lane pass of ``symbols``, so the symbols at
     both indices of the first and the last witness (those of candidates 1
@@ -161,10 +170,16 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
 
     falsified = []
     if isinstance(verdict, Aperiodic):
+        pairs = _cascade_pairs(verdict.cascade, analysis.period)
         for p in range(1, P + 1):
-            witness = (_cascade_witness(bits, window, p, analysis.period, verdict.cascade)
-                       or _witness(bits, window, p))
+            witness = _cascade_witness(bits, window, p, pairs) or _witness(bits, window, p)
             if witness is None:
+                pair = next(((k, k + gap) for k, gap in pairs if gap % p == 0), None)
+                if pair is not None and pair[1] >= window:
+                    raise WindowTooShort(
+                        f"window {window} is too short to falsify period {p} of "
+                        f"{cf}: its first cascade pair {pair} needs a window of "
+                        f"{pair[1] + 1}")
                 raise OracleMismatch(
                     f"{cf} classified aperiodic but period {p} holds on a "
                     f"window of {window}")

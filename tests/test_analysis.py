@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -690,10 +692,12 @@ def test_cascade_is_the_binary_expansion_of_a_2adic_root():
         checked += 1
 
 
-def test_cascade_cost_is_linear_in_depth(monkeypatch):
-    # one attempt makes the two logarithmic powers, r_max squarings and
-    # depth - 1 column steps; the per-index formula makes 64,622 products
-    # here.  Products, squarings and column steps are all counted.
+def test_cascade_cost_is_independent_of_depth(monkeypatch):
+    # one attempt makes the two logarithmic powers, at most r0 squarings and
+    # at most r0 column steps; the 2-adic root gives every later step, at any
+    # depth.  The column walk it replaced made r_max squarings and depth - 1
+    # column steps (398 and 199 here at depth 200).  Products, squarings and
+    # column steps are all counted.
     products = []
 
     def counted(original):
@@ -706,13 +710,121 @@ def test_cascade_cost_is_linear_in_depth(monkeypatch):
         wrapper = counted(getattr(kronseq.cf, name))
         for module in (kronseq.cf, kronseq.analysis):
             monkeypatch.setattr(module, name, wrapper)
-    cf, period, depth = block_cf((1, 2, 5)), 12, 200
-    steps = cascade(cf, period, 7, depth, precision=512)
-    assert len(steps) == depth
-    r_max = steps[-1][1]
-    assert len(products) <= r_max + depth + 4 * (len(cf) + period.bit_length())
-    assert products.count("_square_mod") == steps[-2][1]  # the last step walks no further
-    assert products.count("_column_step") == depth - 1
+    cf, period, r0 = block_cf((1, 2, 5)), 12, kronseq.analysis._SWITCH
+    counts = []
+    for depth, precision in ((200, 512), (1000, 2048)):
+        products.clear()
+        steps = cascade(cf, period, 7, depth, precision)
+        assert len(steps) == depth
+        assert products.count("_square_mod") <= r0
+        assert products.count("_column_step") <= r0
+        assert len(products) <= 2 * r0 + 4 * (len(cf) + period.bit_length())
+        counts.append(products.count("_square_mod") + products.count("_column_step"))
+    assert counts[0] == counts[1]
+
+
+def column_walk(cf, period, start, precision):
+    """The cascade as a bit-by-bit column walk, the way :func:`cascade` found
+    every step before it read them off the 2-adic root: the steps from
+    ``start`` on, each computed only when asked for, so that the first
+    ``depth`` of them, or the error that stops the walk before that, are
+    what the walk gives at that depth."""
+    mask = (1 << precision) - 1
+    M = matrix_at_mod2(cf, start, precision)
+    s, t = M.s, M.t
+    P = matrix_at_mod2(cf, period - 1, precision)
+    P = (P.s, P.s_prev, P.t, P.t_prev)
+    if not kronseq.analysis._is_identity_mod4(P):
+        raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
+    base = kronseq.analysis._resolved_v2(P[2], precision, period - 1)  # m + e
+    p_r, k, prev_r = 0, start, -1
+    while True:
+        r = kronseq.analysis._resolved_v2(t, precision, k) - base
+        if prev_r < 0 and r < 0:
+            raise ValueError(f"start index {start} is not critical for period {period}")
+        if r <= prev_r:
+            raise AssertionError(f"cascade not strictly increasing at k={k}")
+        yield k, r
+        prev_r = r
+        while p_r < r:
+            P = kronseq.cf._square_mod(P, mask)
+            p_r += 1
+        s, t = kronseq.cf._column_step(P, s, t, mask)
+        k += (1 << r) * period
+
+
+def assert_cascade_matches_column_walk(cf, period, start, precision, depths):
+    """cascade against the column walk at each depth and at the depths
+    around where the walk stops: the same steps, or the same error type
+    with the same message.  Returns the number of calls compared."""
+    steps, error = [], None
+    try:
+        for step in itertools.islice(column_walk(cf, period, start, precision), max(depths)):
+            steps.append(step)
+    except (PrecisionExhausted, ValueError, AssertionError) as exc:
+        error = type(exc), str(exc)
+    n = len(steps)
+    depths = sorted({d for d in (*depths, n, n + 1) if 1 <= d <= max(depths)})
+    for depth in depths:
+        expected = tuple(steps[:depth]) if depth <= n else error
+        assert outcome(cascade, cf, period, start, depth, precision) == expected, \
+            (cf, period, start, precision, depth)
+    return len(depths)
+
+
+def test_cascade_matches_column_walk_exhaustively():
+    # every critical start of every aperiodic minimal block with l <= 4 and
+    # quotients <= 4, at 8-256 bits, where the walk runs out of precision
+    # within 400 steps
+    depths = (1, 2, 3, 5, 8, 13, 21, 34, 400)
+    aperiodic = calls = 0
+    for block in (b for l in range(1, 5) for b in itertools.product(range(1, 5), repeat=l)):
+        cf = normalize_period(block)
+        a = analyze(cf)
+        if cf.quotients != block or not a.critical_indices:
+            continue
+        aperiodic += 1
+        for start in a.critical_indices:
+            for precision in (8, 12, 16, 24, 32, 48, 64, 128, 256):
+                calls += assert_cascade_matches_column_walk(cf, a.period, start, precision, depths)
+    assert aperiodic == 55 and calls > 5000
+
+
+def test_cascade_matches_column_walk_on_random_blocks():
+    # seeded random aperiodic blocks, every critical start, 300-4096 bits
+    # and depths up to 400
+    rng = random.Random(20261019)
+    blocks = 0
+    while blocks < 12:
+        cf = normalize_period([rng.randint(1, 30) for _ in range(rng.randint(1, 8))])
+        a = analyze(cf)
+        if not a.critical_indices:
+            continue
+        blocks += 1
+        precision = (300, 512, 1000, 1024, 2048, 4096)[blocks % 6]
+        depths = sorted(rng.randint(1, 400) for _ in range(4))
+        for start in a.critical_indices:
+            assert_cascade_matches_column_walk(cf, a.period, start, precision, depths)
+
+
+def test_cascade_matches_column_walk_on_the_bench_blocks(monkeypatch):
+    # the 96 cascade-deep blocks of bench seeds 0-7, every critical start,
+    # at their bench depth and the rung classify starts it at
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    corpus = importlib.import_module("corpus")
+    blocks = 0
+    for seed in range(8):
+        for call in corpus.make_calls("cascade-deep", seed):
+            cf = normalize_period(call.blocks[0])
+            depth = int(call.argv[call.argv.index("--depth") + 1])
+            a = analyze(cf)
+            precision = 128
+            while precision < a.m + a.e + 2 * depth + 3:
+                precision *= 2
+            for start in a.critical_indices:
+                assert_cascade_matches_column_walk(cf, a.period, start, precision, (1, depth))
+            blocks += 1
+    assert blocks == 96
 
 
 def full_matrix_cascade(cf, period, start, depth, precision):

@@ -217,6 +217,19 @@ def test_verify_smoke_singleton(capsys):
     assert code == EXIT_OK
 
 
+def test_verify_window_too_short_for_an_aperiodic_verdict(capsys):
+    # no pair of 4 terms falsifies period 2 of (1,2,5), and its first
+    # cascade pair (7, 31) lies past the window: a usage error, not a
+    # mismatch; 32 terms hold that pair
+    code, out, err = run(capsys, ["verify", "1,2,5", "--window", "4", "--max-period", "2"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("error: window 4 is too short to falsify period 2 of [1,2,5]: "
+                   "its first cascade pair (7, 31) needs a window of 32\n")
+    code, out, _ = run(capsys, ["verify", "1,2,5", "--window", "32", "--max-period", "2",
+                                "--format", "json"])
+    assert code == EXIT_OK and json.loads(out)["agreement"] is True
+
+
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     import kronseq.cli as cli
 

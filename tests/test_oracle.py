@@ -223,6 +223,21 @@ def test_cross_check_window_too_short():
         cross_check(block_cf((1, 2, 3)), window=100, max_period=60)
 
 
+def test_unfalsified_candidate_is_a_short_window_or_a_mismatch():
+    # (1,2,3) is periodic with period 12 (analysis period 6), given here a
+    # false aperiodic verdict: a candidate no pair of the window falsifies
+    # is a short window when the first cascade pair that covers it lies past
+    # the window, and a mismatch when that pair lies inside it or no pair
+    # covers it
+    cf, a = block_cf((1, 2, 3)), block_analysis((1, 2, 3))
+    past = Aperiodic(first_critical=0, cascade=((0, 1),))  # pairs (0, 24), (0, 72)
+    with pytest.raises(WindowTooShort, match=r"period 12 .* pair \(0, 24\) needs a window of 25"):
+        cross_check(cf, window=24, max_period=12, analysis=a, verdict=past)
+    for window, verdict in ((100, past), (24, Aperiodic(0, ((0, 0),))), (24, Aperiodic(0, ()))):
+        with pytest.raises(OracleMismatch, match=f"period 12 holds on a window of {window}"):
+            cross_check(cf, window=window, max_period=12, analysis=a, verdict=verdict)
+
+
 def test_cross_check_default_window():
     report = cross_check(block_cf((1, 2, 3)))
     assert report.window_length >= 600
