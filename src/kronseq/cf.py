@@ -6,6 +6,7 @@ is used anywhere in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -126,29 +127,23 @@ def normalize_period(quotients) -> PeriodicCF:
     """Reduce a quotient block to its minimal repeating prefix.
 
     The returned block tiles the input exactly; ``reduced`` is set when the
-    input was not already minimal.
+    input was not already minimal.  :class:`PeriodicCF` rejects an empty
+    or non-positive block on the prefix, which holds every quotient of the
+    input (and is empty for an empty input).
     """
     q = tuple(int(a) for a in quotients)
-    if not q:
-        raise EmptyInput("quotient block must be non-empty")
-    if any(a < 1 for a in q):
-        raise NonPositiveQuotient(f"quotients must be >= 1, got {q}")
     p = _minimal_period(q)
     return PeriodicCF(q[:p], reduced=(p < len(q)))
 
 
 def iter_convergent_pairs(cf: PeriodicCF):
     """Yield (s_k, t_k) for k = 0, 1, 2, ... without end."""
-    s_prev, t_prev = 1, 0
-    s, t = cf.quotients[0], 1
-    yield s, t
-    k = 1
-    while True:
-        a = cf.quotient(k)
+    # from (s, t)_{-1} = (1, 0) and (s, t)_{-2} = (0, 1)
+    s, t, s_prev, t_prev = 1, 0, 0, 1
+    for a in itertools.cycle(cf.quotients):
         s, s_prev = a * s + s_prev, s
         t, t_prev = a * t + t_prev, t
         yield s, t
-        k += 1
 
 
 def convergents(cf: PeriodicCF, count: int) -> list[Convergent]:

@@ -3,8 +3,9 @@
 Exit codes are a stable contract:
   0  periodic classification / agreement / plain success
   1  usage errors (including cascade on a periodic block, --count,
-     --depth, --window or --max-period below 1, an unreadable batch input
-     and an --output path that cannot be written)
+     --depth, --window or --max-period below 1, a verify window too short
+     for the periods it checks, a batch input that cannot be read or
+     decoded and an --output path that cannot be written)
   2  parse or precision errors (including --precision below 8), and any
      other package error
   3  aperiodic classification (analyze)
@@ -324,10 +325,20 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
+def _read(path):
+    """The text at path, stdin for "-"; a path that cannot be read or
+    decoded is a usage error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_block_arg(arg):
-    if arg == "-":
-        arg = sys.stdin.read()
-    return parse_block(arg)
+    return parse_block(_read(arg) if arg == "-" else arg)
 
 
 def cmd_expand(args):
@@ -400,16 +411,8 @@ def cmd_verify(args):
 
 
 def cmd_batch(args):
-    if args.input == "-":
-        content = sys.stdin.read()
-    else:
-        try:
-            with open(args.input) as fh:
-                content = fh.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {args.input}: {exc}") from exc
     records = []
-    for lineno, raw in enumerate(content.splitlines(), start=1):
+    for lineno, raw in enumerate(_read(args.input).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -6,11 +6,30 @@ pair.  Cascade members provide such witnesses cheaply for deep candidates;
 everything is still checked against the actual symbols before being
 reported.
 
+The window rule: every period the oracle checks fits twice in the window
+of n terms.  That holds for each candidate p <= max_period (n >= 2 *
+max_period) and for the period a periodic verdict claims (n >= 2 * claim).
+
+One decision.  Let e be the smallest period p <= n/2 of the window, or
+None.  Then a p <= n/2 is a period of the window exactly when e divides
+p.  Proof: a multiple of a period is a period, since seq[k] = seq[k + e]
+= ... = seq[k + p] whenever k + p < n.  Conversely let p be a period, so
+e is not None and e <= p.  By the theorem of Fine and Wilf (N. J. Fine
+and H. S. Wilf, *Uniqueness theorems for periodic functions*, Proc. AMS
+16 (1965), 109-114), a word of length n >= p + q - gcd(p, q) with
+periods p and q also has period gcd(p, q).  Here e + p <= n, so
+gcd(e, p) <= e is a period, and it equals e because e is the smallest;
+hence e divides p.  So one search for e decides both kinds of verdict: a
+periodic claim holds exactly when e divides it, and an aperiodic verdict
+holds exactly when e is None or e > max_period.  When an aperiodic
+verdict fails, e is the first candidate that no pair of the window
+falsifies.
+
 The window is a +-1 Kronecker window packed into a single int x, as
 ``symbols.kronecker_bits`` hands it over: bit k is set exactly when entry
 k is -1.  With d = (x ^ (x >> p)) masked to the first n-p bits, bit k of
 d is set exactly when seq[k] != seq[k+p].  So p is a period of the window
-iff d == 0, and each candidate costs a few big-int word operations over
+iff d == 0, and each witness costs a few big-int word operations over
 the window instead of a copy of it.
 
 The smallest period is found by substring search, not candidate by
@@ -22,7 +41,7 @@ candidates.  The packed window is written as its binary digits, entry 0
 first; :func:`empirical_period` takes any hashable values and codes each
 distinct value as one character, so the same search serves both.
 
-The witness for a candidate p that no cascade member falsifies is the
+The witness for a candidate p that no cascade pair falsifies is the
 lexicographically first pair (i, j), j = i mod p, with seq[i] != seq[j]:
 i is the lowest residue class mod p that holds a set bit of d (found by
 OR-folding d onto its first p bits with doubling shifts), and j = q + p
@@ -64,8 +83,6 @@ def _smallest_period(text):
     """Smallest p <= len(text)/2 with text[p:] a prefix of text, or None
     (module docstring)."""
     n = len(text)
-    if n < 4:
-        raise WindowTooShort(f"window of {n} is too short")
     head = text[:n - n // 2]
     q = text.find(head, 1)
     while q > 0:
@@ -77,9 +94,7 @@ def _smallest_period(text):
 
 def _witness(bits, n, p):
     """First pair (i, j), j = i mod p, with differing entries of the
-    n-entry window bits, or None (module docstring)."""
-    if p >= n:  # no pair of entries p apart: p holds vacuously
-        return None
+    n-entry window bits, or None; p <= n/2 (module docstring)."""
     d = (bits ^ (bits >> p)) & ((1 << (n - p)) - 1)
     if not d:
         return None
@@ -96,6 +111,8 @@ def _witness(bits, n, p):
 
 def empirical_period(seq) -> int | None:
     """Smallest p <= len(seq)/2 consistent with the whole window, or None."""
+    if len(seq) < 4:
+        raise WindowTooShort(f"window of {len(seq)} is too short")
     code = {v: chr(c) for c, v in enumerate(dict.fromkeys(seq))}
     return _smallest_period("".join(map(code.__getitem__, seq)))
 
@@ -106,14 +123,6 @@ def _cascade_pairs(steps, period):
     pair falsifies each candidate p dividing gap, once the window holds
     k + gap and shows the difference."""
     return [(k, d * (1 << (r + 1)) * period) for k, r in steps for d in (1, 3)]
-
-
-def _cascade_witness(bits, n, p, pairs):
-    for k, gap in pairs:
-        j = k + gap
-        if j < n and gap % p == 0 and (bits >> j ^ bits >> k) & 1:
-            return (k, j)
-    return None
 
 
 def _recheck_exact(cf, bits, indices):
@@ -136,12 +145,23 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
 
     Periodic verdicts must be consistent with their claimed period on the
     window; aperiodic verdicts must falsify every candidate period up to
-    max_period (default 4 times the analysis period).  Any disagreement
-    raises OracleMismatch, except a candidate that the window is too short
-    to falsify: when no pair of the window falsifies p and the first
-    cascade pair that p divides lies past the window, WindowTooShort names
-    the window that pair needs.  ``analysis`` and ``verdict``, when given,
-    are the results of :func:`analyze` and :func:`classify` for ``cf``.
+    max_period (default 4 times the analysis period).  Every period checked
+    fits twice in the window (the window rule of the module docstring): the
+    default window is max(600, 2 * max_period, 2 * claimed period), and a
+    shorter explicit window raises WindowTooShort.  Both verdicts are then
+    decided by the smallest period e <= window/2 alone, since a p <=
+    window/2 is a period exactly when e divides p (Fine and Wilf, proved in
+    the module docstring).  A periodic claim raises OracleMismatch, naming
+    its first witness pair, when e is None or does not divide it.  An
+    aperiodic verdict with e <= max_period raises OracleMismatch at
+    candidate e, except when the window is too short to falsify it: when
+    the first cascade pair that e divides lies past the window,
+    WindowTooShort names the window that pair needs.  Otherwise each
+    candidate is named a witness: the first cascade pair inside the window
+    that shows differing symbols and whose gap the candidate divides, or
+    else the first pair of the window.  ``analysis`` and ``verdict``, when
+    given, are the results of :func:`analyze` and :func:`classify` for
+    ``cf``.
 
     The window comes from the lane pass of ``symbols``, so the symbols at
     both indices of the first and the last witness (those of candidates 1
@@ -162,36 +182,45 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     if verdict is None:
         verdict = classify(cf, precision, analysis=analysis)
     P = max_period if max_period is not None else 4 * analysis.period
+    claim = 0 if isinstance(verdict, Aperiodic) else verdict.period
     if window is None:
-        window = max(DEFAULT_WINDOW, 2 * P)
+        window = max(DEFAULT_WINDOW, 2 * P, 2 * claim)
     if window < 2 * P:
         raise WindowTooShort(f"window {window} < 2*{P}")
+    if window < 2 * claim:
+        raise WindowTooShort(
+            f"window {window} is too short to check the claimed period {claim} "
+            f"of {cf}: it needs a window of {2 * claim}")
     bits = kronecker_bits(cf, window)
+    # entry k of the window is character k of its text
+    e = _smallest_period(format(bits, f"0{window}b")[::-1])
 
     falsified = []
-    if isinstance(verdict, Aperiodic):
-        pairs = _cascade_pairs(verdict.cascade, analysis.period)
-        for p in range(1, P + 1):
-            witness = _cascade_witness(bits, window, p, pairs) or _witness(bits, window, p)
-            if witness is None:
-                pair = next(((k, k + gap) for k, gap in pairs if gap % p == 0), None)
-                if pair is not None and pair[1] >= window:
-                    raise WindowTooShort(
-                        f"window {window} is too short to falsify period {p} of "
-                        f"{cf}: its first cascade pair {pair} needs a window of "
-                        f"{pair[1] + 1}")
-                raise OracleMismatch(
-                    f"{cf} classified aperiodic but period {p} holds on a "
-                    f"window of {window}")
-            falsified.append((p, witness))
-        _recheck_exact(cf, bits, falsified[0][1] + falsified[-1][1])
-    else:
-        witness = _witness(bits, window, verdict.period)
-        if witness is not None:
-            i, j = witness
+    if claim:
+        if e is None or claim % e:
+            i, j = _witness(bits, window, claim)
             raise OracleMismatch(
-                f"{cf} classified periodic with period {verdict.period}, but "
+                f"{cf} classified periodic with period {claim}, but "
                 f"symbols at {i} and {j} differ")
-    # entry k of the window is character k of its text
-    empirical = _smallest_period(format(bits, f"0{window}b")[::-1])
-    return PeriodReport(window, empirical, tuple(falsified), True)
+    else:
+        pairs = _cascade_pairs(verdict.cascade, analysis.period)
+        if e is not None and e <= P:
+            pair = next(((k, k + gap) for k, gap in pairs if gap % e == 0), None)
+            if pair is not None and pair[1] >= window:
+                raise WindowTooShort(
+                    f"window {window} is too short to falsify period {e} of "
+                    f"{cf}: its first cascade pair {pair} needs a window of "
+                    f"{pair[1] + 1}")
+            raise OracleMismatch(
+                f"{cf} classified aperiodic but period {e} holds on a "
+                f"window of {window}")
+        # the pairs that show a difference, in cascade order
+        shown = [(gap, (k, k + gap)) for k, gap in pairs
+                 if k + gap < window and (bits >> (k + gap) ^ bits >> k) & 1]
+        for p in range(1, P + 1):
+            witness = next((pair for gap, pair in shown if gap % p == 0), None)
+            falsified.append((p, witness or _witness(bits, window, p)))
+        _recheck_exact(cf, bits, falsified[0][1] + falsified[-1][1])
+    if window < 4:
+        raise WindowTooShort(f"window of {window} is too short")
+    return PeriodReport(window, e, tuple(falsified), True)

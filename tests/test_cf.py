@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronseq import (Convergent, EmptyInput, NonPositiveQuotient, NotCoprime,
-                     PeriodicCF, QuadIrrational, cf_of_rational, convergents,
+                     PeriodicCF, QuadIrrational, analyze, cascade,
+                     cf_of_rational, convergents, decompose, kronecker,
                      matrix_at, matrix_at_mod2, normalize_period,
                      quad_irrational_of)
 from kronseq.cf import (_column_step, _largest_reduction, _mat_mul_mod,
@@ -56,6 +57,9 @@ def test_normalize_rejects_bad_input():
         normalize_period(())
     with pytest.raises(NonPositiveQuotient):
         normalize_period((1, 0, 2))
+    # PeriodicCF checks the minimal prefix, so the message names it
+    with pytest.raises(NonPositiveQuotient, match=r"got \(1, 0\)$"):
+        normalize_period((1, 0, 1, 0))
 
 
 def test_constructor_rejects_non_minimal():
@@ -242,7 +246,7 @@ def test_quad_irrational_invariants_enforced():
     with pytest.raises(ValueError):
         QuadIrrational(4, 37, 6)  # Q does not divide D - P^2
     with pytest.raises(ValueError):
-        QuadIrrational(-9, 37, 7)  # value not > 1
+        QuadIrrational(-9, 37, 7)  # Q does not divide D - P^2 = -44 either
 
 
 def expand_quadratic(P, D, Q, steps):
@@ -298,6 +302,35 @@ def test_largest_reduction_matches_divisor_search():
             checked += 1
             reduced += g > 1
     assert checked >= 2000 and reduced > 0
+
+
+# ---------------------------------------------------------------------------
+# library guards: each call is refused with the error its guard names
+
+CF_125 = PeriodicCF((1, 2, 5))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: analyze(CF_125, 7), ValueError, "precision must be >= 8"),
+    (lambda: decompose(CF_125, 6, 7), ValueError, "precision must be >= 8"),
+    (lambda: cascade(CF_125, 6, 3, depth=0), ValueError, "depth must be >= 1"),
+    (lambda: PeriodicCF(()), EmptyInput, "non-empty"),
+    (lambda: PeriodicCF((0,)), NonPositiveQuotient, "must be >= 1"),
+    (lambda: QuadIrrational(1, 5, 4), ValueError, r"^\(1 \+ sqrt\(5\)\) / 4 is not > 1"),
+    (lambda: QuadIrrational(3, 5, 1), ValueError, "conjugate .* is not < 0"),
+    (lambda: QuadIrrational(0, 5, 1), ValueError, "conjugate .* is not > -1"),
+    (lambda: convergents(CF_125, 0), ValueError, "count must be >= 1"),
+    (lambda: matrix_at(CF_125, -1), ValueError, "k must be >= 0"),
+    (lambda: matrix_at_mod2(CF_125, -1, 8), ValueError, "k must be >= 0"),
+    (lambda: cf_of_rational(0, 1), ValueError, "must be positive"),
+    (lambda: kronecker(1, 0), ValueError, "t must be >= 1"),
+], ids=["analyze-precision", "decompose-precision", "cascade-depth",
+        "empty-block", "zero-quotient", "quad-value", "quad-conjugate-sign",
+        "quad-conjugate-bound", "convergents-count", "matrix_at-k",
+        "matrix_at_mod2-k", "cf_of_rational-zero", "kronecker-t"])
+def test_library_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

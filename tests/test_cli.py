@@ -230,6 +230,20 @@ def test_verify_window_too_short_for_an_aperiodic_verdict(capsys):
     assert code == EXIT_OK and json.loads(out)["agreement"] is True
 
 
+def test_verify_window_too_short_for_a_periodic_claim(capsys):
+    # (1,2,3) claims period 12, which 4 terms cannot hold twice: a usage
+    # error that names the window the claim needs, whatever --max-period
+    code, out, err = run(capsys, ["verify", "1,2,3", "--max-period", "1", "--window", "4"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("error: window 4 is too short to check the claimed period 12 "
+                   "of [1,2,3]: it needs a window of 24\n")
+    code, out, _ = run(capsys, ["verify", "1,2,3", "--max-period", "1", "--window", "24",
+                                "--format", "json"])
+    assert code == EXIT_OK
+    d = json.loads(out)
+    assert d["agreement"] is True and d["empirical_period"] == 12
+
+
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     import kronseq.cli as cli
 
@@ -278,6 +292,21 @@ def test_batch_missing_file(capsys):
     code, out, err = run(capsys, ["batch", "/no/such/file"])
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("cannot read /no/such/file: ") and err.count("\n") == 1
+
+
+def test_batch_undecodable_file(tmp_path, capsys, monkeypatch):
+    # a file that is not UTF-8 cannot be read, like a missing one; so
+    # cannot stdin on a host that decodes it strictly
+    path = tmp_path / "blocks.txt"
+    path.write_bytes(b"1,2\n\xff\xfe\n")
+    code, out, err = run(capsys, ["batch", str(path)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()),
+                                                      encoding="utf-8", errors="strict"))
+    code, out, err = run(capsys, ["batch", "-"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("cannot read -: ") and err.count("\n") == 1
 
 
 def test_batch_csv(tmp_path, capsys):
@@ -516,6 +545,17 @@ def test_window_and_max_period_below_one_are_usage_errors(capsys, argv, value):
     code, err = run_to_exit(capsys, argv + [value])
     assert code == EXIT_USAGE
     assert argv[-1] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "1,2,3", "--count", "abc"],
+    ["cascade", "1,2,5", "--depth", "x"],
+    ["verify", "1,2,3", "--window", "1.5"],
+])
+def test_non_integer_counts_are_usage_errors(capsys, argv):
+    code, err = run_to_exit(capsys, argv)
+    assert code == EXIT_USAGE
+    assert f"{argv[-2]}: expected an integer >= 1, got {argv[-1]!r}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,16 @@ def naive_find_witness(seq, p):
 
 def assert_packed_matches_naive(seq):
     # the period of any window; the witnesses of a +-1 window, packed as
-    # kronecker_bits packs it
-    assert empirical_period(seq) == naive_period(seq), seq
+    # kronecker_bits packs it, and the Fine-Wilf decision: p <= n/2 holds
+    # exactly when the smallest period e divides it
+    e = naive_period(seq)
+    assert empirical_period(seq) == e, seq
     if set(seq) <= {1, -1}:
         bits = sum(1 << k for k, v in enumerate(seq) if v == -1)
         for p in range(1, len(seq) // 2 + 1):
-            assert oracle._witness(bits, len(seq), p) \
-                == naive_find_witness(seq, p), (seq, p)
+            witness = oracle._witness(bits, len(seq), p)
+            assert witness == naive_find_witness(seq, p), (seq, p)
+            assert (witness is None) == (e is not None and p % e == 0), (seq, p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,23 @@ def test_unfalsified_candidate_is_a_short_window_or_a_mismatch():
             cross_check(cf, window=window, max_period=12, analysis=a, verdict=verdict)
 
 
+def test_periodic_claim_must_fit_twice_in_the_window():
+    # (1,2,3) claims period 12: 23 terms cannot hold it twice, whatever
+    # max_period asks, and 24 can
+    cf = block_cf((1, 2, 3))
+    with pytest.raises(WindowTooShort, match="claimed period 12 of .* needs a window of 24$"):
+        cross_check(cf, window=23, max_period=1)
+    report = cross_check(cf, window=24, max_period=1)
+    assert report.verdict_agreement and report.empirical_period == 12
+
+
+def test_default_window_holds_the_claim_twice():
+    # a claim past 300 grows the default window past 600
+    cf, a = block_cf((1, 2, 3)), block_analysis((1, 2, 3))
+    report = cross_check(cf, max_period=1, analysis=a, verdict=PeriodicL(360))
+    assert report.window_length == 720 and report.empirical_period == 12
+
+
 def test_cross_check_default_window():
     report = cross_check(block_cf((1, 2, 3)))
     assert report.window_length >= 600
@@ -277,6 +297,16 @@ def test_cross_check_rechecks_witness_symbols_exactly(monkeypatch):
     flip_entry(monkeypatch, 6)
     with pytest.raises(OracleMismatch, match="at 6 differs"):
         cross_check(block_cf((1, 2, 2)), window=400)
+
+
+def test_periodic_claim_falsified_by_a_wrong_window_symbol(monkeypatch, capsys):
+    # entry 100 of (1,2,3) flipped: the smallest period no longer divides
+    # the claim 12, and the claim's first pair lies in class 100 mod 12 = 4
+    flip_entry(monkeypatch, 100)
+    with pytest.raises(OracleMismatch, match="period 12, but symbols at 4 and 100 differ"):
+        cross_check(block_cf((1, 2, 3)), window=240)
+    assert main(["verify", "1,2,3", "--window", "240"]) == EXIT_MISMATCH
+    assert "symbols at 4 and 100 differ" in capsys.readouterr().err
 
 
 def test_verify_exits_4_on_a_wrong_window_symbol(monkeypatch, capsys):
