@@ -25,6 +25,9 @@ symbol.  (4) The Jacobi sequence (s_k/t_k), with STAR at even t_k,
 satisfies jac[k + L4] = f * jac[k], so 2*L4 is always a Jacobi period.
 (5) L4 is a Jacobi period iff f = +1, and f = (a/c) = (s_{L4-1}/t_{L4-1}):
 for (2,), D(4) = I mod 4 but f = -1 and the Jacobi period is 8.
+The lemma below, applied to D(L) and to D(L) with its rows and columns
+swapped, gives every Kronecker symbol (s_K/t_K) from the symbols below L
+by random access (``symbols._kronecker_at``, proved there).
 
 Lemma: let A = [[alpha, beta], [gamma, delta]] be in SL2(Z) with
 non-negative entries, gamma >= 1 and A = I mod 4, let s >= 1 and odd

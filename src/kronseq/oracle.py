@@ -25,35 +25,39 @@ holds exactly when e is None or e > max_period.  When an aperiodic
 verdict fails, e is the first candidate that no pair of the window
 falsifies.
 
-The window is a +-1 Kronecker window packed into a single int x, as
-``symbols.kronecker_bits`` hands it over: bit k is set exactly when entry
-k is -1.  With d = (x ^ (x >> p)) masked to the first n-p bits, bit k of
-d is set exactly when seq[k] != seq[k+p].  So p is a period of the window
-iff d == 0, and each witness costs a few big-int word operations over
-the window instead of a copy of it.
+The window is a +-1 Kronecker window packed into a single int, as
+``symbols.kronecker_bits`` hands it over (bit k set exactly when entry k
+is -1), and written once as text: its binary digits, entry k as
+character k.  The period search, the witnesses and the exact recheck
+all read that text.
 
 The smallest period is found by substring search, not candidate by
-candidate: written as text, entry k as character k, the window has
-period p exactly when its suffix from character p is a prefix of it.
-For p <= n/2 that suffix starts with the first n - n/2 characters, so
-only the places where that prefix recurs, found by ``str.find``, are
-candidates.  The packed window is written as its binary digits, entry 0
-first; :func:`empirical_period` takes any hashable values and codes each
-distinct value as one character, so the same search serves both.
+candidate: the window has period p exactly when its suffix from
+character p is a prefix of it.  For p <= n/2 that suffix starts with the
+first n - n/2 characters, so only the places where that prefix recurs,
+found by ``str.find``, are candidates.  :func:`empirical_period` takes
+any hashable values and codes each distinct value as one character, so
+the same search serves both.
 
 The witness for a candidate p that no cascade pair falsifies is the
 lexicographically first pair (i, j), j = i mod p, with seq[i] != seq[j]:
-i is the lowest residue class mod p that holds a set bit of d (found by
-OR-folding d onto its first p bits with doubling shifts), and j = q + p
-for the first such bit q of d in class i (every class-i entry
-before q equals seq[i], and seq[q+p] does not).
+i is the lowest residue class mod p whose slice text[i::p] holds the
+character other than its first, and j = i + p*q for the first place q of
+that character in the slice (every class-i entry before j equals
+seq[i]).  Most candidates are settled in class 0, so a witness costs
+about one slice of n/p characters: on the aperiodic 1,500-term windows
+of the bench's seed 0-7 ``verify-window`` blocks, 3,318 of 3,480
+candidates were, and the worst took class 44.  A cascade pair
+(k, k + gap) shows a difference when text[k] != text[k + gap].
 
 The window comes from the lane pass of ``symbols``, which the analysis
 does not use: :func:`~kronseq.analysis.analyze` carries its one
-certifying sign on its exact walk.  The lane pass carries its running sign c_k from
-term to term, so :func:`cross_check` rechecks the symbols at both indices
-of the first and the last falsification witness against exact
-``kronecker(s_k, t_k)`` on exact convergents.
+certifying sign on its exact walk.  The lane pass carries its running
+sign c_k from term to term, so :func:`cross_check` rechecks window
+symbols against the random-access exact symbol of
+``symbols._kronecker_at``, which does not use that running sign: both
+indices of the first and the last falsification witness on an
+aperiodic verdict, and the last window term on a periodic one.
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ from dataclasses import dataclass
 
 from .analysis import (Aperiodic, Classification, DEFAULT_PRECISION,
                        PeriodAnalysis, analyze, classify)
-from .cf import PeriodicCF, _pairs_at, _v2
+from .cf import PeriodicCF
 from .errors import OracleMismatch, WindowTooShort
-from .symbols import kronecker, kronecker_bits
+from .symbols import _kronecker_at, kronecker_bits
 
 __all__ = ["PeriodReport", "empirical_period", "cross_check"]
 
@@ -92,21 +96,16 @@ def _smallest_period(text):
     return None
 
 
-def _witness(bits, n, p):
-    """First pair (i, j), j = i mod p, with differing entries of the
-    n-entry window bits, or None; p <= n/2 (module docstring)."""
-    d = (bits ^ (bits >> p)) & ((1 << (n - p)) - 1)
-    if not d:
-        return None
-    g, m, shift = d, 1, p
-    while shift < n - p:
-        g |= g >> shift
-        m |= m << shift
-        shift <<= 1
-    # bit i of g is set iff class i mod p holds a mismatch, and m << i
-    # covers every class-i bit of d
-    i = _v2(g & ((1 << p) - 1))
-    return (i, _v2(d & (m << i)) + p)
+def _witness(text, p):
+    """First pair (i, j), j = i mod p, with differing characters of the
+    two-character window text, or None; p <= len(text)/2 (module
+    docstring)."""
+    for i in range(p):
+        cls = text[i::p]
+        q = cls.find("1" if cls[0] == "0" else "0")
+        if q > 0:
+            return (i, i + p * q)
+    return None
 
 
 def empirical_period(seq) -> int | None:
@@ -125,12 +124,11 @@ def _cascade_pairs(steps, period):
     return [(k, d * (1 << (r + 1)) * period) for k, r in steps for d in (1, 3)]
 
 
-def _recheck_exact(cf, bits, indices):
-    # one exact walk of the convergents up to the largest index; bit k of
-    # the Kronecker window is set iff (s_k/t_k) = -1
-    for k, (s, t) in _pairs_at(cf, indices).items():
-        symbol = -1 if bits >> k & 1 else 1
-        if kronecker(s, t) != symbol:
+def _recheck_exact(cf, period, text, indices):
+    # character k of the window text is "1" iff (s_k/t_k) = -1
+    for k, exact in _kronecker_at(cf, period, indices).items():
+        symbol = -1 if text[k] == "1" else 1
+        if exact != symbol:
             raise OracleMismatch(
                 f"{cf}: window symbol {symbol:+d} at {k} differs from the "
                 f"exact Kronecker symbol")
@@ -163,17 +161,22 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     given, are the results of :func:`analyze` and :func:`classify` for
     ``cf``.
 
-    The window comes from the lane pass of ``symbols``, so the symbols at
-    both indices of the first and the last witness (those of candidates 1
-    and max_period) are rechecked with exact
-    ``kronecker(s_k, t_k)`` on one walk of the exact convergents, and any
-    difference raises OracleMismatch too.  Only these two are rechecked
-    because an exact symbol on convergents thousands of bits long costs
-    far more than a lane-pass term: on 1,500-term windows, rechecking every
-    witness takes longer than the rest of the call.  The pass carries its
-    sign c_k from term to term, so a slip in that sign anywhere before the
-    largest rechecked index flips a rechecked symbol; a single wrong term
-    elsewhere goes unseen.
+    The window comes from the lane pass of ``symbols``, which carries its
+    sign c_k from term to term, so window symbols are rechecked against
+    the random-access exact symbol ``symbols._kronecker_at`` at the
+    analysis period, and any difference raises OracleMismatch too.  On an
+    aperiodic verdict these are both indices of the first and the last
+    witness (those of candidates 1 and max_period), on a periodic one the
+    last window term.  The random-access symbol does not use the running
+    sign, so a slip in it anywhere before the largest rechecked index (any
+    odd number of slips, for the periodic recheck) flips a rechecked
+    symbol; a single wrong term elsewhere goes unseen.  On the 1,500-term
+    windows of the bench's seed 0-3 ``verify-window`` blocks (best of 40,
+    shared 2-vCPU host), the aperiodic recheck took 0.04-0.12 ms (an
+    exact walk to the last witness and exact symbols on it took 0.08-1.0
+    ms) and the periodic one 0.01-0.12 ms, out of 0.3-0.9 ms for the
+    whole call; rechecking every witness would take 0.3-1.5 ms, about as
+    long as the rest of the call.
     """
     if max_period is not None and max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -191,17 +194,18 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
         raise WindowTooShort(
             f"window {window} is too short to check the claimed period {claim} "
             f"of {cf}: it needs a window of {2 * claim}")
-    bits = kronecker_bits(cf, window)
     # entry k of the window is character k of its text
-    e = _smallest_period(format(bits, f"0{window}b")[::-1])
+    text = format(kronecker_bits(cf, window), f"0{window}b")[::-1]
+    e = _smallest_period(text)
 
     falsified = []
     if claim:
         if e is None or claim % e:
-            i, j = _witness(bits, window, claim)
+            i, j = _witness(text, claim)
             raise OracleMismatch(
                 f"{cf} classified periodic with period {claim}, but "
                 f"symbols at {i} and {j} differ")
+        _recheck_exact(cf, analysis.period, text, (window - 1,))
     else:
         pairs = _cascade_pairs(verdict.cascade, analysis.period)
         if e is not None and e <= P:
@@ -216,11 +220,16 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
                 f"window of {window}")
         # the pairs that show a difference, in cascade order
         shown = [(gap, (k, k + gap)) for k, gap in pairs
-                 if k + gap < window and (bits >> (k + gap) ^ bits >> k) & 1]
+                 if k + gap < window and text[k] != text[k + gap]]
         for p in range(1, P + 1):
-            witness = next((pair for gap, pair in shown if gap % p == 0), None)
-            falsified.append((p, witness or _witness(bits, window, p)))
-        _recheck_exact(cf, bits, falsified[0][1] + falsified[-1][1])
+            for gap, pair in shown:
+                if gap % p == 0:
+                    break
+            else:
+                pair = _witness(text, p)
+            falsified.append((p, pair))
+        _recheck_exact(cf, analysis.period, text,
+                       falsified[0][1] + falsified[-1][1])
     if window < 4:
         raise WindowTooShort(f"window of {window} is too short")
     return PeriodReport(window, e, tuple(falsified), True)

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import math
 
-from .cf import PeriodicCF
+from .cf import PeriodicCF, _pairs_at, _v2, matrix_at_mod2
 from .errors import EvenArgument, EvenModulus, NotCoprime, PrecisionExhausted
 
 __all__ = [
@@ -190,6 +190,72 @@ def kronecker_bits(cf: PeriodicCF, count: int) -> int:
     """The Kronecker symbols (s_k/t_k), k < count, packed: bit k is set
     exactly when (s_k/t_k) = -1."""
     return _masks(cf, count)[0]
+
+
+def _kronecker_at(cf, period, indices):
+    """{K: (s_K/t_K)} for the given indices K >= 0, by random access: from
+    exact symbols below ``period``, a multiple of the block length with
+    D(period) = I mod 4 (L4 or 2*L4), and the residue of t_K mod 2^B.
+
+    Write P = period, K = k + n*P with k < P, and D(P) = [[a, b], [c, d]]
+    = [[s_{P-1}, s_{P-2}], [t_{P-1}, t_{P-2}]].  D(P) is in SL2(Z) (P is
+    even, fact (1) of the ``analysis`` module docstring), has non-negative
+    entries and is I mod 4, and (s, t)_{j+P} = D(P) (s, t)_j for j >= 0
+    (the column identity of :func:`kronseq.analysis.cascade`); so t_K and
+    t_k have the same parity, and s_K = s_k mod 4.  Consecutive convergents
+    are coprime and s_j, t_j >= 1 for j >= 0.
+
+    Odd t_k.  The lemma of the ``analysis`` module docstring, applied to
+    D(P) (lower-left entry c = t_{P-1} >= 1) and (s, t)_j, gives
+    (s_{j+P}/t_{j+P}) = f (s_j/t_j) with f = (d/c) = (t_{P-2}/t_{P-1});
+    n steps give (s_K/t_K) = f^n (s_k/t_k), fact (4).
+
+    Even t_k.  Then s_K is odd; write t_K = 2^v u_K with u_K odd.  As
+    (s/2) = (2/s) for odd s, and by Jacobi reciprocity for the coprime odd
+    s_K and u_K, (s_K/t_K) = (s_K/2)^v (s_K/u_K) = R(s_K, u_K) (t_K/s_K),
+    with R as in the module docstring.  The rows and columns of D(P)
+    swapped, [[d, c], [b, a]], send (t, s)_j to (t, s)_{j+P}; it is in
+    SL2(Z), non-negative, I mod 4, and its lower-left entry is
+    b = s_{P-2} >= 1 (P >= 2 and s_0 = a_0 >= 1).  The same lemma, with
+    t_j >= 1 in the role of s and the odd s_j in that of t, gives
+    (t_{j+P}/s_{j+P}) = g (t_j/s_j) with g = (a/b) = (s_{P-1}/s_{P-2}).
+    And g = f: since a = 1 mod 4, (a/x) = (x/a) for x >= 1 (reciprocity
+    again, with (a/2) = (2/a)), so (a/b)(a/c) = (a/bc) = ((ad - 1)/a) =
+    (-1/a) = 1, and (a/c) = f (proof of fact (5)).  Hence
+    (s_K/t_K) = R(s_K, u_K) f^n (t_k/s_k).  R(s_K, u_K) is -1 only when
+    s_k = s_K = 3 mod 4, and only then is u_K mod 4 read: bits v and v+1
+    of t_K mod 2^B from :func:`~kronseq.cf.matrix_at_mod2`, which a residue
+    settles once it is nonzero with v <= B - 2.  B starts at
+    _START_PRECISION and doubles until it does, which ends once 2^B > 4 t_K.
+
+    The symbols below P and f are exact ``kronecker`` on one exact walk of
+    P terms, f only when some n is odd; per index the cost is then at most
+    a few ``matrix_at_mod2`` calls, logarithmic in K.
+    """
+    wanted = sorted(set(indices))
+    below = {K % period for K in wanted}
+    pairs = _pairs_at(cf, [*below, period - 2, period - 1])
+    base = {}  # (s_k/t_k) for odd t_k, (t_k/s_k) for even t_k
+    for k in below:
+        s, t = pairs[k]
+        base[k] = kronecker(s, t) if t & 1 else kronecker(t, s)
+    f = 0  # until some odd n needs it
+    out = {}
+    for K in wanted:
+        n, k = divmod(K, period)
+        s, t = pairs[k]
+        symbol = base[k]
+        if n & 1:
+            f = f or kronecker(pairs[period - 2][1], pairs[period - 1][1])
+            symbol *= f
+        if not t & 1 and s & 3 == 3:  # R(s_K, u_K) = -1 iff u_K = 3 mod 4
+            B = _START_PRECISION
+            while not (tK := matrix_at_mod2(cf, K, B).t) or _v2(tK) > B - 2:
+                B *= 2
+            if tK >> _v2(tK) & 2:
+                symbol = -symbol
+        out[K] = symbol
+    return out
 
 
 def _sequences(cf, count):

@@ -7,6 +7,7 @@ import kronseq.oracle as oracle
 from kronseq import (STAR, Aperiodic, OracleMismatch, Periodic2L, PeriodicL,
                      WindowTooShort, cross_check, empirical_period,
                      kronecker_bits)
+from kronseq.cf import _v2
 from kronseq.cli import EXIT_MISMATCH, main
 
 from conftest import (CORPUS, block_analysis, block_certified_length,
@@ -35,17 +36,43 @@ def naive_find_witness(seq, p):
     return None
 
 
+def fold_witness(bits, n, p):
+    # the bit-fold search the class slices replaced: bit k of d is set iff
+    # entries k and k+p differ; OR-folding d onto its first p bits with
+    # doubling shifts sets bit i of g iff class i mod p holds a mismatch,
+    # and m << i covers every class-i bit of d
+    d = (bits ^ (bits >> p)) & ((1 << (n - p)) - 1)
+    if not d:
+        return None
+    g, m, shift = d, 1, p
+    while shift < n - p:
+        g |= g >> shift
+        m |= m << shift
+        shift <<= 1
+    i = _v2(g & ((1 << p) - 1))
+    return (i, _v2(d & (m << i)) + p)
+
+
+def window_text(bits, n):
+    # a packed +-1 window written as cross_check writes it: entry k, 1 for
+    # a -1 entry, as character k
+    return format(bits, f"0{n}b")[::-1]
+
+
 def assert_packed_matches_naive(seq):
     # the period of any window; the witnesses of a +-1 window, packed as
-    # kronecker_bits packs it, and the Fine-Wilf decision: p <= n/2 holds
-    # exactly when the smallest period e divides it
+    # kronecker_bits packs it and written as text, against the slice scan
+    # and the bit fold; and the Fine-Wilf decision: p <= n/2 holds exactly
+    # when the smallest period e divides it
     e = naive_period(seq)
     assert empirical_period(seq) == e, seq
     if set(seq) <= {1, -1}:
         bits = sum(1 << k for k, v in enumerate(seq) if v == -1)
+        text = window_text(bits, len(seq))
         for p in range(1, len(seq) // 2 + 1):
-            witness = oracle._witness(bits, len(seq), p)
+            witness = oracle._witness(text, p)
             assert witness == naive_find_witness(seq, p), (seq, p)
+            assert witness == fold_witness(bits, len(seq), p), (seq, p)
             assert (witness is None) == (e is not None and p % e == 0), (seq, p)
 
 
@@ -133,7 +160,9 @@ def test_packed_window_periodic_with_one_flip():
 
 def falsify(block, p, window):
     bits = kronecker_bits(block_cf(block), window)
-    return oracle._witness(bits, window, p)
+    witness = oracle._witness(window_text(bits, window), p)
+    assert witness == fold_witness(bits, window, p), (block, p, window)
+    return witness
 
 
 def test_falsify_125_candidate_12():
@@ -154,6 +183,16 @@ def test_falsify_123_rejects_half_period():
     i, j = witness
     seq = kronecker_window((1, 2, 3), 60)
     assert (j - i) % 6 == 0 and seq[i] != seq[j]
+
+
+@pytest.mark.parametrize("block, window", [((1, 2, 5), 20_000),
+                                           ((2, 5, 9, 9, 5, 3, 2, 3), 6_000)])
+def test_witness_matches_fold_on_long_windows(block, window):
+    # every candidate p <= n/2 of two long aperiodic windows
+    bits = kronecker_bits(block_cf(block), window)
+    text = window_text(bits, window)
+    for p in range(1, window // 2 + 1):
+        assert oracle._witness(text, p) == fold_witness(bits, window, p), p
 
 
 def test_falsify_witnesses_are_valid_everywhere():
@@ -313,6 +352,21 @@ def test_verify_exits_4_on_a_wrong_window_symbol(monkeypatch, capsys):
     flip_entry(monkeypatch, 6)
     assert main(["verify", "1,2,2", "--window", "400"]) == EXIT_MISMATCH
     assert "oracle mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", ["1,2,3", "2", "1"])
+def test_periodic_verdict_rechecks_the_last_window_term(monkeypatch, capsys, block):
+    # the whole window negated, as one slip of the lane pass's running sign
+    # at term 0 would leave it, keeps every period of the window; the last
+    # term, rechecked by random access, shows the slip
+    def complement(cf, count):
+        return kronecker_bits(cf, count) ^ ((1 << count) - 1)
+    monkeypatch.setattr(oracle, "kronecker_bits", complement)
+    cf = block_cf(tuple(map(int, block.split(","))))
+    with pytest.raises(OracleMismatch, match="at 599 differs from the exact"):
+        cross_check(cf, window=600)
+    assert main(["verify", block, "--window", "600"]) == EXIT_MISMATCH
+    assert "at 599 differs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_period", [0, -3])

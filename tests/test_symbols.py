@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronseq.symbols
+from kronseq.cf import matrix_at_mod2
 from kronseq import (STAR, EvenArgument, EvenModulus, NotCoprime,
                      PrecisionExhausted, iter_convergent_pairs, jacobi,
                      jacobi_sequence, kronecker, kronecker_bits,
-                     kronecker_sequence, normalize_period,
+                     kronecker_sequence, mod4_period_length, normalize_period,
                      reciprocal_jacobi_sequence, reciprocity_sign)
-from kronseq.symbols import _chunk, _lane_flags, _masks, _read
+from kronseq.symbols import (_START_PRECISION, _chunk, _kronecker_at,
+                             _lane_flags, _masks, _read)
 
 from conftest import (CORPUS, block_certified_decomposition,
                       block_certified_length, block_cf, convergent_pairs,
@@ -282,6 +284,73 @@ def test_kronecker_bits_packs_the_kronecker_sequence():
         assert [-1 if bits >> k & 1 else 1 for k in range(300)] \
             == kronecker_sequence(cf, 300), block
         assert bits < 1 << 300
+
+
+# ---------------------------------------------------------------------------
+# the random-access symbol against the lane pass and the exact symbols
+
+def window_symbols(bits, count):
+    return {k: -1 if bits >> k & 1 else 1 for k in range(count)}
+
+
+def test_kronecker_at_matches_the_lane_pass_on_all_small_blocks():
+    # every minimal block with l <= 4 and quotients <= 5, 600 terms, at both
+    # bases L4 and 2*L4
+    blocks = [normalize_period(b) for l in range(1, 5)
+              for b in itertools.product(range(1, 6), repeat=l)]
+    blocks = [cf for cf in blocks if not cf.reduced]
+    assert len(blocks) == 745
+    for cf in blocks:
+        window = window_symbols(kronecker_bits(cf, 600), 600)
+        L4 = mod4_period_length(cf)
+        for base in (L4, 2 * L4):
+            assert _kronecker_at(cf, base, range(600)) == window, (cf, base)
+
+
+def test_row_and_column_signs_agree_on_all_small_blocks():
+    # g = (s_{P-1}/s_{P-2}) equals f = (t_{P-2}/t_{P-1}) at P = L4 and
+    # 2*L4 (proved in the _kronecker_at docstring), so one sign serves
+    # indices with odd and with even t_k
+    for block in MINIMAL_SMALL_BLOCKS:
+        cf = normalize_period(block)
+        L4 = mod4_period_length(cf)
+        pairs = list(itertools.islice(iter_convergent_pairs(cf), 2 * L4))
+        for P in (L4, 2 * L4):
+            (a, c), (b, d) = pairs[P - 1], pairs[P - 2]
+            assert kronecker(a, b) == kronecker(d, c), (block, P)
+
+
+@pytest.mark.parametrize("block", [(2,), (1,), (4,), (1, 1, 4, 3), (1, 2, 3),
+                                   (1, 2, 5), (1, 2, 2)])
+def test_kronecker_at_matches_exact_symbols(block):
+    # sampled indices K < 4,000 against kronecker on exact convergents
+    cf = normalize_period(block)
+    indices = set(random.Random(17).sample(range(4000), 60))
+    exact = {k: kronecker(s, t) for k, (s, t) in
+             zip(range(4000), iter_convergent_pairs(cf)) if k in indices}
+    L4 = mod4_period_length(cf)
+    for base in (L4, 2 * L4):
+        assert _kronecker_at(cf, base, indices) == exact, (block, base)
+
+
+def test_kronecker_at_doubles_the_precision_of_a_deep_valuation(monkeypatch):
+    # (2^40 - 1, 1): t_2 = 2^40 and s_2 = 2^80 - 1 = 3 mod 4, so u_2 mod 4
+    # needs more than the starting precision, and so do the indices K = 2
+    # and 5 mod L4 = 12 below 200 (v2(t_K) = 40 and 41)
+    cf = normalize_period((2**40 - 1, 1))
+    precisions = []
+
+    def recorded(cf, k, precision):
+        precisions.append(precision)
+        return matrix_at_mod2(cf, k, precision)
+    monkeypatch.setattr(kronseq.symbols, "matrix_at_mod2", recorded)
+    L4 = mod4_period_length(cf)
+    assert L4 == 12
+    exact = {k: kronecker(s, t) for k, (s, t) in
+             zip(range(200), iter_convergent_pairs(cf))}
+    symbols = _kronecker_at(cf, L4, range(200))
+    assert symbols == exact == window_symbols(kronecker_bits(cf, 200), 200)
+    assert max(precisions) > _START_PRECISION
 
 
 # ---------------------------------------------------------------------------
