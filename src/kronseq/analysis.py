@@ -203,6 +203,7 @@ def _walk(cf, period=None):
     s_prev, t_prev = 1, 0  # (s_{-1}, t_{-1})
     c = 1  # c_k
     h_prev, w_prev, t8_prev, t8_prev2 = 0, 0, 0, 0  # at k-1 and k-2
+    l = len(cf)
     for k, (s, t) in enumerate(iter_convergent_pairs(cf)):
         t8 = t & 7
         if t8 & 1:
@@ -216,7 +217,7 @@ def _walk(cf, period=None):
             c = -c
         if w_prev & 1 and t8 ^ t8_prev2 in (2, 4):  # chi(t_k t_{k-2})
             c = -c
-        if (k + 1) % len(cf) == 0:
+        if (k + 1) % l == 0:
             D = (s, s_prev, t, t_prev)
             if k + 1 == period or period is None and _is_identity_mod4(D):
                 return k + 1, D, candidates, c

@@ -116,9 +116,12 @@ class QuadIrrational:
 
 
 def _minimal_period(q):
+    """Smallest divisor p of len(q) with q[i] = q[i mod p] for every i.
+    For a divisor p that holds exactly when rotating q by p leaves it
+    unchanged, which is one sequence compare."""
     n = len(q)
     for p in range(1, n):
-        if n % p == 0 and all(q[i] == q[i % p] for i in range(n)):
+        if n % p == 0 and q[p:] + q[:p] == q:
             return p
     return n
 

@@ -13,7 +13,7 @@ from kronseq import (Convergent, EmptyInput, NonPositiveQuotient, NotCoprime,
                      matrix_at, matrix_at_mod2, normalize_period,
                      quad_irrational_of)
 from kronseq.cf import (_column_step, _largest_reduction, _mat_mul_mod,
-                        _square_mod)
+                        _minimal_period, _square_mod)
 
 blocks = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(tuple)
 
@@ -40,6 +40,18 @@ def test_normalize_reduces_repetition():
     cf = normalize_period((1, 2, 1, 2))
     assert cf.quotients == (1, 2)
     assert cf.reduced
+    # the rotation test of _minimal_period against the index scan it
+    # replaced, on every block with l <= 8 and quotients <= 3
+    def scan(q):
+        n = len(q)
+        return next(p for p in range(1, n + 1)
+                    if n % p == 0 and all(q[i] == q[i % p] for i in range(n)))
+    for l in range(1, 9):
+        for block in itertools.product(range(1, 4), repeat=l):
+            p = scan(block)
+            assert _minimal_period(block) == p, block
+            cf = normalize_period(block)
+            assert (cf.quotients, cf.reduced) == (block[:p], p < l), block
 
 
 def test_normalize_singleton():

@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 
 import pytest
@@ -9,8 +11,8 @@ import pytest
 import kronseq.cf
 import kronseq.cli
 import kronseq.symbols
-from kronseq import (NotCoprime, OracleMismatch, ParseError, normalize_period,
-                     quad_irrational_of)
+from kronseq import (Aperiodic, NotCoprime, OracleMismatch, ParseError,
+                     classify, normalize_period, quad_irrational_of)
 from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_USAGE, build_report, main, parse_block,
                          report_from_json, report_to_json)
@@ -187,6 +189,48 @@ def test_cascade_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "j,k,r,falsified_period_multiple"
     assert lines[1] == "1,7,0,24" and lines[2] == "2,19,1,48"
+
+
+# cascade and expand write their JSON by template: the text must be what
+# the sorting encoder writes, and its rows those of the CSV output
+
+def canonical_rows(capsys, argv, key):
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == EXIT_OK, argv
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n", argv
+    code, out, _ = run(capsys, [*argv, "--format", "csv"])
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert [[str(row[h]) for h in header] for row in data[key]] == rows, argv
+    return data[key]
+
+
+def aperiodic_blocks(seed, count):
+    rng = random.Random(seed)
+    while count:
+        block = tuple(rng.randint(1, 9) for _ in range(rng.randint(3, 6)))
+        cf = normalize_period(block)
+        if not cf.reduced and isinstance(classify(cf, depth=1), Aperiodic):
+            count -= 1
+            yield block, rng.randint(1, 400)
+
+
+def test_cascade_json_is_canonical(capsys):
+    # 20 seeded aperiodic blocks at depths 1-400, and (1,2,5) at depth
+    # 1,500, at the 4,096-bit rung with k beyond 2^1000
+    for block, depth in [*aperiodic_blocks(18, 20), ((1, 2, 5), 1500)]:
+        argv = ["cascade", ",".join(map(str, block)), "--depth", str(depth)]
+        rows = canonical_rows(capsys, argv, "cascade")
+        assert len(rows) == depth, argv
+    assert rows[-1]["k"] > 2**1000
+
+
+def test_expand_json_is_canonical(capsys):
+    rng = random.Random(18)
+    counts = [1, 2, 3, 2000, *rng.sample(range(4, 2000), 6)]
+    for block, count in zip(itertools.cycle(["1,2,5", "1,2,3", "2", "7,1,4"]), counts):
+        rows = canonical_rows(capsys, ["expand", block, "--count", str(count)], "rows")
+        assert len(rows) == count
 
 
 def test_verify_csv(capsys):

@@ -15,8 +15,8 @@ from kronseq import (STAR, EvenArgument, EvenModulus, NotCoprime,
                      jacobi_sequence, kronecker, kronecker_bits,
                      kronecker_sequence, mod4_period_length, normalize_period,
                      reciprocal_jacobi_sequence, reciprocity_sign)
-from kronseq.symbols import (_START_PRECISION, _chunk, _kronecker_at,
-                             _lane_flags, _masks, _read)
+from kronseq.symbols import (_START_PRECISION, _chunk, _column_power,
+                             _kronecker_at, _lane_flags, _masks, _read)
 
 from conftest import (CORPUS, block_certified_decomposition,
                       block_certified_length, block_cf, convergent_pairs,
@@ -333,17 +333,34 @@ def test_kronecker_at_matches_exact_symbols(block):
         assert _kronecker_at(cf, base, indices) == exact, (block, base)
 
 
+@pytest.mark.parametrize("block", [(1, 2, 5), (1, 2, 2), (2, 5, 9, 9, 5, 3, 2, 3)])
+def test_column_power_matches_matrix_at_mod2(block):
+    # D(P)^n (s, t)_k mod 2^B is the first column of the matrix at k + n*P,
+    # for n up to 2^70 and B on both sides of the entries' size
+    cf = normalize_period(block)
+    P = mod4_period_length(cf)
+    pairs = list(itertools.islice(iter_convergent_pairs(cf), P))
+    (a, c), (b, d) = pairs[P - 1], pairs[P - 2]
+    rng = random.Random(5)
+    for n in [0, 1, 2, 3, 2**70 + 5, *rng.sample(range(1, 2**40), 8)]:
+        for k in (0, P - 1, rng.randrange(P)):
+            for B in (8, 32, 200):
+                M = matrix_at_mod2(cf, k + n * P, B)
+                assert _column_power((a, b, c, d), n, *pairs[k], B) == (M.s, M.t)
+
+
 def test_kronecker_at_doubles_the_precision_of_a_deep_valuation(monkeypatch):
     # (2^40 - 1, 1): t_2 = 2^40 and s_2 = 2^80 - 1 = 3 mod 4, so u_2 mod 4
     # needs more than the starting precision, and so do the indices K = 2
     # and 5 mod L4 = 12 below 200 (v2(t_K) = 40 and 41)
     cf = normalize_period((2**40 - 1, 1))
     precisions = []
+    column_power = kronseq.symbols._column_power
 
-    def recorded(cf, k, precision):
+    def recorded(D, n, s, t, precision):
         precisions.append(precision)
-        return matrix_at_mod2(cf, k, precision)
-    monkeypatch.setattr(kronseq.symbols, "matrix_at_mod2", recorded)
+        return column_power(D, n, s, t, precision)
+    monkeypatch.setattr(kronseq.symbols, "_column_power", recorded)
     L4 = mod4_period_length(cf)
     assert L4 == 12
     exact = {k: kronecker(s, t) for k, (s, t) in
