@@ -81,6 +81,7 @@ index needs v2(t) = m' + e - 1 = m + e and a critical one more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cf import (PeriodicCF, _column_step, _mat_mul_mod, _square_mod, _v2,
                  iter_convergent_pairs, matrix_at_mod2)
@@ -170,7 +171,7 @@ def certified_period_length(cf: PeriodicCF) -> int:
     f = (t_{L4-2}/t_{L4-1}) is +1, else 2*L4 (facts (4) and (5) of the
     module docstring), with f read off the exact walk of :func:`analyze`.
     """
-    L4, _, _, f = _walk(cf)
+    L4, _, _, _, f = _walk(cf)
     return L4 if f == 1 else 2 * L4
 
 
@@ -189,11 +190,15 @@ def _check_period(cf, period):
 def _walk(cf, period=None):
     """One exact walk of the convergents k < L, for L = ``period`` or, when
     that is None, L4: the first block boundary d*l with D(d*l) = I mod 4,
-    at most 6l terms in (fact (1)).  Returns L, D(L) as the 4-tuple (s,
-    s_prev, t, t_prev), (k, v2(t_k)) for every k < L with s_k = 3 mod 4
-    and t_k even, the only candidates for a critical or subcritical index
-    (m + e - 1 >= 1, as m >= 2), and the Kronecker symbol
-    c_{L-1} = (t_{L-2}/t_{L-1}), which is f of fact (5) at L = L4.
+    at most 6l terms in (fact (1)).  Returns L, D(L) and the block matrix
+    D(l), each as the 4-tuple (s, s_prev, t, t_prev), (k, v2(t_k), s_k,
+    t_k) for every k < L with s_k = 3 mod 4 and t_k even, the only
+    candidates for a critical or subcritical index (m + e - 1 >= 1, as
+    m >= 2), and the Kronecker symbol c_{L-1} = (t_{L-2}/t_{L-1}), which
+    is f of fact (5) at L = L4.  The exact pairs of the candidates are
+    the only terms kept: the report prints those of the critical and
+    subcritical indices, and the cascade starts from the first critical
+    one.
 
     c_k is carried by the recurrence of the ``symbols`` module docstring,
     c_k = R(t_{k-1}, t_k) c_{k-1} chi(t_k t_{k-2})^v2(t_{k-1}): it needs
@@ -212,15 +217,17 @@ def _walk(cf, period=None):
             v = _v2(t)
             h = t & (2 << v)
             if s & 3 == 3:
-                candidates.append((k, v))
+                candidates.append((k, v, s, t))
         if h and h_prev:  # R(t_{k-1}, t_k)
             c = -c
         if w_prev & 1 and t8 ^ t8_prev2 in (2, 4):  # chi(t_k t_{k-2})
             c = -c
         if (k + 1) % l == 0:
             D = (s, s_prev, t, t_prev)
+            if k + 1 == l:
+                block = D
             if k + 1 == period or period is None and _is_identity_mod4(D):
-                return k + 1, D, candidates, c
+                return k + 1, D, block, candidates, c
         s_prev, t_prev = s, t
         h_prev, w_prev, t8_prev, t8_prev2 = h, v, t8, t8_prev
 
@@ -239,8 +246,8 @@ def _split(cf, period, D, precision):
 def _critical(candidates, m, e):
     """The candidates of :func:`_walk` split by v2(t_k): at least m+e gives
     a critical index, exactly m+e-1 a subcritical one."""
-    return (tuple(k for k, w in candidates if w >= m + e),
-            tuple(k for k, w in candidates if w == m + e - 1))
+    return (tuple(k for k, w, _, _ in candidates if w >= m + e),
+            tuple(k for k, w, _, _ in candidates if w == m + e - 1))
 
 
 def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
@@ -271,7 +278,18 @@ def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     v2(t_k): at least m+e gives a critical index, exactly m+e-1 a
     subcritical one (m >= 2 for every decomposition)."""
     _check_period(cf, period)
-    return _critical(_walk(cf, period)[2], m, e)
+    return _critical(_walk(cf, period)[3], m, e)
+
+
+class _Walked(NamedTuple):
+    """The exact data the walk of :func:`_analyze` leaves beside its
+    analysis: the block matrix D(l) and D(L4), each as the 4-tuple (s,
+    s_prev, t, t_prev), and {k: (s_k, t_k)} at the critical and
+    subcritical indices of the analysis."""
+
+    block: tuple[int, int, int, int]
+    D: tuple[int, int, int, int]
+    pairs: dict[int, tuple[int, int]]
 
 
 def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysis:
@@ -286,18 +304,28 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     at the certified length 2*L4, the base at which the period claims of
     the classification actually hold.  Its decomposition is derived from
     the one at L4, and it has no critical or subcritical index (module
-    docstring).
+    docstring).  The same walk also gives the exact data a report prints
+    and a cascade starts from; :func:`_analyze` returns them beside the
+    analysis.
     """
+    return _analyze(cf, precision)[0]
+
+
+def _analyze(cf, precision):
+    """(:func:`analyze`, :class:`_Walked`) from one exact walk of L4
+    terms."""
     if precision < 8:
         raise ValueError("precision must be >= 8")
-    L, D, candidates, f = _walk(cf)
+    L, D, block, candidates, f = _walk(cf)
     m, U, e = _split(cf, L, D, precision)
     critical, subcritical = _critical(candidates, m, e)
     certified = f == 1
     if critical or certified:
-        return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified)
+        pairs = {k: (s, t) for k, w, s, t in candidates if w >= m + e - 1}
+        return (PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified),
+                _Walked(block, D, pairs))
     m, U = _doubled(m, U, precision)
-    return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True)
+    return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True), _Walked(block, D, {})
 
 
 def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
@@ -328,9 +356,22 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     Skipping rungs changes no output: an attempt that succeeds, or raises
     anything but PrecisionExhausted, does the same at every higher rung,
     since the residues it resolved stay resolved.
+
+    Each attempt is a call of :func:`cascade`.  The CLI and the oracle
+    classify through :func:`_classify` with the walk of :func:`_analyze`
+    instead, which seeds every attempt from the exact D(L4) and (s, t) at
+    the first critical index, with the same steps and errors.
     """
     if analysis is None:
         analysis = analyze(cf, precision)
+    return _classify(cf, analysis, precision, depth)
+
+
+def _classify(cf, analysis, precision, depth=DEFAULT_DEPTH, walked=None):
+    """:func:`classify` of ``analysis``; with ``walked``, the
+    :class:`_Walked` of the same :func:`_analyze` call, each cascade
+    attempt is seeded from its exact D(L4) and pair at the first critical
+    index instead of two binary powers."""
     if analysis.critical_indices:
         first = analysis.critical_indices[0]
         need = analysis.m + analysis.e + 2 * depth + 3
@@ -339,7 +380,11 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
             B = min(2 * B, MAX_PRECISION)
         while True:
             try:
-                steps = cascade(cf, analysis.period, first, depth, B)
+                if walked is None:
+                    steps = cascade(cf, analysis.period, first, depth, B)
+                else:
+                    steps = _cascade(cf, analysis.period, first, depth, B,
+                                     walked.D, walked.pairs[first])
                 break
             except PrecisionExhausted:
                 if B >= MAX_PRECISION:
@@ -504,20 +549,35 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     step has v2(t) >= B - 2 and the error names the t_k the walk would.
     So every output and every error is the walk's.
 
+    The seeds.  The walk needs only D(period) and x_start mod 2^B.  Here
+    they are two logarithmic powers of the block matrix
+    (:func:`~kronseq.cf.matrix_at_mod2`); :func:`_classify` hands
+    :func:`_cascade` the exact D(L4) and x at the first critical index
+    from the walk of :func:`_analyze` instead, reduced mod 2^B at each
+    rung, which gives the same residues and so the same steps and errors.
+
     Cost: at most r0 = 16 squarings and r0 column steps, four
-    multiplications each, the two logarithmic powers that give M_start
-    and D(period), one 2-adic inverse and about w / (2M - 2) series terms
-    mod 2^w, whatever the depth; a cascade that ends within 8 steps of its
-    first r_j >= r0 walks those steps instead.
+    multiplications each, the two logarithmic powers of the seeds, one
+    2-adic inverse and about w / (2M - 2) series terms mod 2^w, whatever
+    the depth; a cascade that ends within 8 steps of its first r_j >= r0
+    walks those steps instead.
     """
+    _check_period(cf, period)
+    M = matrix_at_mod2(cf, start, precision)
+    D = matrix_at_mod2(cf, period - 1, precision)
+    return _cascade(cf, period, start, depth, precision,
+                    (D.s, D.s_prev, D.t, D.t_prev), (M.s, M.t))
+
+
+def _cascade(cf, period, start, depth, precision, D, x):
+    """:func:`cascade` from its seeds: D = D(period) as the 4-tuple (s,
+    s_prev, t, t_prev) and x = (s_start, t_start), exact or mod 2^B for
+    B >= precision."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    _check_period(cf, period)
     mask = (1 << precision) - 1
-    M = matrix_at_mod2(cf, start, precision)
-    s, t = M.s, M.t
-    P = matrix_at_mod2(cf, period - 1, precision)
-    P = (P.s, P.s_prev, P.t, P.t_prev)
+    P = tuple(v & mask for v in D)
+    s, t = x[0] & mask, x[1] & mask
     if not _is_identity_mod4(P):
         raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
     base = _resolved_v2(P[2], precision, period - 1)  # m + e

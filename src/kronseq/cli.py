@@ -15,21 +15,27 @@ Each subcommand computes its rows once and returns its exit code with one
 zero-argument renderer per --format; main calls the chosen renderer and
 writes its text once.
 
-JSON is compact with sorted keys.  ``cascade`` and ``expand`` write one
-object per step or term, so they fill one f-string template per row whose
-keys are already in that order, inside a fixed frame.  Every value in them
-is an int, the decimal string of one or one of the tokens "+1", "-1" and
-"*", so nothing needs escaping and the bytes are those of ``_json``.
-Through the sorting encoder a dict per row cost 0.57 ms of a 1.04 ms
-``cascade 1,2,5 --depth 175 --format json`` call; the template takes
-0.14 ms, most of it decimal conversion of k and the multiples.  ``expand
-1,2,5 --count 2000 --format json`` renders in 26 ms instead of 46, most of
-it str() of s_k and t_k (Python 3.11, a shared 2-vCPU x86-64 host, best
-of 7).  Reports (``analyze``, ``batch``) and ``verify`` keep the encoder:
-``report_to_dict``/``report_from_dict`` and ``_oracle_to_dict`` are the
-round-trip contract, and a second writer of their layout would be a fork.
-There JSON is a smaller share (0.005 ms of a periodic 0.56 ms ``verify
---window 1500`` call, 0.22 ms of 1.47 ms with 192 falsified periods).
+JSON is compact with sorted keys, and one writer makes all of it: f-string
+templates whose keys are already in sorted order, so the bytes are those
+the sorting encoder (``json.dumps(obj, sort_keys=True, separators=(",",
+":"))``) writes for the same object.  ``cascade`` and ``expand`` fill one
+template per step or term inside a fixed frame.  A report (``analyze``,
+``batch``) nests the templates of its classification, its printed pairs
+and its oracle section, and ``verify`` writes the oracle's alone.  Every
+value in them is an int, a bool, null, the decimal string of an int or a
+fixed token ("+1", "-1", "*", a kind name), so nothing needs escaping.
+The one user text, a ``batch`` record's input line and error message,
+goes through ``json.dumps``.  ``report_to_dict`` is the parse of
+``report_to_json``, and ``report_from_dict``/``report_from_json`` are the
+reader.  Through the sorting encoder a dict per row cost 0.57 ms of a
+1.04 ms ``cascade 1,2,5 --depth 175 --format json`` call; the template
+takes 0.14 ms, most of it decimal conversion of k and the multiples.
+``expand 1,2,5 --count 2000 --format json`` renders in 26 ms instead of
+46, most of it str() of s_k and t_k.  The oracle object of ``verify
+2,5,9,9,5,3,2,3 --window 1500`` (192 falsified periods) takes 0.055 ms
+instead of 0.120, and a ``batch`` report on the blocks of the bench's
+``batch-short`` workload 5-7 us instead of 15-22 (Python 3.11, a shared
+2-vCPU x86-64 host, best of 7).
 """
 
 from __future__ import annotations
@@ -45,9 +51,8 @@ from dataclasses import dataclass
 
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
-                       PeriodicL, analyze, classify)
-from .cf import (_pairs_at, _quad_irrational, _v2, iter_convergent_pairs,
-                 normalize_period)
+                       PeriodicL, _analyze, _classify)
+from .cf import _quad_irrational, _v2, iter_convergent_pairs, normalize_period
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
                      WindowTooShort)
 from .oracle import PeriodReport, cross_check
@@ -109,14 +114,13 @@ class AnalysisReport:
 
 def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisReport:
     cf = normalize_period(block)
-    analysis = analyze(cf, precision)
-    verdict = classify(cf, precision, analysis=analysis)
-    # one walk keeps only the printed pairs and the columns of D(l), the
-    # pairs at l-1 and l-2
-    l = len(cf)
-    pairs = _pairs_at(cf, (l - 1, l - 2, *analysis.critical_indices,
-                           *analysis.subcritical_indices))
-    q = _quad_irrational(*pairs[l - 1], *pairs[l - 2])
+    # one walk gives the analysis, the columns of D(l) for the closed form,
+    # the printed pairs and the cascade's seeds
+    analysis, walked = _analyze(cf, precision)
+    verdict = _classify(cf, analysis, precision, walked=walked)
+    s1, s2, t1, t2 = walked.block
+    q = _quad_irrational(s1, t1, s2, t2)
+    pairs = walked.pairs
     detail = lambda k: ConvergentDetail(k, *pairs[k], _v2(pairs[k][1]))
     oracle = cross_check(cf, window=window, precision=precision,
                          analysis=analysis, verdict=verdict) if window else None
@@ -135,8 +139,9 @@ def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisRep
 # ---------------------------------------------------------------------------
 # serialization
 
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _ints(values) -> str:
+    """A JSON array of ints."""
+    return f"[{','.join(map(str, values))}]"
 
 
 def _csv(header, rows) -> str:
@@ -157,12 +162,17 @@ def sym_str(v):
     return "+1" if v == 1 else "-1"
 
 
-def _classification_to_dict(c: Classification):
-    # vars, not asdict: asdict's deep copy costs about 10 us per report
-    d = {"kind": _KIND[type(c)], **vars(c)}
+_BOOL = {False: "false", True: "true"}
+
+
+def _classification_json(c: Classification) -> str:
+    kind = _KIND[type(c)]
     if isinstance(c, Aperiodic):
-        d["cascade"] = [[k, r] for k, r in c.cascade]
-    return d
+        steps = ",".join([f"[{k},{r}]" for k, r in c.cascade])
+        return f'{{"cascade":[{steps}],"first_critical":{c.first_critical},"kind":"{kind}"}}'
+    if isinstance(c, Periodic2L):
+        return f'{{"kind":"{kind}","period":{c.period},"witness":{c.witness}}}'
+    return f'{{"kind":"{kind}","period":{c.period}}}'
 
 
 def _classification_from_dict(d) -> Classification:
@@ -173,43 +183,22 @@ def _classification_from_dict(d) -> Classification:
     return cls(**fields)
 
 
-def report_to_dict(rep: AnalysisReport) -> dict:
-    a = rep.analysis
-    return {
-        "block": list(rep.block),
-        "l": len(rep.block),
-        "reduced": rep.reduced,
-        "quad": {"P": str(rep.quad[0]), "D": str(rep.quad[1]), "Q": str(rep.quad[2])},
-        "L": a.period,
-        "m": a.m,
-        "e": a.e,
-        "U": [[str(x) for x in row] for row in a.U],
-        "precision": a.precision,
-        "certified": a.certified,
-        "critical": [_detail_to_dict(c) for c in rep.critical],
-        "subcritical": [_detail_to_dict(c) for c in rep.subcritical],
-        "classification": _classification_to_dict(rep.classification),
-        "oracle": _oracle_to_dict(rep.oracle),
-    }
-
-
-def _detail_to_dict(c: ConvergentDetail):
-    return {"k": c.k, "s": str(c.s), "t": str(c.t), "v2_t": c.v2_t}
+def _details_json(items) -> str:
+    return ",".join([f'{{"k":{c.k},"s":"{c.s}","t":"{c.t}","v2_t":{c.v2_t}}}'
+                     for c in items])
 
 
 def _detail_from_dict(d):
     return ConvergentDetail(d["k"], int(d["s"]), int(d["t"]), d["v2_t"])
 
 
-def _oracle_to_dict(o: PeriodReport | None):
+def _oracle_json(o: PeriodReport | None) -> str:
     if o is None:
-        return None
-    return {
-        "window": o.window_length,
-        "empirical_period": o.empirical_period,
-        "falsified": [[p, [i, j]] for p, (i, j) in o.falsified_periods],
-        "agreement": o.verdict_agreement,
-    }
+        return "null"
+    falsified = ",".join([f"[{p},[{i},{j}]]" for p, (i, j) in o.falsified_periods])
+    period = "null" if o.empirical_period is None else o.empirical_period
+    return (f'{{"agreement":{_BOOL[o.verdict_agreement]},"empirical_period":{period},'
+            f'"falsified":[{falsified}],"window":{o.window_length}}}')
 
 
 def _oracle_from_dict(d):
@@ -247,7 +236,22 @@ def report_from_dict(d: dict) -> AnalysisReport:
 
 
 def report_to_json(rep: AnalysisReport) -> str:
-    return _json(report_to_dict(rep))
+    a = rep.analysis
+    (x, y), (u, v) = a.U
+    P, D, Q = rep.quad
+    return (f'{{"L":{a.period},"U":[["{x}","{y}"],["{u}","{v}"]],'
+            f'"block":{_ints(rep.block)},"certified":{_BOOL[a.certified]},'
+            f'"classification":{_classification_json(rep.classification)},'
+            f'"critical":[{_details_json(rep.critical)}],"e":{a.e},'
+            f'"l":{len(rep.block)},"m":{a.m},"oracle":{_oracle_json(rep.oracle)},'
+            f'"precision":{a.precision},"quad":{{"D":"{D}","P":"{P}","Q":"{Q}"}},'
+            f'"reduced":{_BOOL[rep.reduced]},'
+            f'"subcritical":[{_details_json(rep.subcritical)}]}}')
+
+
+def report_to_dict(rep: AnalysisReport) -> dict:
+    """The report as the JSON object :func:`report_to_json` writes."""
+    return json.loads(report_to_json(rep))
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -369,7 +373,7 @@ def cmd_expand(args):
         data = ",".join([f'{{"jacobi":"{jac}","k":{k},"kronecker":"{kro}",'
                          f'"reciprocal_jacobi":"{rec}","s":"{s}","t":"{t}"}}'
                          for k, s, t, jac, rec, kro in rows])
-        return f'{{"block":{_json(list(cf.quotients))},"count":{n},"rows":[{data}]}}'
+        return f'{{"block":{_ints(cf.quotients)},"count":{n},"rows":[{data}]}}'
 
     return EXIT_OK, {"text": lambda: _table_text(header, rows), "json": to_json,
                      "csv": lambda: _csv(header, rows)}
@@ -386,8 +390,8 @@ def cmd_analyze(args):
 
 def cmd_cascade(args):
     cf = normalize_period(_read_block_arg(args.block))
-    analysis = analyze(cf, args.precision)
-    verdict = classify(cf, args.precision, depth=args.depth, analysis=analysis)
+    analysis, walked = _analyze(cf, args.precision)
+    verdict = _classify(cf, analysis, args.precision, args.depth, walked)
     if not isinstance(verdict, Aperiodic):
         raise NotAperiodic(f"{cf} has a periodic Kronecker sequence; no cascade")
     period = analysis.period
@@ -405,7 +409,7 @@ def cmd_cascade(args):
     def to_json():
         steps = ",".join([f'{{"falsified_period_multiple":{multiple},"j":{j},'
                           f'"k":{k},"r":{r}}}' for j, k, r, multiple in rows])
-        return f'{{"L":{period},"block":{_json(list(cf.quotients))},"cascade":[{steps}]}}'
+        return f'{{"L":{period},"block":{_ints(cf.quotients)},"cascade":[{steps}]}}'
 
     return EXIT_OK, {"text": to_text, "json": to_json, "csv": lambda: _csv(header, rows)}
 
@@ -420,7 +424,7 @@ def cmd_verify(args):
     header = ("window", "empirical_period", "falsified_count", "agreement")
     return EXIT_OK, {
         "text": lambda: "\n".join(f"{label:<18}{v}" for label, v in zip(labels, row)),
-        "json": lambda: _json(_oracle_to_dict(report)),
+        "json": lambda: _oracle_json(report),
         "csv": lambda: _csv(header, [row]),
     }
 
@@ -442,10 +446,11 @@ def cmd_batch(args):
                            + (report_to_text(rep) if rep else f"error: {err}")
                            for lineno, line, rep, err in records)
 
-    def to_json():
+    def to_json():  # input and error are user text, escaped by json.dumps
         return "\n".join(
-            _json({"line": lineno, "input": line, "report": report_to_dict(rep)} if rep
-                  else {"line": lineno, "input": line, "error": err})
+            f'{{"input":{json.dumps(line)},"line":{lineno},"report":{report_to_json(rep)}}}'
+            if rep else
+            f'{{"error":{json.dumps(err)},"input":{json.dumps(line)},"line":{lineno}}}'
             for lineno, line, rep, err in records)
 
     def to_csv():

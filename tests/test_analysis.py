@@ -609,6 +609,57 @@ def test_predicted_start_past_the_cap_makes_one_attempt(monkeypatch):
     assert precisions == [256]
 
 
+def small_aperiodic_blocks():
+    """Every aperiodic minimal block with l <= 4 and quotients <= 5."""
+    for block in (b for l in range(1, 5) for b in itertools.product(range(1, 6), repeat=l)):
+        cf = normalize_period(block)
+        if cf.quotients == block and analyze(cf).critical_indices:
+            yield cf
+
+
+def test_walk_seeded_cascade_matches_the_public_cascade():
+    # the exact D(L4) and start pair of the analysis walk, reduced at the
+    # rung, against the two binary powers of cascade: the same steps, or
+    # the same error with the same message
+    blocks = errors = 0
+    for cf in small_aperiodic_blocks():
+        a, walked = kronseq.analysis._analyze(cf, 128)
+        first = a.critical_indices[0]
+        c = convergents(cf, first + 1)[-1]
+        assert walked.pairs[first] == (c.s, c.t)
+        blocks += 1
+        for depth, B in itertools.product((8, 200), (128, 512)):
+            expected = outcome(cascade, cf, a.period, first, depth, B)
+            got = outcome(kronseq.analysis._cascade, cf, a.period, first, depth, B,
+                          walked.D, walked.pairs[first])
+            assert got == expected, (cf, depth, B)
+            errors += isinstance(expected[0], type)
+    assert blocks == 167 and errors > 0
+
+
+def test_walk_seeded_classify_escalates_and_exhausts_like_classify(monkeypatch):
+    # depth 60 of (1,2,5) escalates from 128 to 256 bits; under a 256-bit
+    # cap depth 200 raises PrecisionExhausted, with the same message on both
+    # paths
+    rungs = []
+    seeded = kronseq.analysis._cascade
+
+    def counted(*a):
+        rungs.append(a[4])
+        return seeded(*a)
+
+    monkeypatch.setattr(kronseq.analysis, "_cascade", counted)
+    cf = block_cf((1, 2, 5))
+    a, walked = kronseq.analysis._analyze(cf, 128)
+    got = kronseq.analysis._classify(cf, a, 128, 60, walked)
+    assert rungs == [128, 256]
+    assert got == classify(cf, 128, 60, a)
+    monkeypatch.setattr(kronseq.analysis, "MAX_PRECISION", 256)
+    expected = outcome(classify, cf, 128, 200, a)
+    assert expected[0] is PrecisionExhausted
+    assert outcome(kronseq.analysis._classify, cf, a, 128, 200, walked) == expected
+
+
 def test_cascade_rejects_period_off_the_block_length():
     with pytest.raises(ValueError, match="multiple"):
         cascade(block_cf((1, 2, 5)), 8, 7, depth=2)

@@ -8,11 +8,15 @@ import sys
 
 import pytest
 
+import kronseq
+import kronseq.analysis
 import kronseq.cf
 import kronseq.cli
+import kronseq.oracle
 import kronseq.symbols
 from kronseq import (Aperiodic, NotCoprime, OracleMismatch, ParseError,
-                     classify, normalize_period, quad_irrational_of)
+                     classify, mod4_period_length, normalize_period,
+                     quad_irrational_of)
 from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_USAGE, build_report, main, parse_block,
                          report_from_json, report_to_json)
@@ -231,6 +235,54 @@ def test_expand_json_is_canonical(capsys):
     for block, count in zip(itertools.cycle(["1,2,5", "1,2,3", "2", "7,1,4"]), counts):
         rows = canonical_rows(capsys, ["expand", block, "--count", str(count)], "rows")
         assert len(rows) == count
+
+
+def canonical(text):
+    """The sorting encoder's compact form of the JSON text's own parse."""
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+
+
+SMALL_BLOCKS = [b for l in range(1, 5) for b in itertools.product(range(1, 6), repeat=l)
+                if normalize_period(b).quotients == b]
+
+
+def test_report_batch_and_verify_json_are_canonical(capsys, monkeypatch):
+    # reports, batch records and the oracle object are written by template:
+    # on every minimal block with l <= 4 and quotients <= 5, with and
+    # without the oracle, the text is the sorting encoder's and the reports
+    # round-trip
+    kinds, oracles = set(), set()
+    for block in SMALL_BLOCKS:
+        for window in (None, 600):
+            rep = build_report(block, window=window)
+            text = report_to_json(rep)
+            assert text == canonical(text), block
+            assert report_from_json(text) == rep
+            assert report_to_json(report_from_json(text)) == text
+            assert kronseq.cli.report_to_dict(rep) == json.loads(text)
+            kinds.add(rep.classification.__class__)
+            if rep.oracle:
+                oracles.add((rep.oracle.empirical_period is None,
+                             bool(rep.oracle.falsified_periods)))
+        code, out, _ = run(capsys, ["verify", ",".join(map(str, block)), "--format", "json"])
+        assert code == EXIT_OK and out == canonical(out) + "\n", block
+    assert len(kinds) == 3 and oracles == {(False, False), (True, True)}
+
+    odd = ["[1, 2,\t5]", "[ 2 ]", "1,\tx", "1 2", "[1,2", 'é,"\\', "\t7 ,  1"]
+    lines = [",".join(map(str, b)) for b in SMALL_BLOCKS] + odd
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out, _ = run(capsys, ["batch", "-"])
+    records = out.splitlines()
+    assert code == EXIT_OK and len(records) == len(lines)
+    for line, text in zip(lines, records):
+        assert text == canonical(text), line
+        record = json.loads(text)
+        assert record["input"] == line.strip()
+        if "report" in record:
+            report = json.dumps(record["report"], sort_keys=True, separators=(",", ":"))
+            assert report_to_json(report_from_json(report)) == report
+    errors = [json.loads(text) for text in records if "error" in json.loads(text)]
+    assert [e["input"] for e in errors] == ["1,\tx", "1 2", "[1,2", 'é,"\\']
 
 
 def test_verify_csv(capsys):
@@ -453,66 +505,87 @@ def test_flag_precision_beats_env(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # one analysis per request
 
+def patch_everywhere(monkeypatch, name, replacement):
+    """Put replacement in place of kronseq.cf.<name> in every kronseq module
+    that holds it."""
+    original = getattr(kronseq.cf, name)
+    for module in (kronseq, kronseq.cf, kronseq.analysis, kronseq.symbols,
+                   kronseq.oracle, kronseq.cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+    return original
+
+
 @pytest.fixture
-def analyze_calls(monkeypatch):
-    import kronseq.analysis
-    import kronseq.cli
-    import kronseq.oracle
+def drawn_pairs(monkeypatch):
+    """The number of pairs drawn from iter_convergent_pairs, whoever walks."""
+    drawn = [0]
+    walk = kronseq.cf.iter_convergent_pairs
 
-    calls = []
-    original = kronseq.analysis.analyze
+    def counted_walk(cf):
+        for pair in walk(cf):
+            drawn[0] += 1
+            yield pair
 
-    def counted(*a, **k):
-        calls.append(a[0])
-        return original(*a, **k)
+    patch_everywhere(monkeypatch, "iter_convergent_pairs", counted_walk)
+    return drawn
 
-    for module in (kronseq.analysis, kronseq.cli, kronseq.oracle):
-        monkeypatch.setattr(module, "analyze", counted)
-    return calls
+
+@pytest.mark.parametrize("block", [
+    (1, 2, 5),  # aperiodic: critical 7 and subcritical 1 printed, past l
+    (1, 2, 3),  # subcritical 1 printed
+    (1, 2, 2),  # critical 6 printed, L4 = 18
+    (1,), (2,),  # certified at 2*L4, nothing printed
+    (3, 3, 2, 9, 6, 3, 4, 7),
+], ids=["1,2,5", "1,2,3", "1,2,2", "1", "2", "l8"])
+def test_a_report_draws_exactly_L4_pairs(monkeypatch, capsys, drawn_pairs, block):
+    # one walk of L4 convergents gives the analysis, the closed form, the
+    # printed pairs and the cascade's seeds: analyze, cascade and batch
+    # draw L4 pairs per block in all, and no exact matrix is built
+    cf = normalize_period(block)
+    L4 = mod4_period_length(cf)
+    drawn_pairs[0] = 0
+    matrices = []
+    matrix_at = kronseq.cf.matrix_at
+    patch_everywhere(monkeypatch, "matrix_at",
+                     lambda *a: matrices.append(a) or matrix_at(*a))
+    rep = build_report(block)
+    assert (drawn_pairs[0], matrices) == (L4, [])
+    assert rep.analysis.period in (L4, 2 * L4)
+    text = ",".join(map(str, block))
+    aperiodic = isinstance(rep.classification, Aperiodic)
+    argvs = [["analyze", text], ["batch", "-"]]
+    if aperiodic:
+        argvs.append(["cascade", text, "--depth", "200"])
+    for argv in argvs:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{text}\n{text}\n"))
+        drawn_pairs[0] = 0
+        code, _, _ = run(capsys, argv)
+        assert code == (EXIT_APERIODIC if aperiodic and argv[0] == "analyze" else EXIT_OK)
+        assert drawn_pairs[0] == (2 if argv[0] == "batch" else 1) * L4, argv
+    assert matrices == []
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "1,2,5", "--window", "240"],
-    ["analyze", "1,2,3", "--window", "240"],
-    ["verify", "1,2,5", "--window", "240"],
-    ["cascade", "1,2,5", "--depth", "3"],
-])
-def test_each_command_analyzes_once(capsys, analyze_calls, argv):
-    main(argv)
-    capsys.readouterr()
-    assert len(analyze_calls) == 1
-
-
-@pytest.mark.parametrize("block, walked", [
-    ((1, 2, 5), 8),  # aperiodic: critical 7 and subcritical 1 printed, past l
-    ((1, 2, 3), 3),  # subcritical 1 printed, before l
-    ((1, 2, 2), 7),  # critical 6 printed
-    ((1,), 1),  # nothing printed; (s_{-1}, t_{-1}) = (1, 0) closes D(1)
-    ((2,), 1),
-], ids=["1,2,5", "1,2,3", "1,2,2", "1", "2"])
-def test_build_report_walks_once_to_the_last_printed_index(monkeypatch, block, walked):
-    # one walk of max(l, largest printed index + 1) convergents gives both the
-    # closed form and the printed pairs; no exact matrix
-    walks, matrices = [], []
-    original, walk = kronseq.cf.matrix_at, kronseq.cf.iter_convergent_pairs
-
-    def counted_walk(cf):
-        walks.append(0)
-        for pair in walk(cf):
-            walks[-1] += 1
-            yield pair
-
-    def counted_matrix(*a, **k):
-        matrices.append(a)
-        return original(*a, **k)
-
-    # the pairs helper of kronseq.cf walks, so its walk is the one counted
-    monkeypatch.setattr(kronseq.cf, "iter_convergent_pairs", counted_walk)
-    monkeypatch.setattr(kronseq.cf, "matrix_at", counted_matrix)
-    rep = build_report(block)
-    assert (walks, matrices) == ([walked], [])
-    shown = rep.critical + rep.subcritical
-    assert walked == max([len(block)] + [c.k + 1 for c in shown])
+    ["analyze", "1,2,5"], ["analyze", "1,2,2", "--window", "300"],
+    ["analyze", "1,2,3", "--format", "json"],
+    ["batch", "-"], ["batch", "-", "--format", "text"],
+    ["verify", "1,2,5"], ["verify", "1,2,2", "--window", "1500"], ["verify", "2"],
+    ["cascade", "1,2,5"], ["cascade", "1,2,2"],
+], ids=lambda argv: " ".join(argv))
+def test_commands_make_no_binary_power(monkeypatch, capsys, argv):
+    # the cascade takes D(L4) and its start pair from the walk of the
+    # analysis, so no command raises the block matrix to a power
+    powers = []
+    matrix_at_mod2 = patch_everywhere(
+        monkeypatch, "matrix_at_mod2", lambda *a: powers.append(a) or matrix_at_mod2(*a))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1,2,5\n1,2,3\n1,2,2\n2\nx\n"))
+    code, out, _ = run(capsys, argv)
+    assert code in (EXIT_OK, EXIT_APERIODIC) and out
+    assert powers == []
+    # the public cascade still seeds itself by two binary powers
+    kronseq.analysis.cascade(normalize_period((1, 2, 5)), 12, 7)
+    assert len(powers) == 2
 
 
 def test_build_report_closed_form_matches_quad_irrational_of():
