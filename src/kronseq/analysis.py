@@ -80,7 +80,7 @@ index needs v2(t) = m' + e - 1 = m + e and a critical one more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cf import (PeriodicCF, _column_step, _mat_mul_mod, _square_mod, _v2,
@@ -111,12 +111,27 @@ MAX_PRECISION = 4096
 DEFAULT_DEPTH = 8
 
 
+class _Walked(NamedTuple):
+    """The exact data the walk of :func:`analyze` keeps beside its
+    analysis: the block matrix D(l) and D(L4), each as the 4-tuple (s,
+    s_prev, t, t_prev), and {k: (s_k, t_k)} at the critical and
+    subcritical indices of the analysis."""
+
+    block: tuple[int, int, int, int]
+    D: tuple[int, int, int, int]
+    pairs: dict[int, tuple[int, int]]
+
+
 @dataclass(frozen=True)
 class PeriodAnalysis:
     """2-adic data of one admissible period length.
 
     ``e`` is never None (U's lower-left entry is t_{period-1} / 2^m >= 1).
     ``certified`` records whether ``period`` is a verified Jacobi period.
+    ``walk`` is the :class:`_Walked` of the walk of :func:`analyze`: the
+    exact values a report prints and a cascade starts from.  It is None
+    for an analysis not made by :func:`analyze` (one read back from a
+    report, say), and takes no part in equality, hashing or repr.
     """
 
     period: int
@@ -127,6 +142,7 @@ class PeriodAnalysis:
     subcritical_indices: tuple[int, ...]
     precision: int
     certified: bool
+    walk: _Walked | None = field(default=None, compare=False, repr=False)
 
     @property
     def u(self):
@@ -281,17 +297,6 @@ def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     return _critical(_walk(cf, period)[3], m, e)
 
 
-class _Walked(NamedTuple):
-    """The exact data the walk of :func:`_analyze` leaves beside its
-    analysis: the block matrix D(l) and D(L4), each as the 4-tuple (s,
-    s_prev, t, t_prev), and {k: (s_k, t_k)} at the critical and
-    subcritical indices of the analysis."""
-
-    block: tuple[int, int, int, int]
-    D: tuple[int, int, int, int]
-    pairs: dict[int, tuple[int, int]]
-
-
 def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysis:
     """Period analysis underlying :func:`classify`.
 
@@ -305,15 +310,8 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     the classification actually hold.  Its decomposition is derived from
     the one at L4, and it has no critical or subcritical index (module
     docstring).  The same walk also gives the exact data a report prints
-    and a cascade starts from; :func:`_analyze` returns them beside the
-    analysis.
+    and a cascade starts from, kept as ``walk``.
     """
-    return _analyze(cf, precision)[0]
-
-
-def _analyze(cf, precision):
-    """(:func:`analyze`, :class:`_Walked`) from one exact walk of L4
-    terms."""
     if precision < 8:
         raise ValueError("precision must be >= 8")
     L, D, block, candidates, f = _walk(cf)
@@ -322,10 +320,10 @@ def _analyze(cf, precision):
     certified = f == 1
     if critical or certified:
         pairs = {k: (s, t) for k, w, s, t in candidates if w >= m + e - 1}
-        return (PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified),
-                _Walked(block, D, pairs))
+        return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified,
+                              _Walked(block, D, pairs))
     m, U = _doubled(m, U, precision)
-    return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True), _Walked(block, D, {})
+    return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True, _Walked(block, D, {}))
 
 
 def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
@@ -337,7 +335,8 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     cascade.  Otherwise the sequence is purely periodic: a subcritical index
     doubles the period, else the certified period itself is one.
     ``analysis``, when given, is the result of :func:`analyze` for ``cf``
-    and is used instead of analyzing again.
+    and is used instead of analyzing again; one without a walk (read back
+    from a report, say) is analyzed again.
 
     The cascade runs on the ladder precision * 2^i, capped at
     MAX_PRECISION: it starts at the first rung that reaches the predicted
@@ -357,34 +356,22 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     anything but PrecisionExhausted, does the same at every higher rung,
     since the residues it resolved stay resolved.
 
-    Each attempt is a call of :func:`cascade`.  The CLI and the oracle
-    classify through :func:`_classify` with the walk of :func:`_analyze`
-    instead, which seeds every attempt from the exact D(L4) and (s, t) at
-    the first critical index, with the same steps and errors.
+    Each attempt is the walk of :func:`cascade`, seeded from the exact
+    D(L4) and (s, t) at the first critical index in ``analysis.walk``
+    rather than from two binary powers, with the same steps and errors.
     """
-    if analysis is None:
+    if analysis is None or analysis.walk is None:
         analysis = analyze(cf, precision)
-    return _classify(cf, analysis, precision, depth)
-
-
-def _classify(cf, analysis, precision, depth=DEFAULT_DEPTH, walked=None):
-    """:func:`classify` of ``analysis``; with ``walked``, the
-    :class:`_Walked` of the same :func:`_analyze` call, each cascade
-    attempt is seeded from its exact D(L4) and pair at the first critical
-    index instead of two binary powers."""
     if analysis.critical_indices:
         first = analysis.critical_indices[0]
+        D, x = analysis.walk.D, analysis.walk.pairs[first]
         need = analysis.m + analysis.e + 2 * depth + 3
         B = precision
         while B < need and B < MAX_PRECISION:
             B = min(2 * B, MAX_PRECISION)
         while True:
             try:
-                if walked is None:
-                    steps = cascade(cf, analysis.period, first, depth, B)
-                else:
-                    steps = _cascade(cf, analysis.period, first, depth, B,
-                                     walked.D, walked.pairs[first])
+                steps = _cascade(cf, analysis.period, first, depth, B, D, x)
                 break
             except PrecisionExhausted:
                 if B >= MAX_PRECISION:
@@ -551,10 +538,11 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
 
     The seeds.  The walk needs only D(period) and x_start mod 2^B.  Here
     they are two logarithmic powers of the block matrix
-    (:func:`~kronseq.cf.matrix_at_mod2`); :func:`_classify` hands
-    :func:`_cascade` the exact D(L4) and x at the first critical index
-    from the walk of :func:`_analyze` instead, reduced mod 2^B at each
-    rung, which gives the same residues and so the same steps and errors.
+    (:func:`~kronseq.cf.matrix_at_mod2`), for any period and start;
+    :func:`classify` hands the same walk the exact D(L4) and x at the
+    first critical index from ``analysis.walk`` instead, reduced mod 2^B
+    at each rung, which gives the same residues and so the same steps and
+    errors.
 
     Cost: at most r0 = 16 squarings and r0 column steps, four
     multiplications each, the two logarithmic powers of the seeds, one

@@ -83,10 +83,6 @@ class ConvergentMatrix:
     t_prev: int
     modulus: int | None = None
 
-    @property
-    def rows(self):
-        return ((self.s, self.s_prev), (self.t, self.t_prev))
-
 
 @dataclass(frozen=True)
 class QuadIrrational:

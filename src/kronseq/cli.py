@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
-                       PeriodicL, _analyze, _classify)
+                       PeriodicL, analyze, classify)
 from .cf import _quad_irrational, _v2, iter_convergent_pairs, normalize_period
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
                      WindowTooShort)
@@ -116,11 +116,11 @@ def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisRep
     cf = normalize_period(block)
     # one walk gives the analysis, the columns of D(l) for the closed form,
     # the printed pairs and the cascade's seeds
-    analysis, walked = _analyze(cf, precision)
-    verdict = _classify(cf, analysis, precision, walked=walked)
-    s1, s2, t1, t2 = walked.block
+    analysis = analyze(cf, precision)
+    verdict = classify(cf, precision, analysis=analysis)
+    s1, s2, t1, t2 = analysis.walk.block
     q = _quad_irrational(s1, t1, s2, t2)
-    pairs = walked.pairs
+    pairs = analysis.walk.pairs
     detail = lambda k: ConvergentDetail(k, *pairs[k], _v2(pairs[k][1]))
     oracle = cross_check(cf, window=window, precision=precision,
                          analysis=analysis, verdict=verdict) if window else None
@@ -390,8 +390,8 @@ def cmd_analyze(args):
 
 def cmd_cascade(args):
     cf = normalize_period(_read_block_arg(args.block))
-    analysis, walked = _analyze(cf, args.precision)
-    verdict = _classify(cf, analysis, args.precision, args.depth, walked)
+    analysis = analyze(cf, args.precision)
+    verdict = classify(cf, args.precision, args.depth, analysis)
     if not isinstance(verdict, Aperiodic):
         raise NotAperiodic(f"{cf} has a periodic Kronecker sequence; no cascade")
     period = analysis.period
@@ -503,15 +503,17 @@ def _positive_int(raw):
     return value
 
 
-def _add_common(p, precision):
+def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", metavar="PATH", default=None)
-    p.add_argument("--precision", type=_precision, default=precision,
+    p.add_argument("--precision", type=_precision, default=None,
                    help="working 2-adic precision (bits, >= 8), the first "
                         "rung of a doubling ladder; a deep cascade may start higher")
 
 
-def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`.  Its --precision default is None, which
+    main fills in per call from KRONSEQ_PRECISION, else DEFAULT_PRECISION."""
     parser = _Parser(prog="kronseq",
                      description="Kronecker symbol sequences of purely periodic "
                                  "continued fractions: convergents, period "
@@ -521,42 +523,38 @@ def build_parser(precision=DEFAULT_PRECISION) -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="convergents and their symbol sequences")
     p.add_argument("block", help='block notation, e.g. "1,2,3" or "[1,2,3]"; "-" reads stdin')
     p.add_argument("--count", type=_positive_int, default=10)
-    _add_common(p, precision)
+    _add_common(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("analyze", help="full period analysis and classification")
     p.add_argument("block")
     p.add_argument("--window", type=_positive_int, default=None,
                    help="also run the brute-force oracle on this window")
-    _add_common(p, precision)
+    _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cascade", help="witness cascade of an aperiodic block")
     p.add_argument("block")
     p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH)
-    _add_common(p, precision)
+    _add_common(p)
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("verify", help="cross-check classification on a symbol window")
     p.add_argument("block")
     p.add_argument("--window", type=_positive_int, default=None)
     p.add_argument("--max-period", type=_positive_int, default=None)
-    _add_common(p, precision)
+    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("batch", help="analyze one block per input line")
     p.add_argument("input", help='input path, one block per line ("#" comments); "-" reads stdin')
-    _add_common(p, precision)
+    _add_common(p)
     p.set_defaults(func=cmd_batch, format="json")  # machine records by default
 
     return parser
 
 
-@functools.cache
-def _shared_parser():
-    """The parser of :func:`main`, built once per process.  Its --precision
-    default is None, filled in per call from the environment."""
-    return build_parser(None)
+_shared_parser = functools.cache(build_parser)  # built once per process
 
 
 def main(argv=None) -> int:

@@ -65,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import (Aperiodic, Classification, DEFAULT_PRECISION,
-                       PeriodAnalysis, _analyze, _classify)
+                       PeriodAnalysis, analyze, classify)
 from .cf import PeriodicCF
 from .errors import OracleMismatch, WindowTooShort
 from .symbols import _kronecker_at, kronecker_bits
@@ -159,8 +159,8 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     that shows differing symbols and whose gap the candidate divides, or
     else the first pair of the window.  ``analysis`` and ``verdict``, when
     given, are the results of :func:`~kronseq.analysis.analyze` and
-    :func:`~kronseq.analysis.classify` for ``cf``; when they are not, both
-    come from one exact walk, which also seeds the cascade.
+    :func:`~kronseq.analysis.classify` for ``cf``; when they are not, the
+    verdict is classified from the analysis, whose walk seeds the cascade.
 
     The window comes from the lane pass of ``symbols``, which carries its
     sign c_k from term to term, so window symbols are rechecked against
@@ -181,11 +181,10 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     """
     if max_period is not None and max_period < 1:
         raise ValueError("max_period must be >= 1")
-    walked = None
     if analysis is None:
-        analysis, walked = _analyze(cf, precision)
+        analysis = analyze(cf, precision)
     if verdict is None:
-        verdict = _classify(cf, analysis, precision, walked=walked)
+        verdict = classify(cf, precision, analysis=analysis)
     P = max_period if max_period is not None else 4 * analysis.period
     claim = 0 if isinstance(verdict, Aperiodic) else verdict.period
     if window is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -503,20 +504,15 @@ def test_cascade_threshold_precision_exhaustion(precision):
 def test_cascade_escalation_decomposes_once(monkeypatch):
     # the cascade reads m + e off D(L) mod 2^B, and analyze takes (m, U, e)
     # from its own walk, so nothing calls decompose
-    decomposed, precisions = [], []
+    decomposed = []
     original_decompose = kronseq.analysis.decompose
-    original_cascade = kronseq.analysis.cascade
 
     def counted_decompose(*a, **k):
         decomposed.append(a[1])
         return original_decompose(*a, **k)
 
-    def counted_cascade(*a, **k):
-        precisions.append(a[4])
-        return original_cascade(*a, **k)
-
     monkeypatch.setattr(kronseq.analysis, "decompose", counted_decompose)
-    monkeypatch.setattr(kronseq.analysis, "cascade", counted_cascade)
+    precisions = record_cascade_precisions(monkeypatch)
     got = classify(block_cf((1, 2, 5)), depth=200)
     assert len(got.cascade) == 200
     assert precisions == [512]  # predicted need 2 + 2*200 + 3 = 405 bits
@@ -524,14 +520,17 @@ def test_cascade_escalation_decomposes_once(monkeypatch):
 
 
 def record_cascade_precisions(monkeypatch):
+    """The precision of every cascade attempt: classify seeds the walk
+    from its analysis and the public cascade from two binary powers, and
+    both run it as _cascade(cf, period, start, depth, precision, D, x)."""
     precisions = []
-    original_cascade = kronseq.analysis.cascade
+    original_cascade = kronseq.analysis._cascade
 
-    def counted_cascade(*a, **k):
+    def counted_cascade(*a):
         precisions.append(a[4])
-        return original_cascade(*a, **k)
+        return original_cascade(*a)
 
-    monkeypatch.setattr(kronseq.analysis, "cascade", counted_cascade)
+    monkeypatch.setattr(kronseq.analysis, "_cascade", counted_cascade)
     return precisions
 
 
@@ -623,41 +622,45 @@ def test_walk_seeded_cascade_matches_the_public_cascade():
     # the same error with the same message
     blocks = errors = 0
     for cf in small_aperiodic_blocks():
-        a, walked = kronseq.analysis._analyze(cf, 128)
+        a = analyze(cf, 128)
         first = a.critical_indices[0]
         c = convergents(cf, first + 1)[-1]
-        assert walked.pairs[first] == (c.s, c.t)
+        assert a.walk.pairs[first] == (c.s, c.t)
         blocks += 1
         for depth, B in itertools.product((8, 200), (128, 512)):
             expected = outcome(cascade, cf, a.period, first, depth, B)
             got = outcome(kronseq.analysis._cascade, cf, a.period, first, depth, B,
-                          walked.D, walked.pairs[first])
+                          a.walk.D, a.walk.pairs[first])
             assert got == expected, (cf, depth, B)
             errors += isinstance(expected[0], type)
     assert blocks == 167 and errors > 0
 
 
-def test_walk_seeded_classify_escalates_and_exhausts_like_classify(monkeypatch):
+def test_walk_seeded_classify_escalates_and_exhausts_like_the_public_cascade(monkeypatch):
     # depth 60 of (1,2,5) escalates from 128 to 256 bits; under a 256-bit
-    # cap depth 200 raises PrecisionExhausted, with the same message on both
-    # paths
-    rungs = []
-    seeded = kronseq.analysis._cascade
-
-    def counted(*a):
-        rungs.append(a[4])
-        return seeded(*a)
-
-    monkeypatch.setattr(kronseq.analysis, "_cascade", counted)
+    # cap depth 200 raises PrecisionExhausted, with the same message as the
+    # public cascade run rung by rung
     cf = block_cf((1, 2, 5))
-    a, walked = kronseq.analysis._analyze(cf, 128)
-    got = kronseq.analysis._classify(cf, a, 128, 60, walked)
+    a = analyze(cf, 128)
+    rungs = record_cascade_precisions(monkeypatch)
+    got = classify(cf, 128, 60, a)
     assert rungs == [128, 256]
-    assert got == classify(cf, 128, 60, a)
+    assert got.cascade == doubling_ladder_classify(cf, 128, 60, a)
     monkeypatch.setattr(kronseq.analysis, "MAX_PRECISION", 256)
-    expected = outcome(classify, cf, 128, 200, a)
+    expected = outcome(doubling_ladder_classify, cf, 128, 200, a)
     assert expected[0] is PrecisionExhausted
-    assert outcome(kronseq.analysis._classify, cf, a, 128, 200, walked) == expected
+    assert outcome(classify, cf, 128, 200, a) == expected
+
+
+def test_period_analysis_ignores_its_walk():
+    # equality, hashing and repr see the 2-adic data, not the walk kept
+    # beside it, so an analysis read back from a report equals the original
+    for block in ((1, 2, 5), (1, 2, 3), (2,)):
+        a = analyze(block_cf(block))
+        bare = dataclasses.replace(a, walk=None)
+        assert a.walk is not None
+        assert a == bare and hash(a) == hash(bare) and repr(a) == repr(bare)
+        assert "walk" not in repr(a)
 
 
 def test_cascade_rejects_period_off_the_block_length():

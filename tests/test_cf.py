@@ -132,12 +132,13 @@ def test_shift_identity(block, k, d):
 # matrix_at
 
 def test_matrix_seed():
-    assert matrix_at(normalize_period((1, 2, 3)), 0).rows == ((1, 1), (1, 0))
+    M = matrix_at(normalize_period((1, 2, 3)), 0)
+    assert (M.s, M.s_prev, M.t, M.t_prev) == (1, 1, 1, 0)
 
 
 def test_matrix_123_at_5():
     M = matrix_at(normalize_period((1, 2, 3)), 5)
-    assert M.rows == ((121, 36), (84, 25))
+    assert (M.s, M.s_prev, M.t, M.t_prev) == (121, 36, 84, 25)
     assert all(x % 4 == y for x, y in
                zip((M.s, M.s_prev, M.t, M.t_prev), (1, 0, 0, 1)))
 
@@ -158,13 +159,13 @@ def test_matrix_det():
 
 def test_mod2_matrix_example():
     M = matrix_at_mod2(normalize_period((1, 2, 3)), 5, 4)
-    assert M.rows == ((9, 4), (4, 9))
+    assert (M.s, M.s_prev, M.t, M.t_prev) == (9, 4, 4, 9)
 
 
 def test_mod2_matrix_seed():
     for block in [(1, 2, 3), (7,), (2, 5)]:
         M = matrix_at_mod2(normalize_period(block), 0, 2)
-        assert M.rows == ((block[0] % 4, 1), (1, 0))
+        assert (M.s, M.s_prev, M.t, M.t_prev) == (block[0] % 4, 1, 1, 0)
 
 
 def test_mod2_matrix_agrees_with_exact():
@@ -174,8 +175,8 @@ def test_mod2_matrix_agrees_with_exact():
             exact = matrix_at(cf, k)
             mask = (1 << B) - 1
             got = matrix_at_mod2(cf, k, B)
-            assert got.rows == ((exact.s & mask, exact.s_prev & mask),
-                                (exact.t & mask, exact.t_prev & mask))
+            assert (got.s, got.s_prev, got.t, got.t_prev) == (
+                exact.s & mask, exact.s_prev & mask, exact.t & mask, exact.t_prev & mask)
 
 
 def test_mod2_matrix_deep_spot_check():

@@ -15,8 +15,8 @@ import kronseq.cli
 import kronseq.oracle
 import kronseq.symbols
 from kronseq import (Aperiodic, NotCoprime, OracleMismatch, ParseError,
-                     classify, mod4_period_length, normalize_period,
-                     quad_irrational_of)
+                     classify, cross_check, mod4_period_length,
+                     normalize_period, quad_irrational_of)
 from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_USAGE, build_report, main, parse_block,
                          report_from_json, report_to_json)
@@ -144,6 +144,17 @@ def test_round_trip_with_oracle_section():
     text = report_to_json(rep)
     assert report_from_json(text) == rep
     assert report_to_json(report_from_json(text)) == text
+
+
+def test_classify_of_a_read_back_analysis():
+    # a report's analysis carries no walk once read back, so classify
+    # analyzes again and gives the verdict of a fresh analysis
+    for block in ((1, 2, 5), (1, 2, 2), (1, 2, 3), (2,)):
+        cf = normalize_period(block)
+        a = report_from_json(report_to_json(build_report(block))).analysis
+        assert a.walk is None
+        assert classify(cf, analysis=a) == classify(cf)
+        assert classify(cf, depth=200, analysis=a) == classify(cf, depth=200)
 
 
 def test_analyze_csv(capsys):
@@ -505,10 +516,10 @@ def test_flag_precision_beats_env(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # one analysis per request
 
-def patch_everywhere(monkeypatch, name, replacement):
-    """Put replacement in place of kronseq.cf.<name> in every kronseq module
+def patch_everywhere(monkeypatch, name, replacement, owner=kronseq.cf):
+    """Put replacement in place of <owner>.<name> in every kronseq module
     that holds it."""
-    original = getattr(kronseq.cf, name)
+    original = getattr(owner, name)
     for module in (kronseq, kronseq.cf, kronseq.analysis, kronseq.symbols,
                    kronseq.oracle, kronseq.cli):
         if getattr(module, name, None) is original:
@@ -583,9 +594,49 @@ def test_commands_make_no_binary_power(monkeypatch, capsys, argv):
     code, out, _ = run(capsys, argv)
     assert code in (EXIT_OK, EXIT_APERIODIC) and out
     assert powers == []
+    # nor does the library classify or cross-check an aperiodic block
+    for block in ((1, 2, 5), (1, 2, 2)):
+        cf = normalize_period(block)
+        assert isinstance(classify(cf, depth=200), Aperiodic)
+        cross_check(cf)
+    assert powers == []
     # the public cascade still seeds itself by two binary powers
     kronseq.analysis.cascade(normalize_period((1, 2, 5)), 12, 7)
     assert len(powers) == 2
+
+
+def count_calls(monkeypatch, name):
+    """The block of every call of kronseq.analysis.<name>, from any kronseq
+    module."""
+    calls = []
+    original = patch_everywhere(
+        monkeypatch, name, lambda *a, **k: calls.append(a[0]) or original(*a, **k),
+        kronseq.analysis)
+    return calls
+
+
+def test_batch_analyzes_and_classifies_each_block_once(monkeypatch, capsys):
+    analyzed = count_calls(monkeypatch, "analyze")
+    classified = count_calls(monkeypatch, "classify")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1,2,5\n1,2,3\n1,2,2\nx\n2\n"))
+    code, out, _ = run(capsys, ["batch", "-"])
+    assert code == EXIT_OK and len(out.splitlines()) == 5
+    blocks = [normalize_period(b) for b in ((1, 2, 5), (1, 2, 3), (1, 2, 2), (2,))]
+    assert analyzed == blocks and classified == blocks
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "1,2,5"], ["verify", "1,2,3"],
+    ["analyze", "1,2,5", "--window", "300"], ["analyze", "1,2,2", "--window", "300"],
+], ids=lambda argv: " ".join(argv))
+def test_verify_and_analyze_window_analyze_once(monkeypatch, capsys, argv):
+    # the oracle takes the analysis and verdict of the report, or classifies
+    # from its own analysis
+    analyzed = count_calls(monkeypatch, "analyze")
+    classified = count_calls(monkeypatch, "classify")
+    code, out, _ = run(capsys, argv)
+    assert code in (EXIT_OK, EXIT_APERIODIC) and out
+    assert len(analyzed) == 1 and len(classified) == 1
 
 
 def test_build_report_closed_form_matches_quad_irrational_of():
