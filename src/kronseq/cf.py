@@ -41,10 +41,7 @@ class PeriodicCF:
 
     def __post_init__(self):
         q = self.quotients
-        if not q:
-            raise EmptyInput("quotient block must be non-empty")
-        if any(a < 1 for a in q):
-            raise NonPositiveQuotient(f"quotients must be >= 1, got {q}")
+        _check_quotients(q)
         if _minimal_period(q) != len(q):
             raise ValueError(f"block {q} is not of minimal period; "
                              "use normalize_period()")
@@ -111,6 +108,13 @@ class QuadIrrational:
         return f"({self.P} + sqrt({self.D})) / {self.Q}"
 
 
+def _check_quotients(q):
+    if not q:
+        raise EmptyInput("quotient block must be non-empty")
+    if any(a < 1 for a in q):
+        raise NonPositiveQuotient(f"quotients must be >= 1, got {q}")
+
+
 def _minimal_period(q):
     """Smallest divisor p of len(q) with q[i] = q[i mod p] for every i.
     For a divisor p that holds exactly when rotating q by p leaves it
@@ -126,13 +130,22 @@ def normalize_period(quotients) -> PeriodicCF:
     """Reduce a quotient block to its minimal repeating prefix.
 
     The returned block tiles the input exactly; ``reduced`` is set when the
-    input was not already minimal.  :class:`PeriodicCF` rejects an empty
-    or non-positive block on the prefix, which holds every quotient of the
-    input (and is empty for an empty input).
+    input was not already minimal.  An empty or non-positive block is
+    rejected on the prefix, which holds every quotient of the input (and is
+    empty for an empty input), as :class:`PeriodicCF` rejects it.
+
+    The prefix q[:p] of minimal period p is itself of minimal period p: a
+    divisor d < p of p whose prefix tiles q[:p] would tile q too, a smaller
+    period of q.  So the instance is built without the constructor's check,
+    which would find p a second time.
     """
     q = tuple(int(a) for a in quotients)
     p = _minimal_period(q)
-    return PeriodicCF(q[:p], reduced=(p < len(q)))
+    _check_quotients(q[:p])
+    cf = object.__new__(PeriodicCF)
+    object.__setattr__(cf, "quotients", q[:p])
+    object.__setattr__(cf, "reduced", p < len(q))
+    return cf
 
 
 def iter_convergent_pairs(cf: PeriodicCF):

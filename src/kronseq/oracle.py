@@ -173,11 +173,12 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     odd number of slips, for the periodic recheck) flips a rechecked
     symbol; a single wrong term elsewhere goes unseen.  On the 1,500-term
     windows of the bench's seed 0-3 ``verify-window`` blocks (best of 40,
-    shared 2-vCPU host), the aperiodic recheck took 0.04-0.12 ms (an
+    shared 2-vCPU host), the aperiodic recheck took 0.02-0.05 ms (an
     exact walk to the last witness and exact symbols on it took 0.08-1.0
-    ms) and the periodic one 0.01-0.12 ms, out of 0.3-0.9 ms for the
-    whole call; rechecking every witness would take 0.3-1.5 ms, about as
-    long as the rest of the call.
+    ms) and the periodic one 0.02-0.10 ms, out of 0.23-0.60 ms for the
+    whole call, 0.16-0.35 ms of it the lane pass of the window;
+    rechecking every witness would take 0.3-1.5 ms, more than the rest of
+    the call.
     """
     if max_period is not None and max_period < 1:
         raise ValueError("max_period must be >= 1")

@@ -31,8 +31,9 @@ ANTS 2010), the quotients are known up front: here they are the block
 itself.  Each term needs only v2(t_k) and the residues mod 8 of odd parts,
 read off t_k mod 2^B while v2(t_k) < B-3 (bits v2 to v2+2 lie inside the
 residue, with one to spare).  When some t_k = 0 mod 2^B or v2(t_k) >= B-3
-the pass raises PrecisionExhausted and restarts at twice the precision,
-which ends once 2^B exceeds 8 t_k.
+the pass raises PrecisionExhausted in the chunk (below) that holds k, and
+goes on from that chunk at twice the precision, which ends once 2^B
+exceeds 8 t_k.
 
 The pass works on all terms at once.  Lane k of two ints S and T holds
 s_k and t_k mod 2^B at bit k*W, W = 2B + 8 bits apart, so that a lane
@@ -72,20 +73,39 @@ c ^ G, the t-even and s-even masks, and the reciprocity-flip mask
 R(s_k, t_k).  Each sequence is read off them: the Kronecker one from the
 -1 mask, the Jacobi one from it with STAR at the t-even bits, the
 reciprocal one from its XOR with the flip mask, with STAR at the s-even
-bits.  A request for all three sequences makes one pass.
+bits.  A request for all three sequences makes one pass, and one for
+the Kronecker mask alone sets only the F and G flags.
 
 Memory stays bounded by doing this in chunks of C = l * 2^j lanes (about
 _CHUNK_LANES): the next chunk is D(C) times the current one, again four
 scalar multiplications, and the last two lanes of T are carried below it
 as lanes -2 and -1, which makes the flags of t_{k-1} and t_{k-2} at the
 chunk's bottom.  Only the flag bytes, one per term, are kept.
+
+A chunk the pass cannot resolve is built again, alone, at twice the
+precision, and the pass goes on from it; the chunks before it are kept.
+The column identity seeds chunk j at any precision without the chunks
+before it: D(jC) = D(C)^j, as jC is a multiple of l, so chunk j is
+D(C)^j times chunk 0, lane for lane, and its carried lanes t_{jC-1} and
+t_{jC-2} are the lower row of D(C)^j = D(jC) itself (D(C)^(j-1) times
+lanes C-1 and C-2 of chunk 0, the columns of D(C)).  That is one power of
+D(C) mod 2^B, by :func:`~kronseq.cf._mat_pow_mod` (C may be odd, so
+det D(C) = (-1)^C may be -1), and four scalar multiplications of chunk 0.
+A finished flag byte is exact, whatever the precision of its chunk: it is
+a function of v2(t_k) and of bits v2 to v2+2 of t_k, t_{k-1} and t_{k-2}
+and bits 0 to 2 of s_k, which the residues mod 2^B determine once every
+v2 in its chunk is below B-3; the carried lanes were resolved in the
+chunk before, at the same precision or a lower one.  The sign c_k is
+the prefix XOR of the F flags, taken after the pass, so no other state
+crosses a chunk boundary.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cf import PeriodicCF, _column_step, _pairs_at, _square_mod, _v2
+from .cf import (PeriodicCF, _column_step, _mat_pow_mod, _pairs_at, _square_mod,
+                 _v2)
 from .errors import EvenArgument, EvenModulus, NotCoprime, PrecisionExhausted
 
 __all__ = [
@@ -104,13 +124,18 @@ __all__ = [
 STAR = "*"
 
 # Working precision (bits) of the lane pass before any escalation; a lane
-# is 2B + 8 bits wide, so B sets the cost of every word operation.
-_START_PRECISION = 32
+# is 2B + 8 bits wide (5 bytes at B = 16), so B sets the cost of every word
+# operation.  An escalation builds only the chunk that holds the
+# unresolved term again, so the pass starts low: on the 64 seed 0-7 bench
+# verify-window blocks, 55 resolve all 1,500 terms at 16 bits and the other
+# 9 escalate once.  The random-access symbol starts at the same precision.
+_START_PRECISION = 16
 
 # Lanes per chunk of the lane pass, before rounding to l * 2^j.  About two
-# dozen chunk-sized ints are alive at once, 2.3 KB each at B = 32, so a
+# dozen chunk-sized ints are alive at once, 1.3 KB each at B = 16, so a
 # pass needs tens of KB beside its one flag byte per term; on 1,500-term
-# windows, chunks of 4,096 lanes measured no faster and held 310 KB.
+# windows at B = 32, chunks of 4,096 lanes measured no faster and held
+# 310 KB.  An escalation rebuilds at most one chunk.
 _CHUNK_LANES = 256
 
 # Bits of a term's flag byte.
@@ -189,7 +214,7 @@ def kronecker_sequence(cf: PeriodicCF, count: int) -> list[int]:
 def kronecker_bits(cf: PeriodicCF, count: int) -> int:
     """The Kronecker symbols (s_k/t_k), k < count, packed: bit k is set
     exactly when (s_k/t_k) = -1."""
-    return _masks(cf, count)[0]
+    return _minus(_flags(cf, count, _START_PRECISION, False), count)
 
 
 def _kronecker_at(cf, period, indices):
@@ -300,26 +325,41 @@ def _read(minus, star, count):
 def _masks(cf, count, precision=_START_PRECISION):
     """(minus, t_even, s_even, flip) for the terms k < count, each an int
     with bit k for term k: (s_k/t_k) = -1, t_k even, s_k even, and
-    R(s_k, t_k) = -1.  The lane pass runs at the smallest doubling of
-    ``precision`` that resolves every term."""
+    R(s_k, t_k) = -1."""
+    flags = _flags(cf, count, precision, True)
+    return (_minus(flags, count), _bits(flags, _T_EVEN), _bits(flags, _S_EVEN),
+            _bits(flags, _FLIP))
+
+
+def _flags(cf, count, precision, full):
+    """The flag bytes of the terms k < count, one per term, from one lane
+    pass that starts at ``precision`` and goes on from the chunk it cannot
+    resolve at twice the precision, keeping the chunks it has made."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    chunks = []
     while True:
         try:
-            flags = _lane_flags(cf, count, precision)
-            break
+            for flags in _lane_flags(cf, count, precision, len(chunks), full):
+                chunks.append(flags)
+            return b"".join(chunks)
         except PrecisionExhausted:
             precision *= 2
 
-    def read(flag):
-        return int(flags.translate(_DIGIT[flag])[::-1], 2)
 
-    c, shift = read(_F), 1  # c_k, the prefix XOR of F
+def _bits(flags, flag):
+    """The int with bit k set exactly when byte k of flags has ``flag``."""
+    return int(flags.translate(_DIGIT[flag])[::-1], 2)
+
+
+def _minus(flags, count):
+    """The mask of the terms k < count with (s_k/t_k) = -1: c_k ^ G_k,
+    with c_k the prefix XOR of F."""
+    c, shift = _bits(flags, _F), 1
     while shift < count:
         c ^= c << shift
         shift <<= 1
-    minus = (c ^ read(_G)) & ((1 << count) - 1)
-    return minus, read(_T_EVEN), read(_S_EVEN), read(_FLIP)
+    return (c ^ _bits(flags, _G)) & ((1 << count) - 1)
 
 
 def _chunk(l):
@@ -328,10 +368,12 @@ def _chunk(l):
     return l << max(0, (_CHUNK_LANES // l).bit_length() - 1)
 
 
-def _lane_flags(cf, count, precision):
-    """One flag byte per term k < count (module docstring), computed mod
-    2**precision; raises PrecisionExhausted at the first k whose t_k has
-    its low precision - 3 bits all zero."""
+def _lane_flags(cf, count, precision, start=0, full=True):
+    """Yield the flag bytes of the terms k < count (module docstring), one
+    byte per term and one bytes object per chunk, from chunk ``start`` on,
+    computed mod 2**precision.  Raises PrecisionExhausted at the first
+    chunk holding a t_k whose low precision - 3 bits are all zero.  With
+    ``full`` false only the F and G flags are set."""
     B = precision
     size = (2 * B + 15) // 8  # bytes per lane
     W = 8 * size  # 2B + 8 bits when B is a multiple of 4
@@ -374,9 +416,18 @@ def _lane_flags(cf, count, precision):
     S &= window
     T &= window
 
-    out = []
-    base, t1, t2 = 0, 0, 1  # t_{base-1}, t_{base-2}
+    base = start * C
+    t1, t2 = 0, 1  # t_{base-1}, t_{base-2}
+    if start:  # chunk start is D(C)^start = D(base) times chunk 0
+        a, b, t1, t2 = _mat_pow_mod(step, start, mask)
+        S, T = (a * S + b * T) & LM, (t1 * S + t2 * T) & LM
     while True:
+        if count - base < n:  # a shorter last chunk
+            n = count - base
+            window = (1 << (n * W)) - 1
+            S, T, LOW, TOP = S & window, T & window, LOW & window, TOP & window
+            window = (1 << ((n + 2) * W)) - 1
+            ONES, LM, ODD = ONES & window, LM & window, ODD & window
         if ((T & LOW) + LOW) & TOP != TOP:
             unsettled = TOP ^ (((T & LOW) + LOW) & TOP)
             k = base + ((unsettled & -unsettled).bit_length() - 1) // W
@@ -393,18 +444,14 @@ def _lane_flags(cf, count, precision):
         # lanes n and n + 1 of these hold garbage, cut off below
         F = ((H >> W) & Hk) ^ ((V >> W) & (Xt ^ (Xt >> (2 * W))))
         G = ((EVEN >> (base & 1) * W) & Hk) ^ ((V >> (2 * W)) & (S1 ^ (S1 >> 1) ^ (Xt >> W)))
-        flags = (F | G << 1 | ((T & ONES) ^ ONES) << 2
-                 | ((S & ONES) ^ ONES) << 3 | (S1 & Hk) << 4)
-        out.append(flags.to_bytes((n + 2) * size, "little")[:n * size:size])
+        flags = F | G << 1
+        if full:
+            flags |= (((T & ONES) ^ ONES) << 2 | ((S & ONES) ^ ONES) << 3
+                      | (S1 & Hk) << 4)
+        yield flags.to_bytes((n + 2) * size, "little")[:n * size:size]
         base += n
         if base >= count:
-            return b"".join(out)
+            return
         t1, t2 = lane(T, n - 1), lane(T, n - 2)
         a, b, c, d = step
         S, T = (a * S + b * T) & LM, (c * S + d * T) & LM
-        if count - base < n:  # a shorter last chunk
-            n = count - base
-            window = (1 << (n * W)) - 1
-            S, T, LOW, TOP = S & window, T & window, LOW & window, TOP & window
-            window = (1 << ((n + 2) * W)) - 1
-            ONES, LM, ODD = ONES & window, LM & window, ODD & window

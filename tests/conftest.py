@@ -7,9 +7,10 @@ already in minimal-period form, and includes the three worked examples
 
 import functools
 
-from kronseq import (analyze, certified_period_length, classify, decompose,
-                     iter_convergent_pairs, jacobi_sequence,
-                     kronecker_sequence, normalize_period,
+import kronseq.symbols
+from kronseq import (PrecisionExhausted, analyze, certified_period_length,
+                     classify, decompose, iter_convergent_pairs,
+                     jacobi_sequence, kronecker_sequence, normalize_period,
                      reciprocal_jacobi_sequence)
 
 CORPUS = [
@@ -88,3 +89,25 @@ def pinned_shift_cases(block):
 
 def _v2(n):
     return (n & -n).bit_length() - 1
+
+
+def record_lane_chunks(monkeypatch):
+    """Record every chunk the lane pass builds, in build order, as
+    (precision, chunk index, finished); the chunk at which a pass raises
+    PrecisionExhausted is recorded unfinished."""
+    built = []
+    lane_flags = kronseq.symbols._lane_flags
+
+    def recorded(cf, count, precision, start=0, full=True):
+        j = start
+        try:
+            for flags in lane_flags(cf, count, precision, start, full):
+                built.append((precision, j, True))
+                j += 1
+                yield flags
+        except PrecisionExhausted:
+            built.append((precision, j, False))
+            raise
+
+    monkeypatch.setattr(kronseq.symbols, "_lane_flags", recorded)
+    return built

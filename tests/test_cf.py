@@ -52,6 +52,7 @@ def test_normalize_reduces_repetition():
             assert _minimal_period(block) == p, block
             cf = normalize_period(block)
             assert (cf.quotients, cf.reduced) == (block[:p], p < l), block
+            assert cf == PeriodicCF(cf.quotients), block  # passes the check
 
 
 def test_normalize_singleton():
@@ -75,8 +76,9 @@ def test_normalize_rejects_bad_input():
 
 
 def test_constructor_rejects_non_minimal():
-    with pytest.raises(ValueError):
-        PeriodicCF((3, 3))
+    for block in [(3, 3), (1, 1), (1, 2, 1, 2)]:
+        with pytest.raises(ValueError, match="not of minimal period"):
+            PeriodicCF(block)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_USAGE, build_report, main, parse_block,
                          report_from_json, report_to_json)
 
+from conftest import record_lane_chunks
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -82,23 +84,23 @@ def test_expand_golden_ratio_block(capsys):
     assert lines[3].startswith("2,3,2")
 
 
-@pytest.mark.parametrize("argv, passes", [
-    (["expand", "1,2,5", "--count", "2000"], 1),  # all three columns
-    (["verify", "1,2,5", "--window", "1500"], 1),
+@pytest.mark.parametrize("argv, count", [
+    (["expand", "1,2,5", "--count", "2000"], 2000),  # all three columns
+    (["verify", "1,2,5", "--window", "1500"], 1500),
+    (["verify", "3,2,8", "--window", "1500"], 1500),  # 16 bits miss t_28
     (["analyze", "1,2,5"], 0),
-], ids=["expand", "verify", "analyze"])
-def test_one_lane_pass_per_request(monkeypatch, capsys, argv, passes):
-    calls = []
-    lane_flags = kronseq.symbols._lane_flags
-
-    def counted(*a, **k):
-        calls.append(a[1])
-        return lane_flags(*a, **k)
-
-    monkeypatch.setattr(kronseq.symbols, "_lane_flags", counted)
+], ids=["expand", "verify", "verify-escalating", "analyze"])
+def test_one_lane_pass_per_request(monkeypatch, capsys, argv, count):
+    # one pass over the window's chunks builds each of them once, besides
+    # one chunk more for each precision the pass escalates to
+    built = record_lane_chunks(monkeypatch)
     code, _, _ = run(capsys, argv)
     assert code in (EXIT_OK, EXIT_APERIODIC)
-    assert len(calls) == passes, calls
+    chunks = -(-count // kronseq.symbols._chunk(3))
+    assert [j for _, j, finished in built if finished] == list(range(chunks))
+    escalations = len({B for B, _, _ in built} - {kronseq.symbols._START_PRECISION})
+    assert len(built) <= chunks + escalations, built
+    assert escalations == (argv[1] == "3,2,8")
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +639,23 @@ def test_verify_and_analyze_window_analyze_once(monkeypatch, capsys, argv):
     code, out, _ = run(capsys, argv)
     assert code in (EXIT_OK, EXIT_APERIODIC) and out
     assert len(analyzed) == 1 and len(classified) == 1
+
+
+def test_build_report_finds_the_minimal_period_once(monkeypatch):
+    # normalize_period finds it and builds the block without the
+    # constructor's check, which would find it again
+    calls = []
+    minimal_period = kronseq.cf._minimal_period
+
+    def counted(q):
+        calls.append(q)
+        return minimal_period(q)
+
+    monkeypatch.setattr(kronseq.cf, "_minimal_period", counted)
+    for block in [(1, 2, 3), (1, 2, 5), (2,), (1, 2, 1, 2), (3, 3, 3)]:
+        calls.clear()
+        build_report(block)
+        assert calls == [block], block
 
 
 def test_build_report_closed_form_matches_quad_irrational_of():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -21,7 +22,7 @@ from kronseq.symbols import (_START_PRECISION, _chunk, _column_power,
 from conftest import (CORPUS, block_certified_decomposition,
                       block_certified_length, block_cf, convergent_pairs,
                       jacobi_window, kronecker_window, pinned_shift_cases,
-                      reciprocal_window)
+                      reciprocal_window, record_lane_chunks)
 
 
 def legendre_by_squares(a, p):
@@ -268,12 +269,13 @@ def mask_sequences(masks, count):
 
 @pytest.mark.parametrize("block", [(1, 2, 5), (1, 2, 2), (2,), (1, 1, 2), (3, 1, 1, 2)])
 def test_engine_escalates_from_low_precision(block):
-    # at 8 bits v2(t_k) soon reaches the limit; the pass must restart at a
-    # higher precision and still agree with the exact symbols, here beyond
-    # the deep cascade index k=139 of (1,2,5)
+    # at 8 bits v2(t_k) soon reaches the limit; the pass must raise in the
+    # chunk that holds the first such k, go on from there at a higher
+    # precision and still agree with the exact symbols, here beyond the
+    # deep cascade index k=139 of (1,2,5)
     cf = normalize_period(block)
-    with pytest.raises(PrecisionExhausted):
-        _lane_flags(cf, 200, 8)
+    k = pass_outcome(scalar_residue_pass, cf, 200, 8)
+    assert lane_chunks(cf, 200, 8) == (k // _chunk(len(cf)), k)
     assert mask_sequences(_masks(cf, 200, 8), 200) == exact_sequences(cf, 200)
 
 
@@ -417,19 +419,51 @@ def scalar_residue_pass(cf, count, precision):
     return kro, jac, rec
 
 
-def lane_pass(cf, count, precision):
-    # the lane pass at this precision: _masks escalates only when
-    # _lane_flags raises
-    _lane_flags(cf, count, precision)
-    return mask_sequences(_masks(cf, count, precision), count)
-
-
 def pass_outcome(residue_pass, cf, count, precision):
     """The lists of a pass, or the index its PrecisionExhausted names."""
     try:
         return residue_pass(cf, count, precision)
     except PrecisionExhausted as exc:
         return int(re.search(r"t_(\d+)", str(exc)).group(1))
+
+
+def lane_chunks(cf, count, precision, start=0):
+    """The lane pass at this precision, from chunk ``start``: its chunks
+    and None, or, when it raises PrecisionExhausted, the number of the
+    chunk it raises at and the term its message names."""
+    chunks = []
+    try:
+        for flags in _lane_flags(cf, count, precision, start):
+            chunks.append(flags)
+    except PrecisionExhausted as exc:
+        return start + len(chunks), int(re.search(r"t_(\d+)", str(exc)).group(1))
+    return chunks, None
+
+
+def resolved_scalar_pass(cf, count, precision):
+    """The scalar pass at the first doubling of ``precision`` that resolves
+    every term, and that precision."""
+    while isinstance(lists := pass_outcome(scalar_residue_pass, cf, count, precision), int):
+        precision *= 2
+    return lists, precision
+
+
+@functools.lru_cache(maxsize=None)
+def exact_window(quotients, count):
+    return exact_sequences(normalize_period(quotients), count)
+
+
+def exact_prefix(cf, count):
+    """The exact sequences of the first count terms, or of the first 100
+    when the quotients reach past 1,000: exact symbols on 2^40 quotients
+    take seconds a block."""
+    if max(cf.quotients) > 1000:
+        count = min(count, 100)
+    return exact_window(cf.quotients, count)
+
+
+def prefix(lists, count):
+    return tuple(seq[:count] for seq in lists)
 
 
 def lane_pass_cases():
@@ -449,17 +483,87 @@ def lane_pass_cases():
 
 @pytest.mark.parametrize("precision", [8, 16, 32, 64])
 def test_lane_pass_matches_scalar_pass(precision):
-    # all three sequences of the one pass, and where PrecisionExhausted is
-    # raised
+    # all three sequences of the one pass.  Where the scalar pass raises
+    # PrecisionExhausted at term k, the lane pass raises in the chunk that
+    # holds k, naming k, and the pass that goes on from that chunk equals
+    # the scalar pass at a precision that resolves every term, and the
+    # exact sequences
     raised = settled = 0
     for cf, count in lane_pass_cases():
+        C = _chunk(len(cf))
         expected = pass_outcome(scalar_residue_pass, cf, count, precision)
-        assert pass_outcome(lane_pass, cf, count, precision) == expected, \
-            (cf.quotients[:9], count)
-        raised += isinstance(expected, int)
-        settled += isinstance(expected, tuple)
+        outcome = lane_chunks(cf, count, precision)
+        if isinstance(expected, int):
+            assert outcome == (expected // C, expected), (cf.quotients[:9], count)
+            expected, _ = resolved_scalar_pass(cf, count, precision)
+            raised += 1
+        else:
+            assert outcome[1] is None and len(outcome[0]) == -(-count // C)
+            settled += 1
+        got = mask_sequences(_masks(cf, count, precision), count)
+        assert got == expected, (cf.quotients[:9], count)
+        exact = exact_prefix(cf, count)
+        assert prefix(got, len(exact[0])) == exact, (cf.quotients[:9], count)
+        assert kronecker_bits(cf, count) == _masks(cf, count)[0]
     assert settled or precision == 8
     assert raised or precision >= 32
+
+
+def escalations(built):
+    """(precision, chunk) of each chunk at which the pass raised."""
+    return [(B, j) for B, j, finished in built if not finished]
+
+
+@pytest.mark.parametrize("block, count, raised", [
+    ((3, 2, 8), 1500, [(16, 0)]),  # t_28: the first chunk
+    ((2, 4, 5), 1500, [(16, 2)]),  # t_570: a middle chunk
+    ((1, 2, 1), 1500, [(16, 7)]),  # t_1495: the short last chunk, 156 lanes
+    # t_1 = 2^13, then t_131,071 (chunks of 256 lanes): twice in one pass
+    ((1, 8192), 200_000, [(16, 0), (32, 511)]),
+])
+def test_lane_pass_resumes_at_the_failing_chunk(monkeypatch, block, count, raised):
+    # the pass keeps the chunks it has made and builds each of the rest
+    # once, from the chunk it raised at, at twice the precision; the masks
+    # equal the scalar pass at the precision that resolves every term, and
+    # the exact sequences on a prefix
+    cf = normalize_period(block)
+    chunks = -(-count // _chunk(len(cf)))
+    built = record_lane_chunks(monkeypatch)
+    got = _masks(cf, count)
+    assert escalations(built) == raised
+    finished = [(B, j) for B, j, done in built if done]
+    assert [j for _, j in finished] == list(range(chunks))
+    assert len(built) == chunks + len(raised)
+    for B, j in finished:  # each chunk at the precision it resolved at
+        assert B == _START_PRECISION << sum(j >= i for _, i in raised)
+    expected, B = resolved_scalar_pass(cf, count, _START_PRECISION)
+    assert B == _START_PRECISION << len(raised)
+    assert mask_sequences(got, count) == expected
+    assert prefix(expected, 400) == exact_window(block, min(count, 400))
+    built.clear()
+    assert kronecker_bits(cf, count) == got[0]
+    assert escalations(built) == raised
+
+
+@pytest.mark.parametrize("block", [
+    (1, 2, 5), (2, 5, 9, 9, 5, 3, 2, 3),
+    # l = 301 > _CHUNK_LANES: one block a chunk, and C odd
+    tuple(random.Random(301).randint(1, 9) for _ in range(301)),
+])
+def test_lane_pass_from_any_chunk(block):
+    # chunk j seeded by D(C)^j is chunk j of the pass from chunk 0, at a
+    # precision that resolves every term, for counts that end short of,
+    # at and past a chunk boundary
+    cf = normalize_period(block)
+    C = _chunk(len(cf))
+    if len(cf) == 301:
+        assert C == 301
+    for count in (3 * C - 1, 3 * C, 3 * C + 1, 4 * C + 7):
+        _, B = resolved_scalar_pass(cf, count, 16)
+        chunks, failed = lane_chunks(cf, count, B)
+        assert failed is None
+        for start in range(1, len(chunks)):
+            assert lane_chunks(cf, count, B, start) == (chunks[start:], None)
 
 
 def test_lane_pass_chunk_size():
@@ -471,12 +575,13 @@ def test_lane_pass_chunk_size():
 
 
 def test_lane_pass_memory_is_bounded(monkeypatch):
-    # 200,000 terms: a chunk of at most 256 lanes of 9 bytes (B = 32) is
-    # about 2.3 KB an int, and the pass keeps one flag byte per term, about
-    # 0.2 MB, and a few copies of it, so the measured peak is about
-    # 0.6 MiB.  Lanes over the whole window would be 1.8 MB an int, with a
-    # couple dozen of them alive at once: about 40 MiB.  4 MiB separates
-    # the two with room for either to drift.
+    # 200,000 terms: a chunk of at most 256 lanes of 5 bytes (B = 16), or
+    # of 9 bytes (B = 32) from t_2798 on, which 16 bits cannot resolve, is
+    # at most 2.3 KB an int, and the pass keeps one flag byte per term,
+    # about 0.2 MB, and a few copies of it, so the measured peak is about
+    # 0.6 MiB.  Lanes over the whole window would be 1.8 MB an int at
+    # B = 32, with a couple dozen of them alive at once: about 40 MiB.
+    # 4 MiB separates the two with room for either to drift.
     bound = 4 << 20
     cf = normalize_period((2, 5, 9, 9, 5, 3, 2, 3))
 
