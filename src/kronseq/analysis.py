@@ -83,8 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cf import (PeriodicCF, _column_step, _mat_mul_mod, _square_mod, _v2,
-                 iter_convergent_pairs, matrix_at_mod2)
+from .cf import PeriodicCF, _column_step, _square_mod, _v2, matrix_at_mod2
 from .errors import PrecisionExhausted
 
 __all__ = [
@@ -216,54 +215,85 @@ def _walk(cf, period=None):
     subcritical indices, and the cascade starts from the first critical
     one.
 
+    The recurrence s_k = a_k s_{k-1} + s_{k-2} (and the same for t) is
+    stepped in place, one inner loop over ``cf.quotients`` per repetition
+    of the block, with no generator and no per-term index test: D is read,
+    and tested against I mod 4, once per block boundary.
+
     c_k is carried by the recurrence of the ``symbols`` module docstring,
     c_k = R(t_{k-1}, t_k) c_{k-1} chi(t_k t_{k-2})^v2(t_{k-1}): it needs
     only t_k mod 8, the parity of v2(t_k) and bit v2(t_k) + 1 of t_k, which
-    is 1 exactly when the odd part of t_k is 3 mod 4."""
+    is 1 exactly when the odd part of t_k is 3 mod 4.  Consecutive t_k are
+    coprime, so chi can only be raised at an odd t_k, after an even t_{k-1}:
+    each parity of t_k has its own branch, and v2(t_k) is found only for
+    an even t_k."""
+    quotients = cf.quotients
     candidates = []
-    s_prev, t_prev = 1, 0  # (s_{-1}, t_{-1})
+    add = candidates.append
+    s, s_prev, t, t_prev = 1, 0, 0, 1  # (s, t) at k-1 = -1 and k-2 = -2
+    t_prev2 = 0  # t at k-3; a step makes it t_{k-2}
     c = 1  # c_k
-    h_prev, w_prev, t8_prev, t8_prev2 = 0, 0, 0, 0  # at k-1 and k-2
-    l = len(cf)
-    for k, (s, t) in enumerate(iter_convergent_pairs(cf)):
-        t8 = t & 7
-        if t8 & 1:
-            v, h = 0, t8 & 2
-        else:
-            v = _v2(t)
-            h = t & (2 << v)
-            if s & 3 == 3:
-                candidates.append((k, v, s, t))
-        if h and h_prev:  # R(t_{k-1}, t_k)
-            c = -c
-        if w_prev & 1 and t8 ^ t8_prev2 in (2, 4):  # chi(t_k t_{k-2})
-            c = -c
-        if (k + 1) % l == 0:
-            D = (s, s_prev, t, t_prev)
-            if k + 1 == l:
-                block = D
-            if k + 1 == period or period is None and _is_identity_mod4(D):
-                return k + 1, D, block, candidates, c
-        s_prev, t_prev = s, t
-        h_prev, w_prev, t8_prev, t8_prev2 = h, v, t8, t8_prev
+    h_prev = w_prev = 0  # bit v2(t) + 1 of t and v2(t), at k-1
+    k = 0
+    block = None
+    while True:
+        for a in quotients:
+            s, s_prev = a * s + s_prev, s
+            t, t_prev, t_prev2 = a * t + t_prev, t, t_prev
+            if t & 1:
+                h = t & 2
+                if h and h_prev:  # R(t_{k-1}, t_k)
+                    c = -c
+                if w_prev:  # chi(t_k t_{k-2}), t_{k-1} even
+                    if w_prev & 1 and (t ^ t_prev2) & 7 in (2, 4):
+                        c = -c
+                    w_prev = 0
+            else:  # t_{k-1} is odd, so chi(t_k t_{k-2}) is not raised
+                w_prev = (t & -t).bit_length() - 1
+                h = t & (2 << w_prev)
+                if s & 3 == 3:
+                    add((k, w_prev, s, t))
+                if h and h_prev:
+                    c = -c
+            h_prev = h
+            k += 1
+        D = (s, s_prev, t, t_prev)
+        if block is None:
+            block = D
+        if k == period or period is None and _is_identity_mod4(D):
+            return k, D, block, candidates, c
 
 
 def _split(cf, period, D, precision):
-    """(m, U mod 2**precision, e) of D = D(period) = I + 2^m * U."""
+    """(m, U mod 2**precision, e) of D = D(period) = I + 2^m * U.
+
+    m is the lowest valuation of the nonzero entries of D - I, read as the
+    valuation of their OR: the lowest set bit of an OR is the lowest set
+    bit of its operands.  The OR is nonzero, as its lower-left entry
+    t_{period-1} >= 1."""
     if not _is_identity_mod4(D):
         raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
-    diff = (D[0] - 1, D[1], D[2], D[3] - 1)
-    m = min(_v2(x) for x in diff if x != 0)
+    x, y, u, v = D[0] - 1, D[1], D[2], D[3] - 1
+    m = _v2(x | y | u | v)
     mask = (1 << precision) - 1
-    x, y, u, v = (d >> m for d in diff)
-    return m, ((x & mask, y & mask), (u & mask, v & mask)), _v2(u)
+    u >>= m
+    return m, (((x >> m) & mask, (y >> m) & mask), (u & mask, (v >> m) & mask)), _v2(u)
 
 
-def _critical(candidates, m, e):
-    """The candidates of :func:`_walk` split by v2(t_k): at least m+e gives
-    a critical index, exactly m+e-1 a subcritical one."""
-    return (tuple(k for k, w, _, _ in candidates if w >= m + e),
-            tuple(k for k, w, _, _ in candidates if w == m + e - 1))
+def _classes(candidates, m, e):
+    """The candidates of :func:`_walk` split by v2(t_k), in one pass: at
+    least m+e gives a critical index, exactly m+e-1 a subcritical one.
+    Returns both index tuples and {k: (s_k, t_k)} over the two."""
+    critical, subcritical, pairs = [], [], {}
+    sub = m + e - 1
+    for k, w, s, t in candidates:
+        if w >= sub:
+            pairs[k] = s, t
+            if w > sub:
+                critical.append(k)
+            else:
+                subcritical.append(k)
+    return tuple(critical), tuple(subcritical), pairs
 
 
 def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
@@ -281,12 +311,14 @@ def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
 def _doubled(m, U, precision):
     """(m', U') of D(2L) = I + 2^m' U' from D(L) = I + 2^m U, m >= 2:
     m' = m + 1 and U' = U + 2^(m-1) U^2 mod 2**precision (module
-    docstring); e is unchanged."""
+    docstring); e is unchanged.  The four entries are written out: for
+    U = [[x, y], [u, v]], U^2 = [[x^2 + yu, y(x + v)], [u(x + v), v^2 +
+    yu]]."""
     mask = (1 << precision) - 1
-    P = U[0] + U[1]
-    x, y, u, v = ((p + (q << (m - 1))) & mask
-                  for p, q in zip(P, _mat_mul_mod(P, P, mask)))
-    return m + 1, ((x, y), (u, v))
+    (x, y), (u, v) = U
+    j, tr, yu = m - 1, x + v, y * u
+    return m + 1, (((x + ((x * x + yu) << j)) & mask, (y + ((y * tr) << j)) & mask),
+                   ((u + ((u * tr) << j)) & mask, (v + ((v * v + yu) << j)) & mask))
 
 
 def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
@@ -294,7 +326,7 @@ def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     v2(t_k): at least m+e gives a critical index, exactly m+e-1 a
     subcritical one (m >= 2 for every decomposition)."""
     _check_period(cf, period)
-    return _critical(_walk(cf, period)[3], m, e)
+    return _classes(_walk(cf, period)[3], m, e)[:2]
 
 
 def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysis:
@@ -316,10 +348,9 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
         raise ValueError("precision must be >= 8")
     L, D, block, candidates, f = _walk(cf)
     m, U, e = _split(cf, L, D, precision)
-    critical, subcritical = _critical(candidates, m, e)
+    critical, subcritical, pairs = _classes(candidates, m, e)
     certified = f == 1
     if critical or certified:
-        pairs = {k: (s, t) for k, w, s, t in candidates if w >= m + e - 1}
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified,
                               _Walked(block, D, pairs))
     m, U = _doubled(m, U, precision)

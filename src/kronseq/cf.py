@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import EmptyInput, NonPositiveQuotient, NotCoprime
@@ -33,14 +34,17 @@ class PeriodicCF:
     block length.
 
     ``reduced`` records whether :func:`normalize_period` had to shrink the
-    input; it does not take part in equality.
+    input; it does not take part in equality.  Each quotient is read with
+    ``operator.index``, so a float or a string is rejected with TypeError,
+    and the block is stored as a tuple of ints.
     """
 
     quotients: tuple[int, ...]
     reduced: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        q = self.quotients
+        q = tuple(map(operator.index, self.quotients))
+        object.__setattr__(self, "quotients", q)
         _check_quotients(q)
         if _minimal_period(q) != len(q):
             raise ValueError(f"block {q} is not of minimal period; "
@@ -111,7 +115,7 @@ class QuadIrrational:
 def _check_quotients(q):
     if not q:
         raise EmptyInput("quotient block must be non-empty")
-    if any(a < 1 for a in q):
+    if min(q) < 1:
         raise NonPositiveQuotient(f"quotients must be >= 1, got {q}")
 
 
@@ -130,7 +134,9 @@ def normalize_period(quotients) -> PeriodicCF:
     """Reduce a quotient block to its minimal repeating prefix.
 
     The returned block tiles the input exactly; ``reduced`` is set when the
-    input was not already minimal.  An empty or non-positive block is
+    input was not already minimal.  Quotients are read with
+    ``operator.index``: a float or a string raises TypeError instead of
+    being truncated or parsed.  An empty or non-positive block is
     rejected on the prefix, which holds every quotient of the input (and is
     empty for an empty input), as :class:`PeriodicCF` rejects it.
 
@@ -139,7 +145,7 @@ def normalize_period(quotients) -> PeriodicCF:
     period of q.  So the instance is built without the constructor's check,
     which would find p a second time.
     """
-    q = tuple(int(a) for a in quotients)
+    q = tuple(map(operator.index, quotients))
     p = _minimal_period(q)
     _check_quotients(q[:p])
     cf = object.__new__(PeriodicCF)

@@ -69,27 +69,39 @@ PRECISION_ENV = "KRONSEQ_PRECISION"
 
 def parse_block(text: str) -> tuple[int, ...]:
     """Parse block notation: comma-separated positive integers, with
-    optional surrounding brackets."""
+    optional surrounding brackets.  Positions in errors are worked out by
+    :func:`_parse_error`, only when one is raised."""
     s = text.strip()
     if not s:
         raise ParseError("empty block", position=0)
-    base = text.index(s)
     if s.startswith("[") and s.endswith("]"):
-        base += 1
+        if not s[1:-1].strip():
+            raise ParseError("empty block", position=text.index(s) + 1)
         s = s[1:-1]
-    if not s.strip():
-        raise ParseError("empty block", position=base)
     out = []
-    pos = 0
-    for chunk in s.split(","):
-        token = chunk.strip()
-        at = base + pos + (chunk.index(token) if token else 0)
-        if not token.isdecimal() or int(token) < 1:
-            raise ParseError(f"expected a positive integer at position {at}",
-                             position=at)
-        out.append(int(token))
-        pos += len(chunk) + 1
+    for token in s.split(","):
+        token = token.strip()
+        if not token.isdecimal() or (a := int(token)) < 1:
+            raise _parse_error(text, len(out))
+        out.append(a)
     return tuple(out)
+
+
+def _parse_error(text, i):
+    """The ParseError of :func:`parse_block` for its token i (from 0): the
+    position in ``text`` where the token starts, or where its empty chunk
+    does."""
+    s = text.strip()
+    at = text.index(s)
+    if s.startswith("[") and s.endswith("]"):
+        at += 1
+        s = s[1:-1]
+    chunks = s.split(",")
+    at += sum(map(len, chunks[:i])) + i
+    token = chunks[i].strip()
+    if token:
+        at += chunks[i].index(token)
+    return ParseError(f"expected a positive integer at position {at}", position=at)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ import kronseq.symbols
 from kronseq import (Aperiodic, PeriodAnalysis, Periodic2L, PeriodicL,
                      PrecisionExhausted, analyze, cascade,
                      certified_period_length, classify, convergents,
-                     critical_scan, decompose, jacobi, jacobi_sequence,
-                     kronecker, kronecker_sequence, matrix_at,
+                     critical_scan, decompose, iter_convergent_pairs, jacobi,
+                     jacobi_sequence, kronecker, kronecker_sequence, matrix_at,
                      matrix_at_mod2, mod4_period_length, normalize_period,
                      threshold_valuation)
 
@@ -163,6 +163,87 @@ def test_base_search_matches_exact_loops_hypothesis(quotients):
     check_base_search(normalize_period(quotients))
 
 
+def reference_walk(cf, period=None):
+    """The analysis walk written plainly: pairs drawn from
+    iter_convergent_pairs, a stop at the first block boundary d*l that is
+    ``period`` or, when that is None, has D(d*l) = I mod 4, and f the exact
+    Kronecker symbol (t_{L-2}/t_{L-1})."""
+    l, s_prev, t_prev, candidates = len(cf), 1, 0, []
+    for k, (s, t) in enumerate(iter_convergent_pairs(cf)):
+        if t % 2 == 0 and s % 4 == 3:
+            candidates.append((k, v2(t), s, t))
+        if (k + 1) % l == 0:
+            D = (s, s_prev, t, t_prev)
+            if k + 1 == l:
+                block = D
+            if k + 1 == period or period is None and \
+                    (D[0] % 4, D[1] % 4, D[2] % 4, D[3] % 4) == (1, 0, 0, 1):
+                return k + 1, D, block, candidates, kronecker(t_prev, t)
+        s_prev, t_prev = s, t
+
+
+def reference_split(D, candidates, precision):
+    """(m, U, e) of D = I + 2^m U, m the least v2 of the nonzero entries of
+    D - I, and the critical and subcritical indices with their pairs."""
+    diff = (D[0] - 1, D[1], D[2], D[3] - 1)
+    m = min(v2(x) for x in diff if x)
+    mask = (1 << precision) - 1
+    x, y, u, v = (d >> m for d in diff)
+    e = v2(u)
+    critical = tuple(k for k, w, _, _ in candidates if w >= m + e)
+    subcritical = tuple(k for k, w, _, _ in candidates if w == m + e - 1)
+    pairs = {k: (s, t) for k, w, s, t in candidates if w >= m + e - 1}
+    return m, ((x & mask, y & mask), (u & mask, v & mask)), e, critical, subcritical, pairs
+
+
+def reference_analysis(cf, precision):
+    """analyze by the reference walk and split, with the decomposition at
+    2*L4 doubled through _mat_mul_mod."""
+    L, D, block, candidates, f = reference_walk(cf)
+    m, U, e, critical, subcritical, pairs = reference_split(D, candidates, precision)
+    if critical or f == 1:
+        return (PeriodAnalysis(L, m, U, e, critical, subcritical, precision, f == 1),
+                (block, D, pairs))
+    mask = (1 << precision) - 1
+    P = U[0] + U[1]
+    x, y, u, v = ((p + (q << (m - 1))) & mask
+                  for p, q in zip(P, kronseq.cf._mat_mul_mod(P, P, mask)))
+    return (PeriodAnalysis(2 * L, m + 1, ((x, y), (u, v)), e, (), (), precision, True),
+            (block, D, {}))
+
+
+def check_against_reference(cf):
+    """Whether analyze reported at 2*L4, after checking it, decompose and
+    critical_scan against the reference."""
+    for precision in (8, 128):
+        expected, walk = reference_analysis(cf, precision)
+        a = analyze(cf, precision)
+        assert (a, a.walk) == (expected, walk), (cf, precision)
+    L4 = reference_walk(cf)[0]
+    for period in (L4, 2 * L4):
+        _, D, _, candidates, _ = reference_walk(cf, period)
+        m, U, e, critical, subcritical, _ = reference_split(D, candidates, 128)
+        assert decompose(cf, period) == (m, U, e), (cf, period)
+        assert critical_scan(cf, period, m, e) == (critical, subcritical), (cf, period)
+    return a.period == 2 * L4
+
+
+def test_walk_and_split_match_reference_on_small_blocks():
+    blocks = list(minimal_blocks(4, 5))
+    assert len(blocks) == 745
+    assert sum(check_against_reference(cf) for cf in blocks) == 367
+
+
+def test_walk_and_split_match_reference_on_seeded_blocks():
+    rng = random.Random(20261019)
+    doubled = 0
+    for _ in range(200):
+        l = rng.randint(1, 64)
+        doubled += check_against_reference(
+            normalize_period([rng.randint(1, 1000) for _ in range(l)]))
+    assert 0 < doubled < 200
+
+
 def random_sl2(rng, q):
     """A random [[a, b], [c, d]] in SL2(Z) with non-negative entries,
     c >= 1 and the whole matrix = I mod q, for q = 4 or 8."""
@@ -246,11 +327,13 @@ def test_jacobi_lemma_needs_the_square():
 ], ids=["aperiodic-122", "periodic-2", "periodic-123"])
 def test_analyze_makes_one_walk_and_no_symbol_pass(
         monkeypatch, block, L4, period, certified):
-    # one exact walk of exactly L4 convergents that finds L4, yields the
-    # decomposition and the critical indices, and carries the Kronecker
-    # symbol (t_{L4-2}/t_{L4-1}) that certifies L4 (fact (5)); no symbol
-    # pass, none of the public steps, no matrix power and no exact matrix
-    calls = {"walk": [], "kronecker": [], "other": []}
+    # one exact walk, which stops at L4 and yields the decomposition and
+    # the critical indices, and carries the Kronecker symbol
+    # (t_{L4-2}/t_{L4-1}) that certifies L4 (fact (5)); it steps the
+    # recurrence itself, so no pair is drawn from iter_convergent_pairs; no
+    # symbol pass, none of the public steps, no matrix power and no exact
+    # matrix
+    calls = {"walk": [], "pairs": 0, "kronecker": [], "other": []}
     mod = kronseq.analysis
 
     def counted(key, fn, arg=None):
@@ -259,15 +342,23 @@ def test_analyze_makes_one_walk_and_no_symbol_pass(
             return fn(*a, **k)
         return wrapper
 
-    def counted_walk(cf):
-        calls["walk"].append(0)
-        for pair in kronseq.cf.iter_convergent_pairs(cf):
-            calls["walk"][-1] += 1
+    def counted_walk(*a, **k):
+        out = walk(*a, **k)
+        calls["walk"].append(out[0])
+        return out
+
+    def counted_pairs(cf):
+        for pair in iter_pairs(cf):
+            calls["pairs"] += 1
             yield pair
 
     assert not hasattr(mod, "matrix_at") and not hasattr(mod, "jacobi_sequence")
     assert not hasattr(mod, "kronecker_sequence")
-    monkeypatch.setattr(mod, "iter_convergent_pairs", counted_walk)
+    assert not hasattr(mod, "iter_convergent_pairs")
+    walk, iter_pairs = mod._walk, kronseq.cf.iter_convergent_pairs
+    monkeypatch.setattr(mod, "_walk", counted_walk)
+    for owner in (kronseq, kronseq.cf):
+        monkeypatch.setattr(owner, "iter_convergent_pairs", counted_pairs)
     monkeypatch.setattr(kronseq.symbols, "_lane_flags",
                         counted("kronecker", kronseq.symbols._lane_flags, 1))
     for owner, name in [(mod, "mod4_period_length"), (mod, "decompose"),
@@ -275,7 +366,7 @@ def test_analyze_makes_one_walk_and_no_symbol_pass(
                         (kronseq.cf, "matrix_at"), (kronseq.symbols, "jacobi_sequence")]:
         monkeypatch.setattr(owner, name, counted("other", getattr(owner, name)))
     a = analyze(block_cf(block))
-    assert calls == {"walk": [L4], "kronecker": [], "other": []}
+    assert calls == {"walk": [L4], "pairs": 0, "kronecker": [], "other": []}
     assert (a.period, a.certified) == (period, certified)
     monkeypatch.undo()
     m, U, e = decompose(block_cf(block), period)
@@ -763,7 +854,8 @@ def test_cascade_cost_is_independent_of_depth(monkeypatch):
     for name in ("_mat_mul_mod", "_square_mod", "_column_step"):
         wrapper = counted(getattr(kronseq.cf, name))
         for module in (kronseq.cf, kronseq.analysis):
-            monkeypatch.setattr(module, name, wrapper)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     cf, period, r0 = block_cf((1, 2, 5)), 12, kronseq.analysis._SWITCH
     counts = []
     for depth, precision in ((200, 512), (1000, 2048)):

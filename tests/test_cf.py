@@ -75,6 +75,26 @@ def test_normalize_rejects_bad_input():
         normalize_period((1, 0, 1, 0))
 
 
+@pytest.mark.parametrize("block", [(1, 2.9), (1.5,), (2.0,), ("1",), (1, "2")],
+                         ids=["float-2.9", "float-1.5", "float-2.0", "str", "str-second"])
+def test_non_integral_quotients_are_rejected(block):
+    # quotients are read with operator.index: a float is not truncated
+    # (int(2.9) would make (1, 2.9) the block [1,2]) and a string is not
+    # parsed, in normalize_period and in the constructor alike
+    for build in (normalize_period, PeriodicCF):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build(block)
+
+
+def test_int_like_quotients_are_read_as_ints():
+    # bool is an int subclass, so operator.index reads True as 1
+    for build in (normalize_period, PeriodicCF):
+        cf = build((True, 2))
+        assert cf.quotients == (1, 2) and type(cf.quotients[0]) is int
+        assert str(cf) == "[1,2]"
+    assert PeriodicCF([1, 2]).quotients == (1, 2)
+
+
 def test_constructor_rejects_non_minimal():
     for block in [(3, 3), (1, 1), (1, 2, 1, 2)]:
         with pytest.raises(ValueError, match="not of minimal period"):

@@ -57,6 +57,32 @@ def test_parse_block_errors_carry_position():
         parse_block("0,2")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    (" [1, x]", "expected a positive integer", 5),
+    ("1,,2", "expected a positive integer", 2),
+    ("1,2,", "expected a positive integer", 4),
+    ("  1 , 0", "expected a positive integer", 6),
+    ("1\t,\t-2", "expected a positive integer", 4),
+    ("1,\u00b2", "expected a positive integer", 2),
+    (",", "expected a positive integer", 0),
+    ("[1,2", "expected a positive integer", 0),
+    ("\ufeff1,2", "expected a positive integer", 0),  # a BOM is no whitespace
+    ("1 2", "expected a positive integer", 0),
+    ("[[1]]", "expected a positive integer", 1),
+    ("[ ]", "empty block", 1),
+], ids=repr)
+def test_parse_block_error_positions(text, message, position):
+    # the position is worked out only when the error is raised: the start
+    # of the offending token, or of its empty chunk
+    with pytest.raises(ParseError) as ei:
+        parse_block(text)
+    assert ei.value.position == position
+    if message == "empty block":
+        assert str(ei.value) == message
+    else:
+        assert str(ei.value) == f"{message} at position {position}"
+
+
 # ---------------------------------------------------------------------------
 # expand
 
@@ -530,18 +556,25 @@ def patch_everywhere(monkeypatch, name, replacement, owner=kronseq.cf):
 
 
 @pytest.fixture
-def drawn_pairs(monkeypatch):
-    """The number of pairs drawn from iter_convergent_pairs, whoever walks."""
-    drawn = [0]
-    walk = kronseq.cf.iter_convergent_pairs
+def walks(monkeypatch):
+    """The L returned by each analysis walk, under "L", and the number of
+    pairs drawn from iter_convergent_pairs by anyone, under "drawn"."""
+    record = {"L": [], "drawn": 0}
+    walk, pairs = kronseq.analysis._walk, kronseq.cf.iter_convergent_pairs
 
-    def counted_walk(cf):
-        for pair in walk(cf):
-            drawn[0] += 1
+    def recorded_walk(*a, **k):
+        out = walk(*a, **k)
+        record["L"].append(out[0])
+        return out
+
+    def counted_pairs(cf):
+        for pair in pairs(cf):
+            record["drawn"] += 1
             yield pair
 
-    patch_everywhere(monkeypatch, "iter_convergent_pairs", counted_walk)
-    return drawn
+    monkeypatch.setattr(kronseq.analysis, "_walk", recorded_walk)
+    patch_everywhere(monkeypatch, "iter_convergent_pairs", counted_pairs)
+    return record
 
 
 @pytest.mark.parametrize("block", [
@@ -551,19 +584,20 @@ def drawn_pairs(monkeypatch):
     (1,), (2,),  # certified at 2*L4, nothing printed
     (3, 3, 2, 9, 6, 3, 4, 7),
 ], ids=["1,2,5", "1,2,3", "1,2,2", "1", "2", "l8"])
-def test_a_report_draws_exactly_L4_pairs(monkeypatch, capsys, drawn_pairs, block):
-    # one walk of L4 convergents gives the analysis, the closed form, the
-    # printed pairs and the cascade's seeds: analyze, cascade and batch
-    # draw L4 pairs per block in all, and no exact matrix is built
+def test_a_report_draws_exactly_L4_pairs(monkeypatch, capsys, walks, block):
+    # one walk of L4 convergents per block gives the analysis, the closed
+    # form, the printed pairs and the cascade's seeds: analyze, cascade and
+    # batch make one analysis walk per block, which stops at L4, and draw
+    # no pair from iter_convergent_pairs; no exact matrix is built
     cf = normalize_period(block)
     L4 = mod4_period_length(cf)
-    drawn_pairs[0] = 0
+    walks["L"].clear()
     matrices = []
     matrix_at = kronseq.cf.matrix_at
     patch_everywhere(monkeypatch, "matrix_at",
                      lambda *a: matrices.append(a) or matrix_at(*a))
     rep = build_report(block)
-    assert (drawn_pairs[0], matrices) == (L4, [])
+    assert (walks, matrices) == ({"L": [L4], "drawn": 0}, [])
     assert rep.analysis.period in (L4, 2 * L4)
     text = ",".join(map(str, block))
     aperiodic = isinstance(rep.classification, Aperiodic)
@@ -572,10 +606,10 @@ def test_a_report_draws_exactly_L4_pairs(monkeypatch, capsys, drawn_pairs, block
         argvs.append(["cascade", text, "--depth", "200"])
     for argv in argvs:
         monkeypatch.setattr(sys, "stdin", io.StringIO(f"{text}\n{text}\n"))
-        drawn_pairs[0] = 0
+        walks["L"].clear()
         code, _, _ = run(capsys, argv)
         assert code == (EXIT_APERIODIC if aperiodic and argv[0] == "analyze" else EXIT_OK)
-        assert drawn_pairs[0] == (2 if argv[0] == "batch" else 1) * L4, argv
+        assert walks == {"L": [L4] * (2 if argv[0] == "batch" else 1), "drawn": 0}, argv
     assert matrices == []
 
 
