@@ -62,10 +62,12 @@ A = [[113, 80], [24, 17]], (delta/gamma) = (17/24) = -1.
 Periodic-case period claims are made at the certified base, the smallest
 admissible L that is also a Jacobi period.  By (5) it is L4 when the
 Kronecker symbol (s_{L4-1}/t_{L4-1}) is +1, and 2*L4 otherwise; no
-other multiple is ever needed.  At 2*L4 the decomposition follows from
-that at L4: D(2L) = (I + 2^m U)^2 = I + 2^(m+1) U' with U' = U +
-2^(m-1) U^2, which is U mod 2 as m >= 2, so m' = m + 1; and U'_21 =
-u (1 + 2^(m-1) (x + v)) for U = [[x, y], [u, v]], so e' = e.
+other multiple is ever needed.  At 2*L4, :func:`analyze` splits the
+exact square D(2L) = D(L)^2 of D(L), L = L4, which has determinant 1
+(fact (1)).  That split is the closed form of the one at L: D(2L) =
+(I + 2^m U)^2 = I + 2^(m+1) U' with U' = U + 2^(m-1) U^2, which is U
+mod 2 as m >= 2, so m' = m + 1; and U'_21 = u (1 + 2^(m-1) (x + v))
+for U = [[x, y], [u, v]], so e' = e.
 
 The base 2*L4 is only used when L = L4 has no critical index, and then
 2*L4 has no critical and no subcritical index either, so it is never
@@ -308,19 +310,6 @@ def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
     return _split(cf, period, _walk(cf, period)[1], precision)
 
 
-def _doubled(m, U, precision):
-    """(m', U') of D(2L) = I + 2^m' U' from D(L) = I + 2^m U, m >= 2:
-    m' = m + 1 and U' = U + 2^(m-1) U^2 mod 2**precision (module
-    docstring); e is unchanged.  The four entries are written out: for
-    U = [[x, y], [u, v]], U^2 = [[x^2 + yu, y(x + v)], [u(x + v), v^2 +
-    yu]]."""
-    mask = (1 << precision) - 1
-    (x, y), (u, v) = U
-    j, tr, yu = m - 1, x + v, y * u
-    return m + 1, (((x + ((x * x + yu) << j)) & mask, (y + ((y * tr) << j)) & mask),
-                   ((u + ((u * tr) << j)) & mask, (v + ((v * v + yu) << j)) & mask))
-
-
 def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     """Indices k < period with s_k = 3 mod 4 and t_k even, split by
     v2(t_k): at least m+e gives a critical index, exactly m+e-1 a
@@ -339,10 +328,11 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     f = (t_{L4-2}/t_{L4-1}), carried on the same walk, is +1 (fact (5));
     when it is -1 and no critical index exists, the analysis is reported
     at the certified length 2*L4, the base at which the period claims of
-    the classification actually hold.  Its decomposition is derived from
-    the one at L4, and it has no critical or subcritical index (module
-    docstring).  The same walk also gives the exact data a report prints
-    and a cascade starts from, kept as ``walk``.
+    the classification actually hold.  Its decomposition is the split of
+    the exact square D(L4)^2 = D(2*L4), and it has no critical or
+    subcritical index (module docstring).  The same walk also gives the
+    exact data a report prints and a cascade starts from, kept as
+    ``walk``.
     """
     if precision < 8:
         raise ValueError("precision must be >= 8")
@@ -353,7 +343,7 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     if critical or certified:
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified,
                               _Walked(block, D, pairs))
-    m, U = _doubled(m, U, precision)
+    m, U, e = _split(cf, 2 * L, _square_mod(D, -1), precision)
     return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True, _Walked(block, D, {}))
 
 
@@ -417,20 +407,17 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
 
 def threshold_valuation(cf: PeriodicCF, period: int, doublings: int,
                         precision: int = DEFAULT_PRECISION) -> int:
-    """v2 of the lower-left entry of D(2^doublings * period) - I, computed by
-    repeated squaring mod 2**precision.
+    """v2 of the lower-left entry t_k of D(2^doublings * period) - I, k =
+    2^doublings * period - 1, read off the binary power of the block
+    product mod 2**precision (:func:`~kronseq.cf.matrix_at_mod2`), with no
+    determinant bookkeeping.
 
     Squaring raises (m, e) to (m+1, e), so this equals m + e + doublings;
-    the equality is asserted by tests, not assumed here.  det D(n) =
-    (-1)^n (the convergent identity), and every square has determinant 1.
+    the equality is asserted by tests, not assumed here.
     """
     _check_period(cf, period)
-    M = matrix_at_mod2(cf, period - 1, precision)
-    mask = M.modulus - 1
-    P, det = (M.s, M.s_prev, M.t, M.t_prev), -1 if period & 1 else 1
-    for _ in range(doublings):
-        P, det = _square_mod(P, mask, det), 1
-    return _resolved_v2(P[2], precision, (period << doublings) - 1)
+    k = (period << doublings) - 1
+    return _resolved_v2(matrix_at_mod2(cf, k, precision).t, precision, k)
 
 
 def _unresolved(k, precision):

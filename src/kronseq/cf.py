@@ -205,16 +205,17 @@ def _mat_mul_mod(A, B, mask):
             (A[2] * B[0] + A[3] * B[2]) & mask, (A[2] * B[1] + A[3] * B[3]) & mask)
 
 
-def _square_mod(P, mask, det=1):
-    """P @ P for the 2x2 tuple P of determinant det, reduced by mask.
+def _square_mod(P, mask):
+    """P @ P for the 2x2 tuple P of determinant 1 only, reduced by mask
+    (the mask -1 keeps it exact).
 
-    Cayley-Hamilton gives P^2 = tr(P) P - det(P) I over Z, hence mod 2^B,
-    so a square costs four multiplications instead of the eight of
+    Cayley-Hamilton gives P^2 = tr(P) P - I over Z, hence mod 2^B, so a
+    square costs four multiplications instead of the eight of
     :func:`_mat_mul_mod`.
     """
     a, b, c, d = P
     T = a + d
-    return (T * a - det) & mask, (T * b) & mask, (T * c) & mask, (T * d - det) & mask
+    return (T * a - 1) & mask, (T * b) & mask, (T * c) & mask, (T * d - 1) & mask
 
 
 def _column_step(P, s, t, mask):

@@ -332,9 +332,9 @@ def report_to_csv(rep: AnalysisReport) -> str:
 
 def _table_text(header, rows) -> str:
     """Columns right-justified to their widest entry, two spaces apart."""
-    widths = [max(len(str(v)) for v in column) for column in zip(header, *rows)]
-    return "\n".join("  ".join(str(v).rjust(w) for v, w in zip(row, widths))
-                     for row in [header, *rows])
+    cells = [list(map(str, row)) for row in [header, *rows]]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "\n".join("  ".join(v.rjust(w) for v, w in zip(row, widths)) for row in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +519,10 @@ def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", metavar="PATH", default=None)
     p.add_argument("--precision", type=_precision, default=None,
-                   help="working 2-adic precision (bits, >= 8), the first "
-                        "rung of a doubling ladder; a deep cascade may start higher")
+                   help="working 2-adic precision (bits, >= 8): analyze and batch "
+                        "print U mod 2^precision and the precision; for cascade "
+                        "and verify it is only the first rung of a doubling "
+                        "ladder and changes no output; expand ignores it")
 
 
 def build_parser() -> argparse.ArgumentParser:

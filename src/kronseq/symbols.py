@@ -104,8 +104,7 @@ from __future__ import annotations
 
 import math
 
-from .cf import (PeriodicCF, _column_step, _mat_pow_mod, _pairs_at, _square_mod,
-                 _v2)
+from .cf import PeriodicCF, _column_step, _mat_pow_mod, _pairs_at, _v2
 from .errors import EvenArgument, EvenModulus, NotCoprime, PrecisionExhausted
 
 __all__ = [
@@ -249,14 +248,15 @@ def _kronecker_at(cf, period, indices):
     (-1/a) = 1, and (a/c) = f (proof of fact (5)).  Hence
     (s_K/t_K) = R(s_K, u_K) f^n (t_k/s_k).  R(s_K, u_K) is -1 only when
     s_k = s_K = 3 mod 4, and only then is u_K mod 4 read: bits v and v+1
-    of t_K mod 2^B, the second entry of D(P)^n (s, t)_k mod 2^B
-    (:func:`_column_power`), which a residue settles once it is nonzero
-    with v <= B - 2.  B starts at _START_PRECISION and doubles until it
-    does, which ends once 2^B > 4 t_K.
+    of t_K mod 2^B, the second entry of D(P)^n (s, t)_k mod 2^B (one
+    :func:`~kronseq.cf._mat_pow_mod` and one
+    :func:`~kronseq.cf._column_step`), which a residue settles once it is
+    nonzero with v <= B - 2.  B starts at _START_PRECISION and doubles
+    until it does, which ends once 2^B > 4 t_K.
 
     The symbols below P, D(P) and f are exact, from one exact walk of P
     terms, f only when some n is odd; per index the cost is then at most a
-    few column powers, logarithmic in K.
+    few matrix powers, logarithmic in K.
     """
     wanted = sorted(set(indices))
     below = {K % period for K in wanted}
@@ -278,31 +278,16 @@ def _kronecker_at(cf, period, indices):
             symbol *= f
         if not t & 1 and s & 3 == 3:  # R(s_K, u_K) = -1 iff u_K = 3 mod 4
             B = _START_PRECISION
-            while not (tK := _column_power(D, n, s, t, B)[1]) or _v2(tK) > B - 2:
+            while True:
+                mask = (1 << B) - 1
+                tK = _column_step(_mat_pow_mod(D, n, mask), s, t, mask)[1]
+                if tK and _v2(tK) <= B - 2:
+                    break
                 B *= 2
             if tK >> _v2(tK) & 2:
                 symbol = -symbol
         out[K] = symbol
     return out
-
-
-def _column_power(D, n, s, t, precision):
-    """D^n (s, t) mod 2**precision, for a 2x2 tuple D of determinant 1.
-
-    The bits of n pick which of the squarings D^(2^i) step the column
-    (:func:`~kronseq.cf._square_mod` and :func:`~kronseq.cf._column_step`,
-    four multiplications each, as in :func:`kronseq.analysis.cascade`).
-    """
-    mask = (1 << precision) - 1
-    P = tuple(x & mask for x in D)
-    s, t = s & mask, t & mask
-    while n:
-        if n & 1:
-            s, t = _column_step(P, s, t, mask)
-        n >>= 1
-        if n:
-            P = _square_mod(P, mask)
-    return s, t
 
 
 def _sequences(cf, count):

@@ -27,6 +27,17 @@ def v2(n):
     return (n & -n).bit_length() - 1
 
 
+def doubled(m, U, precision):
+    """(m', U') of D(2L) = I + 2^m' U' from D(L) = I + 2^m U by the closed
+    form of the analysis module docstring: m' = m + 1 and U' = U +
+    2^(m-1) U^2 mod 2**precision (e is unchanged)."""
+    mask = (1 << precision) - 1
+    P = U[0] + U[1]
+    x, y, u, v = ((p + (q << (m - 1))) & mask
+                  for p, q in zip(P, kronseq.cf._mat_mul_mod(P, P, mask)))
+    return m + 1, ((x, y), (u, v))
+
+
 # ---------------------------------------------------------------------------
 # period lengths
 
@@ -129,19 +140,14 @@ def check_base_search(cf):
     for L in (L4, 2 * L4):
         m, _, e = decompose(cf, L)
         assert m + e == v2(matrix_at(cf, L - 1).t), (cf, L)
-    # the decomposition at 2*L4 derived from the one at L4
-    for precision in (8, 128):
-        m, U, e = decompose(cf, L4, precision)
-        derived = (*kronseq.analysis._doubled(m, U, precision), e)
-        assert derived == decompose(cf, 2 * L4, precision), (cf, precision)
+    check_doubling(cf, L4)
     # analyze's one walk gives what the public steps give one by one
     m, U, e = decompose(cf, L4)
     critical, subcritical = critical_scan(cf, L4, m, e)
     if critical or Lc == L4:
         expected = PeriodAnalysis(L4, m, U, e, critical, subcritical, 128, Lc == L4)
     else:
-        expected = PeriodAnalysis(2 * L4, *kronseq.analysis._doubled(m, U, 128), e,
-                                  (), (), 128, True)
+        expected = PeriodAnalysis(2 * L4, *doubled(m, U, 128), e, (), (), 128, True)
     assert analyze(cf) == expected, cf
     # no critical index at L4 leaves nothing to scan at 2*L4 (module
     # docstring), so analyze does not scan there
@@ -149,6 +155,15 @@ def check_base_search(cf):
         return False
     assert critical_scan(cf, 2 * L4, m + 1, e) == ((), ()), cf
     return Lc == 2 * L4  # analyze reached 2*L4
+
+
+def check_doubling(cf, L4):
+    """The decomposition at 2*L4, from the exact walk to 2*L4, is the
+    closed form of the one at L4."""
+    for precision in (8, 128):
+        m, U, e = decompose(cf, L4, precision)
+        assert (*doubled(m, U, precision), e) == decompose(cf, 2 * L4, precision), \
+            (cf, precision)
 
 
 def test_base_search_matches_exact_loops_on_small_blocks():
@@ -198,17 +213,13 @@ def reference_split(D, candidates, precision):
 
 def reference_analysis(cf, precision):
     """analyze by the reference walk and split, with the decomposition at
-    2*L4 doubled through _mat_mul_mod."""
+    2*L4 by the closed form."""
     L, D, block, candidates, f = reference_walk(cf)
     m, U, e, critical, subcritical, pairs = reference_split(D, candidates, precision)
     if critical or f == 1:
         return (PeriodAnalysis(L, m, U, e, critical, subcritical, precision, f == 1),
                 (block, D, pairs))
-    mask = (1 << precision) - 1
-    P = U[0] + U[1]
-    x, y, u, v = ((p + (q << (m - 1))) & mask
-                  for p, q in zip(P, kronseq.cf._mat_mul_mod(P, P, mask)))
-    return (PeriodAnalysis(2 * L, m + 1, ((x, y), (u, v)), e, (), (), precision, True),
+    return (PeriodAnalysis(2 * L, *doubled(m, U, precision), e, (), (), precision, True),
             (block, D, {}))
 
 
@@ -236,12 +247,13 @@ def test_walk_and_split_match_reference_on_small_blocks():
 
 def test_walk_and_split_match_reference_on_seeded_blocks():
     rng = random.Random(20261019)
-    doubled = 0
+    reached = 0
     for _ in range(200):
         l = rng.randint(1, 64)
-        doubled += check_against_reference(
-            normalize_period([rng.randint(1, 1000) for _ in range(l)]))
-    assert 0 < doubled < 200
+        cf = normalize_period([rng.randint(1, 1000) for _ in range(l)])
+        reached += check_against_reference(cf)
+        check_doubling(cf, mod4_period_length(cf))
+    assert 0 < reached < 200
 
 
 def random_sl2(rng, q):
@@ -506,7 +518,8 @@ def test_threshold_valuation_examples():
 
 @pytest.mark.parametrize("block, period", [((1, 2, 3), 3), ((1, 2, 3), 9), ((2,), 1)])
 def test_threshold_valuation_odd_period(block, period):
-    # det D(period) = -1, so the first squaring subtracts -I, later ones I
+    # det D(period) = -1, which the binary power of the block product never
+    # needs
     cf = block_cf(block)
     for r in range(5):
         exact = matrix_at(cf, (period << r) - 1).t
