@@ -272,12 +272,14 @@ def _split(cf, period, D, precision):
     m is the lowest valuation of the nonzero entries of D - I, read as the
     valuation of their OR: the lowest set bit of an OR is the lowest set
     bit of its operands.  The OR is nonzero, as its lower-left entry
-    t_{period-1} >= 1."""
+    t_{period-1} >= 1.  No entry of D - I exceeds D[0] = s_{period-1},
+    since s_k >= t_k and s_k increases, so masking at no more than the
+    bits of D[0] gives the same U at every precision, however large."""
     if not _is_identity_mod4(D):
         raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
     x, y, u, v = D[0] - 1, D[1], D[2], D[3] - 1
     m = _v2(x | y | u | v)
-    mask = (1 << precision) - 1
+    mask = (1 << min(precision, D[0].bit_length())) - 1
     u >>= m
     return m, (((x >> m) & mask, (y >> m) & mask), (u & mask, (v >> m) & mask)), _v2(u)
 
@@ -360,22 +362,29 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     from a report, say) is analyzed again.
 
     The cascade runs on the ladder precision * 2^i, capped at
-    MAX_PRECISION: it starts at the first rung that reaches the predicted
-    need m + e + 2*depth + 3, and doubles on precision exhaustion.  Step j
-    reads v2(t_{k_j}) = m + e + r_j, which a residue mod 2^B resolves only
-    if B >= m + e + r_j + 3.  The r_j are the set bits of the 2-adic root
-    n* of :func:`cascade`, so r_depth >= r_1 + depth - 1, and rungs at or
-    below m + e + r_1 + depth + 1 are certain to fail.  The set bits of a
-    typical 2-adic integer are on average 2 apart (each bit is set with
-    probability 1/2, so the gap to the next set bit is geometric with mean
-    2), hence 2*depth; the measured slope (r_depth - r_1) / (depth - 1) is
-    1.80-2.27 on all 96 ``cascade-deep`` blocks of bench seeds 0-7 (depth
-    150-200).  A rung one too high costs twice the series terms of the
-    root, on numbers twice as wide (depth 200 of (1,2,5) took 0.26, 0.64
-    and 2.6 ms at 512, 1,024 and 2,048 bits), one too low a retry.
+    MAX_PRECISION.  A precision above the cap starts the ladder at
+    MAX_PRECISION instead and caps it at the precision itself, so a
+    cascade that needs more than MAX_PRECISION bits can still succeed, as
+    one attempt at that precision would, but no residue is wider than the
+    rung that succeeds: a precision of 10**20 costs what the cascade
+    needs.  The cascade starts at the first rung that reaches the
+    predicted need m + e + 2*depth + 3, and doubles on precision
+    exhaustion.  Step j reads v2(t_{k_j}) = m + e + r_j, which a residue
+    mod 2^B resolves only if B >= m + e + r_j + 3.  The r_j are the set
+    bits of the 2-adic root n* of :func:`cascade`, so r_depth >= r_1 +
+    depth - 1, and rungs at or below m + e + r_1 + depth + 1 are certain
+    to fail.  The set bits of a typical 2-adic integer are on average 2
+    apart (each bit is set with probability 1/2, so the gap to the next
+    set bit is geometric with mean 2), hence 2*depth; the measured slope
+    (r_depth - r_1) / (depth - 1) is 1.80-2.27 on all 96 ``cascade-deep``
+    blocks of bench seeds 0-7 (depth 150-200).  A rung one too high costs
+    twice the series terms of the root, on numbers twice as wide (depth
+    200 of (1,2,5) took 0.26, 0.64 and 2.6 ms at 512, 1,024 and 2,048
+    bits), one too low a retry.
     Skipping rungs changes no output: an attempt that succeeds, or raises
     anything but PrecisionExhausted, does the same at every higher rung,
-    since the residues it resolved stay resolved.
+    since the residues it resolved stay resolved; so the ladder ends as an
+    attempt at its top rung would.
 
     Each attempt is the walk of :func:`cascade`, seeded from the exact
     D(L4) and (s, t) at the first critical index in ``analysis.walk``
@@ -387,18 +396,17 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
         first = analysis.critical_indices[0]
         D, x = analysis.walk.D, analysis.walk.pairs[first]
         need = analysis.m + analysis.e + 2 * depth + 3
-        B = precision
-        while B < need and B < MAX_PRECISION:
-            B = min(2 * B, MAX_PRECISION)
+        B, top = min(precision, MAX_PRECISION), max(precision, MAX_PRECISION)
+        while B < need and B < top:
+            B = min(2 * B, top)
         while True:
             try:
                 steps = _cascade(cf, analysis.period, first, depth, B, D, x)
-                break
+                return Aperiodic(first_critical=first, cascade=steps)
             except PrecisionExhausted:
-                if B >= MAX_PRECISION:
+                if B >= top:
                     raise
-                B = min(2 * B, MAX_PRECISION)
-        return Aperiodic(first_critical=first, cascade=steps)
+                B = min(2 * B, top)
     if analysis.subcritical_indices:
         return Periodic2L(period=2 * analysis.period,
                           witness=analysis.subcritical_indices[0])

@@ -168,12 +168,7 @@ def convergents(cf: PeriodicCF, count: int) -> list[Convergent]:
     """The first ``count`` convergents, computed exactly."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = []
-    it = iter_convergent_pairs(cf)
-    for k in range(count):
-        s, t = next(it)
-        out.append(Convergent(k, s, t))
-    return out
+    return [Convergent(k, s, t) for k, (s, t) in zip(range(count), iter_convergent_pairs(cf))]
 
 
 def matrix_at(cf: PeriodicCF, k: int) -> ConvergentMatrix:

@@ -47,6 +47,7 @@ import io
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
@@ -65,6 +66,45 @@ EXIT_APERIODIC = 3
 EXIT_MISMATCH = 4
 
 PRECISION_ENV = "KRONSEQ_PRECISION"
+
+
+_lift = threading.local()  # held: a lifted call of this thread is under way
+_held_limits = []  # the digit limit each thread's outermost lifted call found
+_held_lock = threading.Lock()
+
+
+def _all_digits(fn):
+    """``fn`` with the int-to-str digit limit of Python 3.11+ lifted while
+    it runs, so that big integers print and parse in full decimal.
+
+    The limit is process-wide, so calls that overlap share one lift.  A
+    call nested in another of the same thread runs as it is, under the
+    outer call's lift.  The outermost call of each thread pushes the limit
+    it found and pops one when it returns or raises; the last to leave
+    pops the first one pushed, the limit from before any of them, and puts
+    it back.  A limit set by other code while a lifted call is under way
+    is lost."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn
+
+    @functools.wraps(fn)
+    def lifted(*args, **kwargs):
+        if getattr(_lift, "held", False):
+            return fn(*args, **kwargs)
+        with _held_lock:
+            _held_limits.append(sys.get_int_max_str_digits())
+            sys.set_int_max_str_digits(0)
+        _lift.held = True
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _lift.held = False
+            with _held_lock:
+                limit = _held_limits.pop()
+                if not _held_limits:
+                    sys.set_int_max_str_digits(limit)
+
+    return lifted
 
 
 def parse_block(text: str) -> tuple[int, ...]:
@@ -169,9 +209,7 @@ _KIND_TYPE = {kind: cls for cls, kind in _KIND.items()}
 
 
 def sym_str(v):
-    if v == STAR:
-        return "*"
-    return "+1" if v == 1 else "-1"
+    return "*" if v == STAR else "+1" if v == 1 else "-1"
 
 
 _BOOL = {False: "false", True: "true"}
@@ -224,6 +262,7 @@ def _oracle_from_dict(d):
     )
 
 
+@_all_digits
 def report_from_dict(d: dict) -> AnalysisReport:
     analysis = PeriodAnalysis(
         period=d["L"],
@@ -247,6 +286,7 @@ def report_from_dict(d: dict) -> AnalysisReport:
     )
 
 
+@_all_digits
 def report_to_json(rep: AnalysisReport) -> str:
     a = rep.analysis
     (x, y), (u, v) = a.U
@@ -261,11 +301,13 @@ def report_to_json(rep: AnalysisReport) -> str:
             f'"subcritical":[{_details_json(rep.subcritical)}]}}')
 
 
+@_all_digits
 def report_to_dict(rep: AnalysisReport) -> dict:
     """The report as the JSON object :func:`report_to_json` writes."""
     return json.loads(report_to_json(rep))
 
 
+@_all_digits
 def report_from_json(text: str) -> AnalysisReport:
     return report_from_dict(json.loads(text))
 
@@ -280,11 +322,10 @@ def _classification_text(c: Classification):
 
 
 def _details_text(items):
-    if not items:
-        return "(none)"
-    return "; ".join(f"k={c.k}: s={c.s}, t={c.t}, v2(t)={c.v2_t}" for c in items)
+    return "; ".join(f"k={c.k}: s={c.s}, t={c.t}, v2(t)={c.v2_t}" for c in items) or "(none)"
 
 
+@_all_digits
 def report_to_text(rep: AnalysisReport) -> str:
     a = rep.analysis
     u16 = [[x % 16 for x in row] for row in a.U]
@@ -309,6 +350,7 @@ def report_to_text(rep: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
+@_all_digits
 def report_to_csv(rep: AnalysisReport) -> str:
     a = rep.analysis
     c = rep.classification
@@ -521,8 +563,11 @@ def _add_common(p):
     p.add_argument("--precision", type=_precision, default=None,
                    help="working 2-adic precision (bits, >= 8): analyze and batch "
                         "print U mod 2^precision and the precision; for cascade "
-                        "and verify it is only the first rung of a doubling "
-                        "ladder and changes no output; expand ignores it")
+                        "and verify it is the first rung of a doubling ladder "
+                        "capped at 4096 bits, and changes no output; a higher "
+                        "value starts the ladder at 4096 and caps it at itself, "
+                        "so a cascade that needs more bits can succeed; expand "
+                        "ignores it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,11 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)  # built once per process
 
 
+@_all_digits
 def main(argv=None) -> int:
-    limited = hasattr(sys, "set_int_max_str_digits")
-    if limited:  # big integers print in full decimal, until main returns
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         precision = _default_precision()  # read per call, before parsing
         args = _shared_parser().parse_args(argv)
@@ -600,9 +642,6 @@ def main(argv=None) -> int:
         # every other package error (bad quotients, precision exhausted, ...)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    finally:
-        if limited:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -35,16 +35,20 @@ the pass raises PrecisionExhausted in the chunk (below) that holds k, and
 goes on from that chunk at twice the precision, which ends once 2^B
 exceeds 8 t_k.
 
-The pass works on all terms at once.  Lane k of two ints S and T holds
-s_k and t_k mod 2^B at bit k*W, W = 2B + 8 bits apart, so that a lane
-times a B-bit scalar, plus another such product, stays inside its lane.
-For N a multiple of the block length l, (s, t)_{k+N} = D(N) (s, t)_k,
-with D(N) = [[s_{N-1}, s_{N-2}], [t_{N-1}, t_{N-2}]] (the column identity
-of :func:`kronseq.analysis.cascade`).  So the first l lanes, from the
-recurrence, fill lanes N..2N-1 from lanes 0..N-1 with four scalar
-multiplications of the whole window by D(N) mod 2^B, for N = l, 2l, 4l,
-...  Each term's data is then a few word operations over the window, with
-ONES the int holding 1 in every lane and LM the one holding 2^B - 1:
+The pass works on all terms at once.  The lanes of two ints S and T,
+W = 2B + 8 bits apart, hold s_k and t_k mod 2^B for consecutive k, so
+that a lane times a B-bit scalar, plus another such product, stays inside
+its lane.  The first two lanes hold the seed terms (s, t)_{-2} = (0, 1)
+and (s, t)_{-1} = (1, 0), and lane i holds term i - 2.  For N a multiple
+of the block length l, (s, t)_{k+N} = D(N) (s, t)_k for k >= -2, with
+D(N) = [[s_{N-1}, s_{N-2}], [t_{N-1}, t_{N-2}]] (the column identity of
+:func:`kronseq.analysis.cascade`): it holds from k = -2 on, since D(N)
+maps the seed terms onto its own columns (s, t)_{N-2} and (s, t)_{N-1}.
+So the seed terms and terms 0..l-1, from the recurrence, fill terms
+N-2..2N-1 from terms -2..N-1 with four scalar multiplications of the
+whole window by D(N) mod 2^B, for N = l, 2l, 4l, ...  Each term's data
+is then a few word operations over the window, with ONES the int holding
+1 in every lane and LM the one holding 2^B - 1:
 
     low  = T & ((LM ^ T) + ONES)   # 2^v2(t_k) in lane k (-t = ~t + 1)
     V_k  = [low_k at an odd bit]   # v2(t_k) odd
@@ -59,8 +63,8 @@ XOR of the flips
     F_k = H_{k-1} H_k ^ V_{k-1} (X(t_k) ^ X(t_{k-2})),
 
 and (s_k/t_k) = c_k ^ G_k with G_k = [k even] H_k ^ V_k (X(s_k) ^
-X(t_{k-1})).  F_0 = F_1 = G_0 = 0, since t_{-1} = 0 gives no flag and
-t_0 = 1.  The Jacobi entry is STAR where bit 0 of t_k is clear, the
+X(t_{k-1})).  F_0 = F_1 = G_0 = 0, since the seed t_{-1} = 0 gives no
+flag and t_0 = 1.  The Jacobi entry is STAR where bit 0 of t_k is clear, the
 reciprocal entry STAR where bit 0 of s_k is, and R(s_k, t_k) = bit 1 of
 s_k and H_k.  The low byte of lane k, holding these flags, is cut out of
 the bytes of the window as one byte per term; ``bytes.translate`` turns
@@ -76,28 +80,33 @@ reciprocal one from its XOR with the flip mask, with STAR at the s-even
 bits.  A request for all three sequences makes one pass, and one for
 the Kronecker mask alone sets only the F and G flags.
 
-Memory stays bounded by doing this in chunks of C = l * 2^j lanes (about
-_CHUNK_LANES): the next chunk is D(C) times the current one, again four
-scalar multiplications, and the last two lanes of T are carried below it
-as lanes -2 and -1, which makes the flags of t_{k-1} and t_{k-2} at the
-chunk's bottom.  Only the flag bytes, one per term, are kept.
+Memory stays bounded by doing this in chunks of C = l * 2^j terms (about
+_CHUNK_LANES).  S and T of the chunk that starts at term base hold its
+terms and the two below it, base-2 .. base+n-1, and those two lower lanes
+give the flags of t_{k-1} and t_{k-2} at the chunk's bottom.  Chunk 0
+has the seed terms there.  The next chunk, lower lanes included, is D(C)
+times the current one, again four scalar multiplications, so S and T are
+all that passes from one chunk to the next.  Only the flag bytes, one
+per term, are kept.
 
 A chunk the pass cannot resolve is built again, alone, at twice the
 precision, and the pass goes on from it; the chunks before it are kept.
 The column identity seeds chunk j at any precision without the chunks
-before it: D(jC) = D(C)^j, as jC is a multiple of l, so chunk j is
-D(C)^j times chunk 0, lane for lane, and its carried lanes t_{jC-1} and
-t_{jC-2} are the lower row of D(C)^j = D(jC) itself (D(C)^(j-1) times
-lanes C-1 and C-2 of chunk 0, the columns of D(C)).  That is one power of
-D(C) mod 2^B, by :func:`~kronseq.cf._mat_pow_mod` (C may be odd, so
-det D(C) = (-1)^C may be -1), and four scalar multiplications of chunk 0.
-A finished flag byte is exact, whatever the precision of its chunk: it is
-a function of v2(t_k) and of bits v2 to v2+2 of t_k, t_{k-1} and t_{k-2}
-and bits 0 to 2 of s_k, which the residues mod 2^B determine once every
-v2 in its chunk is below B-3; the carried lanes were resolved in the
-chunk before, at the same precision or a lower one.  The sign c_k is
-the prefix XOR of the F flags, taken after the pass, so no other state
-crosses a chunk boundary.
+before it: D(jC) = D(C)^j, as jC is a multiple of l, so chunk j, its two
+lower lanes included, is D(C)^j times chunk 0, lane for lane.  That is
+one power of D(C) mod 2^B, by :func:`~kronseq.cf._mat_pow_mod` (C may be
+odd, so det D(C) = (-1)^C may be -1), and four scalar multiplications of
+chunk 0.  A finished flag byte is exact, whatever the precision of its
+chunk: it is a function of v2(t_k) and of bits v2 to v2+2 of t_k, t_{k-1}
+and t_{k-2} and bits 0 to 2 of s_k, which the residues mod 2^B determine
+once every v2 among them is below B-3.  Only the chunk's own terms are
+checked for that.  Its two lower lanes need no check of their own: they
+were checked in the chunk before, at the same precision or a lower one
+(the chunk before a resumed one was finished at a lower precision, and
+the bits it resolved stay resolved), and in chunk 0 they are the exact
+seeds t_{-2} = 1 and t_{-1} = 0.  The sign c_k is the prefix XOR of the
+F flags, taken after the pass, so no other state crosses a chunk
+boundary.
 """
 
 from __future__ import annotations
@@ -175,14 +184,9 @@ def kronecker(s: int, t: int) -> int:
         raise ValueError(f"t must be >= 1, got {t}")
     if math.gcd(s, t) != 1:
         raise NotCoprime(f"gcd({s}, {t}) != 1")
-    j = 0
-    while t % 2 == 0:
-        t //= 2
-        j += 1
-    result = jacobi(s, t)
-    if j % 2:
-        result *= 1 if s % 8 in (1, 7) else -1
-    return result
+    j = _v2(t)
+    sign = -1 if j & 1 and s % 8 in (3, 5) else 1  # (s/2)^j
+    return sign * jacobi(s, t >> j)
 
 
 def reciprocity_sign(s_odd: int, t_odd: int) -> int:
@@ -358,85 +362,78 @@ def _lane_flags(cf, count, precision, start=0, full=True):
     byte per term and one bytes object per chunk, from chunk ``start`` on,
     computed mod 2**precision.  Raises PrecisionExhausted at the first
     chunk holding a t_k whose low precision - 3 bits are all zero.  With
-    ``full`` false only the F and G flags are set."""
+    ``full`` false only the F and G flags are set.
+
+    Lanes 0..n+1 of S and T hold terms base-2 .. base+n-1 of the chunk of
+    n terms that starts at term base: one layout for chunk 0, whose lower
+    lanes are the seeds, for each doubling of its fill, for the next chunk
+    (D(C) times this one) and for a resumed one (D(C)^start times chunk
+    0).  Only lanes 2..n+1 are checked for resolvability; the lower two
+    were checked in the chunk before, at the same precision or a lower
+    one, or are the exact seeds t_{-2} = 1 and t_{-1} = 0."""
     B = precision
     size = (2 * B + 15) // 8  # bytes per lane
     W = 8 * size  # 2B + 8 bits when B is a multiple of 4
     mask = (1 << B) - 1
 
-    def lane(X, k):
-        return (X >> (k * W)) & mask
+    def D(N):  # D(N) mod 2^B: its columns, terms N-1 and N-2, in lanes N+1, N
+        return tuple((X >> (k * W)) & mask for X in (S, T) for k in (N + 1, N))
 
     C = _chunk(len(cf))
-    n = min(count, C)  # lanes of the current chunk
-    # masks for the first chunk, with two carried lanes below it
+    n = min(count, C)  # terms of the current chunk
+    # masks for the first chunk, over its n + 2 lanes
     ONES = int.from_bytes(b"\1".ljust(size, b"\0") * (n + 2), "little")
     EVEN = int.from_bytes(b"\1".ljust(2 * size, b"\0") * (n // 2 + 1), "little")
     LM, ODD = ONES * mask, ONES * (int("10" * B, 2) & mask)  # ODD: odd bits
-    TOP = (ONES << (B - 3)) & ((1 << (n * W)) - 1)
+    TOP = (ONES >> (2 * W)) << (2 * W + B - 3)  # bit B - 3 of lanes 2..n+1
     LOW = TOP - (TOP >> (B - 3))  # the bits of t_k that must not all be 0
 
-    # lanes 0..l-1 by the recurrence, from (s, t)_{-2} = (0, 1) and
-    # (s, t)_{-1} = (1, 0)
-    s, s_prev, t, t_prev = 1, 0, 0, 1
-    S, T = [], []
+    # the seed lanes (s, t)_{-2} = (0, 1) and (s, t)_{-1} = (1, 0), then
+    # terms 0..l-1 by the recurrence
+    S, T = [0, 1], [1, 0]
     for a in cf.quotients:
-        s, s_prev = (a * s + s_prev) & mask, s
-        t, t_prev = (a * t + t_prev) & mask, t
-        S.append(s.to_bytes(size, "little"))
-        T.append(t.to_bytes(size, "little"))
-    S = int.from_bytes(b"".join(S), "little")
-    T = int.from_bytes(b"".join(T), "little")
-    filled = len(cf)
-    while filled < n:  # lanes N..2N-1 are D(N) times lanes 0..N-1
-        N = filled
-        a, c = lane(S, N - 1), lane(T, N - 1)
-        b, d = (lane(S, N - 2), lane(T, N - 2)) if N > 1 else (1, 0)
+        S.append((a * S[-1] + S[-2]) & mask)
+        T.append((a * T[-1] + T[-2]) & mask)
+    S, T = (int.from_bytes(b"".join(x.to_bytes(size, "little") for x in X), "little")
+            for X in (S, T))
+    N = len(cf)
+    while N < n:  # terms N-2..2N-1 are D(N) times terms -2..N-1
+        a, b, c, d = D(N)
         S, T = (S | ((a * S + b * T) & LM) << (N * W),
                 T | ((c * S + d * T) & LM) << (N * W))
-        filled *= 2
-    if count > C:
-        step = lane(S, C - 1), lane(S, C - 2), lane(T, C - 1), lane(T, C - 2)
-    window = (1 << (n * W)) - 1
-    S &= window
-    T &= window
+        N *= 2
+    step = D(C)  # used only when count > C, and the fill then holds lane C + 1
 
     base = start * C
-    t1, t2 = 0, 1  # t_{base-1}, t_{base-2}
     if start:  # chunk start is D(C)^start = D(base) times chunk 0
-        a, b, t1, t2 = _mat_pow_mod(step, start, mask)
-        S, T = (a * S + b * T) & LM, (t1 * S + t2 * T) & LM
+        a, b, c, d = _mat_pow_mod(step, start, mask)
+        S, T = a * S + b * T, c * S + d * T
     while True:
         if count - base < n:  # a shorter last chunk
             n = count - base
-            window = (1 << (n * W)) - 1
-            S, T, LOW, TOP = S & window, T & window, LOW & window, TOP & window
             window = (1 << ((n + 2) * W)) - 1
-            ONES, LM, ODD = ONES & window, LM & window, ODD & window
+            ONES, LM, ODD, LOW, TOP = (X & window for X in (ONES, LM, ODD, LOW, TOP))
+        S, T = S & LM, T & LM  # terms base-2 .. base+n-1, each mod 2^B
         if ((T & LOW) + LOW) & TOP != TOP:
             unsettled = TOP ^ (((T & LOW) + LOW) & TOP)
-            k = base + ((unsettled & -unsettled).bit_length() - 1) // W
+            k = base - 2 + ((unsettled & -unsettled).bit_length() - 1) // W
             raise PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {B}")
-        # lanes of X: t_{base-2}, t_{base-1}, t_base, ..., t_{base+n-1}
-        X = (T << (2 * W)) | (t1 << W) | t2
-        lowbit = X & ((LM ^ X) + ONES)
+        lowbit = T & ((LM ^ T) + ONES)
         V = (((lowbit & ODD) + LM) >> B) & ONES
-        H = (((X & (lowbit << 1)) + LM) >> B) & ONES
-        Xt = X >> 1
+        H = (((T & (lowbit << 1)) + LM) >> B) & ONES
+        Xt = T >> 1
         Xt = (Xt ^ (Xt >> 1)) & ONES
-        S1 = S >> 1
-        Hk = H >> (2 * W)
+        Hk, S1 = H >> (2 * W), S >> (2 * W + 1)  # lane k: term base + k
         # lanes n and n + 1 of these hold garbage, cut off below
         F = ((H >> W) & Hk) ^ ((V >> W) & (Xt ^ (Xt >> (2 * W))))
         G = ((EVEN >> (base & 1) * W) & Hk) ^ ((V >> (2 * W)) & (S1 ^ (S1 >> 1) ^ (Xt >> W)))
         flags = F | G << 1
         if full:
-            flags |= (((T & ONES) ^ ONES) << 2 | ((S & ONES) ^ ONES) << 3
-                      | (S1 & Hk) << 4)
+            flags |= ((((T >> (2 * W)) & ONES) ^ ONES) << 2
+                      | (((S >> (2 * W)) & ONES) ^ ONES) << 3 | (S1 & Hk) << 4)
         yield flags.to_bytes((n + 2) * size, "little")[:n * size:size]
         base += n
         if base >= count:
             return
-        t1, t2 = lane(T, n - 1), lane(T, n - 2)
         a, b, c, d = step
-        S, T = (a * S + b * T) & LM, (c * S + d * T) & LM
+        S, T = a * S + b * T, c * S + d * T

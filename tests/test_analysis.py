@@ -669,7 +669,9 @@ def test_predicted_start_matches_doubling_ladder(monkeypatch, max_precision):
     # above the rungs: the same cascade, or the same error and message.  The
     # attempts climb the old ladder from the first rung that covers the
     # predicted need, and stop where the old ladder stopped, or at once if
-    # the prediction was higher
+    # the prediction was higher; from a precision above the cap they climb
+    # from the cap towards that precision, and stop at the first rung that
+    # is enough
     monkeypatch.setattr(kronseq.analysis, "MAX_PRECISION", max_precision)
     precisions = record_cascade_precisions(monkeypatch)
     rng = random.Random(20151009)
@@ -687,13 +689,22 @@ def test_predicted_start_matches_doubling_ladder(monkeypatch, max_precision):
             precisions.clear()
             got = outcome(lambda: classify(cf, precision, depth, a).cascade)
             assert got == expected, (cf, precision, depth)
-            rungs = [precision]
-            while rungs[-1] < max_precision:
-                rungs.append(min(2 * rungs[-1], max_precision))
+            attempts = precisions[:]
+            # above the cap the old ladder made one attempt at the precision,
+            # which tops the new one
+            top = max(precision, max_precision)
+            rungs = [min(precision, max_precision)]
+            while rungs[-1] < top:
+                rungs.append(min(2 * rungs[-1], top))
             need = a.m + a.e + 2 * depth + 3
             first = next((i for i, B in enumerate(rungs) if B >= need), len(rungs) - 1)
-            last = max(first, rungs.index(old_attempts[-1]))
-            assert precisions == rungs[first:last + 1], (cf, precision, depth)
+            if precision > max_precision:  # the first rung from there that is enough
+                last = next((i for i in range(first, len(rungs) - 1) if outcome(
+                    cascade, cf, a.period, a.critical_indices[0], depth, rungs[i])
+                    == expected), len(rungs) - 1)
+            else:
+                last = max(first, rungs.index(old_attempts[-1]))
+            assert attempts == rungs[first:last + 1], (cf, precision, depth)
             precisions.clear()
             errors += isinstance(expected[0], type)
     assert errors > 0 if max_precision == 512 else errors == 0

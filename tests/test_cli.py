@@ -5,6 +5,8 @@ import itertools
 import json
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,7 +21,8 @@ from kronseq import (Aperiodic, NotCoprime, OracleMismatch, ParseError,
                      normalize_period, quad_irrational_of)
 from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_USAGE, build_report, main, parse_block,
-                         report_from_json, report_to_json)
+                         report_from_dict, report_from_json, report_to_csv,
+                         report_to_dict, report_to_json, report_to_text)
 
 from conftest import record_lane_chunks
 
@@ -172,6 +175,95 @@ def test_round_trip_with_oracle_section():
     text = report_to_json(rep)
     assert report_from_json(text) == rep
     assert report_to_json(report_from_json(text)) == text
+
+
+def test_report_round_trip_past_the_digit_limit_outside_main(capsys):
+    # the report writers and readers lift the int-to-str digit limit of
+    # Python 3.11+ themselves, and give the caller's limit back
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this Python")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rep = build_report((1, 2, 10**4400))
+        text = report_to_json(rep)
+        assert report_from_json(text) == rep
+        assert report_from_dict(report_to_dict(rep)) == rep
+        digits = "1" + "0" * 4400  # 10**4400
+        assert digits in report_to_text(rep) and digits in report_to_csv(rep)
+        # integers of more than 4,300 digits in the JSON analyze prints
+        rng = random.Random(0)
+        block = ",".join(str(rng.randint(1, 1000)) for _ in range(800))
+        code, out, _ = run(capsys, ["analyze", block, "--format", "json"])
+        assert code == EXIT_APERIODIC
+        assert report_to_json(report_from_json(out)) + "\n" == out
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_overlapping_lifts_keep_the_limit_off_until_the_last_leaves():
+    # call a enters first and leaves while call b, in another thread, is
+    # still inside: b must still print in full, and the caller's limit must
+    # come back once b leaves, not be left lifted or put back early
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this Python")
+    a_in, b_in = threading.Event(), threading.Event()
+
+    @kronseq.cli._all_digits
+    def a():
+        a_in.set()
+        assert b_in.wait(10)
+
+    @kronseq.cli._all_digits
+    def b(done):
+        b_in.set()
+        done.result(10)  # a has left, with the limit b found
+        assert kronseq.cli._held_limits == [4300]
+        report_from_json(report_to_json(build_report((1, 2, 10**4400))))  # nested
+        assert kronseq.cli._held_limits == [4300]
+        return str(10**4400)
+
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            done = pool.submit(a)
+            assert a_in.wait(10)
+            text = b(done)
+        assert text == "1" + "0" * 4400
+        assert sys.get_int_max_str_digits() == 4300
+        assert kronseq.cli._held_limits == []
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_threads_writing_and_reading_big_reports_keep_the_limit():
+    # more threads than cores write and read back a report with a
+    # 4,401-digit quotient, with a short switch interval so that their
+    # lifts interleave; none may find the limit back in place while it
+    # converts, and the caller's limit is back once all are done
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this Python")
+    rep = build_report((1, 2, 10**4400))
+
+    def work():
+        for _ in range(20):
+            assert report_from_json(report_to_json(rep)) == rep
+            assert report_from_dict(report_to_dict(rep)) == rep
+
+    before, interval = sys.get_int_max_str_digits(), sys.getswitchinterval()
+    sys.set_int_max_str_digits(4300)
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for done in [pool.submit(work) for _ in range(8)]:
+                done.result(60)
+        assert sys.get_int_max_str_digits() == 4300
+        assert kronseq.cli._held_limits == []
+    finally:
+        sys.setswitchinterval(interval)
+        sys.set_int_max_str_digits(before)
 
 
 def test_classify_of_a_read_back_analysis():
@@ -526,6 +618,64 @@ def test_env_precision_invalid(capsys, monkeypatch):
     monkeypatch.setenv("KRONSEQ_PRECISION", "bogus")
     code, _, err = run(capsys, ["analyze", "1,2,3"])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "1,2,5", "--format", "json"], ["analyze", "2,2", "--format", "json"],
+    ["analyze", "1,2,3", "--window", "300", "--format", "json"],
+    ["cascade", "1,2,5", "--depth", "200"], ["verify", "1,2,5"], ["verify", "2,2,3"],
+    ["batch", "-"],
+], ids=["analyze-aperiodic", "analyze-periodic", "analyze-window", "cascade",
+        "verify-aperiodic", "verify-periodic", "batch"])
+def test_huge_precision_prints_as_at_128_bits(capsys, monkeypatch, argv, source):
+    # U is exact below the bits of s_{L-1}, and the cascade ladder starts at
+    # no more than MAX_PRECISION, so 10**20 bits print what 128 bits do, but
+    # for the printed precision
+    huge = 10**20
+    runs = []
+    for precision in (128, huge):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1,2,5\n2,2\nnot-a-block\n"))
+        if source == "env":
+            monkeypatch.setenv("KRONSEQ_PRECISION", str(precision))
+            runs.append(run(capsys, argv))
+        else:
+            monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
+            runs.append(run(capsys, [*argv, "--precision", str(precision)]))
+    (code, out, err), (huge_code, huge_out, huge_err) = runs
+    assert (huge_code, huge_err) == (code, err)
+    assert huge_out == out.replace('"precision":128', f'"precision":{huge}')
+    assert out.count('"precision":128') == {"analyze": 1, "batch": 2}.get(argv[0], 0)
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_precision_above_the_cap_tops_the_cascade_ladder(capsys, monkeypatch, source):
+    # depth 2500 of (1,2,5) needs more than MAX_PRECISION bits: it runs out
+    # at 4096 bits and below, and a higher precision lets the ladder climb
+    # to it, from 4096, and no higher than the first rung that succeeds
+    argv = ["cascade", "1,2,5", "--depth", "2500", "--format", "json"]
+    precisions = []
+    original = kronseq.analysis._cascade
+    monkeypatch.setattr(kronseq.analysis, "_cascade",
+                        lambda *a: precisions.append(a[4]) or original(*a))
+    runs = {}
+    for precision in (128, 4096, 5000, 8192, 10**20):
+        if source == "env":
+            monkeypatch.setenv("KRONSEQ_PRECISION", str(precision))
+            runs[precision] = run(capsys, argv), precisions[:]
+        else:
+            monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
+            runs[precision] = run(capsys, [*argv, "--precision", str(precision)]), precisions[:]
+        precisions.clear()
+    for precision in (128, 4096):
+        (code, out, err), attempts = runs[precision]
+        assert (code, out, attempts) == (EXIT_PARSE, "", [4096])
+        assert err.endswith("not resolvable at precision 4096\n")
+    (code, out, err), attempts = runs[8192]
+    assert (code, err, attempts) == (EXIT_OK, "", [8192])
+    assert len(json.loads(out)["cascade"]) == 2500
+    assert runs[5000] == ((code, out, err), [5000])
+    assert runs[10**20] == ((code, out, err), [8192])
 
 
 def test_usage_error_exit_code(capsys):

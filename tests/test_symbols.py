@@ -477,7 +477,8 @@ def prefix(lists, count):
 
 def lane_pass_cases():
     # seeded blocks of lengths 1 to 9 with quotients up to 2^40, one block
-    # longer than a chunk, and counts around one and two chunks
+    # longer than a chunk, and counts around one and two chunks, and of 1
+    # to 3 terms: windows no longer than the two seed lanes below chunk 0
     rng = random.Random(13)
     blocks = [(1,), (2,), (1, 2, 5)]
     blocks += [tuple(rng.randint(1, q) for _ in range(rng.randint(1, 9)))
@@ -486,7 +487,7 @@ def lane_pass_cases():
     for block in blocks:
         cf = normalize_period(block)
         C = _chunk(len(cf))
-        for count in (C - 1, C, C + 1, 2 * C + 1):
+        for count in (1, 2, 3, C - 1, C, C + 1, 2 * C + 1):
             yield cf, count
 
 
