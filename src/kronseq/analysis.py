@@ -82,9 +82,7 @@ index needs v2(t) = m' + e - 1 = m + e and a critical one more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
-
+from ._record import Record, _set
 from .cf import PeriodicCF, _column_step, _square_mod, _v2, matrix_at_mod2
 from .errors import PrecisionExhausted
 
@@ -112,19 +110,19 @@ MAX_PRECISION = 4096
 DEFAULT_DEPTH = 8
 
 
-class _Walked(NamedTuple):
+class _Walked(tuple):
     """The exact data the walk of :func:`analyze` keeps beside its
-    analysis: the block matrix D(l) and D(L4), each as the 4-tuple (s,
-    s_prev, t, t_prev), and {k: (s_k, t_k)} at the critical and
-    subcritical indices of the analysis."""
+    analysis, the tuple (block, D, pairs): the block matrix D(l) and
+    D(L4), each as the 4-tuple (s, s_prev, t, t_prev), and {k: (s_k, t_k)}
+    at the critical and subcritical indices of the analysis."""
 
-    block: tuple[int, int, int, int]
-    D: tuple[int, int, int, int]
-    pairs: dict[int, tuple[int, int]]
+    __slots__ = ()
+    block = property(lambda self: self[0])
+    D = property(lambda self: self[1])
+    pairs = property(lambda self: self[2])
 
 
-@dataclass(frozen=True)
-class PeriodAnalysis:
+class PeriodAnalysis(Record, hidden=("walk",)):
     """2-adic data of one admissible period length.
 
     ``e`` is never None (U's lower-left entry is t_{period-1} / 2^m >= 1).
@@ -135,15 +133,23 @@ class PeriodAnalysis:
     report, say), and takes no part in equality, hashing or repr.
     """
 
-    period: int
-    m: int
-    U: tuple[tuple[int, int], tuple[int, int]]
-    e: int
-    critical_indices: tuple[int, ...]
-    subcritical_indices: tuple[int, ...]
-    precision: int
-    certified: bool
-    walk: _Walked | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("period", "m", "U", "e", "critical_indices",
+                 "subcritical_indices", "precision", "certified", "walk")
+
+    def __init__(self, period: int, m: int,
+                 U: tuple[tuple[int, int], tuple[int, int]], e: int,
+                 critical_indices: tuple[int, ...],
+                 subcritical_indices: tuple[int, ...], precision: int,
+                 certified: bool, walk: _Walked | None = None):
+        _set(self, "period", period)
+        _set(self, "m", m)
+        _set(self, "U", U)
+        _set(self, "e", e)
+        _set(self, "critical_indices", critical_indices)
+        _set(self, "subcritical_indices", subcritical_indices)
+        _set(self, "precision", precision)
+        _set(self, "certified", certified)
+        _set(self, "walk", walk)
 
     @property
     def u(self):
@@ -151,21 +157,27 @@ class PeriodAnalysis:
         return self.U[1][0]
 
 
-@dataclass(frozen=True)
-class PeriodicL:
-    period: int
+class PeriodicL(Record):
+    __slots__ = ("period",)
+
+    def __init__(self, period: int):
+        _set(self, "period", period)
 
 
-@dataclass(frozen=True)
-class Periodic2L:
-    period: int
-    witness: int  # a subcritical index forcing the doubled period
+class Periodic2L(Record):
+    __slots__ = ("period", "witness")
+
+    def __init__(self, period: int, witness: int):
+        _set(self, "period", period)
+        _set(self, "witness", witness)  # a subcritical index forcing the doubled period
 
 
-@dataclass(frozen=True)
-class Aperiodic:
-    first_critical: int
-    cascade: tuple[tuple[int, int], ...]
+class Aperiodic(Record):
+    __slots__ = ("first_critical", "cascade")
+
+    def __init__(self, first_critical: int, cascade: tuple[tuple[int, int], ...]):
+        _set(self, "first_critical", first_critical)
+        _set(self, "cascade", cascade)
 
 
 Classification = PeriodicL | Periodic2L | Aperiodic
@@ -344,9 +356,9 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     certified = f == 1
     if critical or certified:
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified,
-                              _Walked(block, D, pairs))
+                              _Walked((block, D, pairs)))
     m, U, e = _split(cf, 2 * L, _square_mod(D, -1), precision)
-    return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True, _Walked(block, D, {}))
+    return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True, _Walked((block, D, {})))
 
 
 def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,

@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 
+from ._record import Record, _set
 from .errors import EmptyInput, NonPositiveQuotient, NotCoprime
 
 __all__ = [
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodicCF:
+class PeriodicCF(Record, uncompared=("reduced",)):
     """A repeating block of partial quotients, always stored with minimal
     block length.
 
@@ -39,16 +38,16 @@ class PeriodicCF:
     and the block is stored as a tuple of ints.
     """
 
-    quotients: tuple[int, ...]
-    reduced: bool = field(default=False, compare=False)
+    __slots__ = ("quotients", "reduced")
 
-    def __post_init__(self):
-        q = tuple(map(operator.index, self.quotients))
-        object.__setattr__(self, "quotients", q)
+    def __init__(self, quotients: tuple[int, ...], reduced: bool = False):
+        q = tuple(map(operator.index, quotients))
         _check_quotients(q)
         if _minimal_period(q) != len(q):
             raise ValueError(f"block {q} is not of minimal period; "
                              "use normalize_period()")
+        _set(self, "quotients", q)
+        _set(self, "reduced", reduced)
 
     def __len__(self):
         return len(self.quotients)
@@ -61,41 +60,45 @@ class PeriodicCF:
         return "[" + ",".join(str(a) for a in self.quotients) + "]"
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(Record):
     """The k-th convergent s/t, in lowest terms by construction."""
 
-    k: int
-    s: int
-    t: int
+    __slots__ = ("k", "s", "t")
+
+    def __init__(self, k: int, s: int, t: int):
+        _set(self, "k", k)
+        _set(self, "s", s)
+        _set(self, "t", t)
 
 
-@dataclass(frozen=True)
-class ConvergentMatrix:
+class ConvergentMatrix(Record):
     """Columns are two consecutive convergents: ((s_k, s_{k-1}), (t_k, t_{k-1})).
 
     ``modulus`` is None for exact matrices, or 2**precision for reduced ones.
     """
 
-    k: int
-    s: int
-    s_prev: int
-    t: int
-    t_prev: int
-    modulus: int | None = None
+    __slots__ = ("k", "s", "s_prev", "t", "t_prev", "modulus")
+
+    def __init__(self, k: int, s: int, s_prev: int, t: int, t_prev: int,
+                 modulus: int | None = None):
+        _set(self, "k", k)
+        _set(self, "s", s)
+        _set(self, "s_prev", s_prev)
+        _set(self, "t", t)
+        _set(self, "t_prev", t_prev)
+        _set(self, "modulus", modulus)
 
 
-@dataclass(frozen=True)
-class QuadIrrational:
+class QuadIrrational(Record):
     """(P + sqrt(D)) / Q in normalized form: D positive and non-square,
     Q > 0 dividing D - P*P, the value > 1 and its conjugate in (-1, 0)."""
 
-    P: int
-    D: int
-    Q: int
+    __slots__ = ("P", "D", "Q")
 
-    def __post_init__(self):
-        P, D, Q = self.P, self.D, self.Q
+    def __init__(self, P: int, D: int, Q: int):
+        _set(self, "P", P)
+        _set(self, "D", D)
+        _set(self, "Q", Q)
         if D <= 0 or math.isqrt(D) ** 2 == D:
             raise ValueError(f"D must be positive and non-square, got {D}")
         if Q <= 0 or (D - P * P) % Q:
@@ -149,8 +152,8 @@ def normalize_period(quotients) -> PeriodicCF:
     p = _minimal_period(q)
     _check_quotients(q[:p])
     cf = object.__new__(PeriodicCF)
-    object.__setattr__(cf, "quotients", q[:p])
-    object.__setattr__(cf, "reduced", p < len(q))
+    _set(cf, "quotients", q[:p])
+    _set(cf, "reduced", p < len(q))
     return cf
 
 

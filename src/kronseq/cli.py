@@ -36,20 +36,26 @@ takes 0.14 ms, most of it decimal conversion of k and the multiples.
 instead of 0.120, and a ``batch`` report on the blocks of the bench's
 ``batch-short`` workload 5-7 us instead of 15-22 (Python 3.11, a shared
 2-vCPU x86-64 host, best of 7).
+
+Every call of the ``kronseq`` command starts a fresh interpreter, and that
+start costs a hundred times what a typical call computes, so importing
+this module loads only what every call needs.  ``json`` and ``csv`` load
+on first use, inside the functions that use them: the report readers, a
+``batch`` record's user text and ``--format csv``.  The records are plain
+classes on ``_record.Record``, not dataclasses, so neither ``dataclasses``
+nor ``inspect`` nor ``typing`` loads.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import os
 import sys
 import threading
-from dataclasses import dataclass
 
+from ._record import Record, _set
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
                        PeriodicL, analyze, classify)
@@ -144,24 +150,34 @@ def _parse_error(text, i):
     return ParseError(f"expected a positive integer at position {at}", position=at)
 
 
-@dataclass(frozen=True)
-class ConvergentDetail:
-    k: int
-    s: int
-    t: int
-    v2_t: int
+class ConvergentDetail(Record):
+    __slots__ = ("k", "s", "t", "v2_t")
+
+    def __init__(self, k: int, s: int, t: int, v2_t: int):
+        _set(self, "k", k)
+        _set(self, "s", s)
+        _set(self, "t", t)
+        _set(self, "v2_t", v2_t)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    block: tuple[int, ...]
-    reduced: bool
-    quad: tuple[int, int, int]
-    analysis: PeriodAnalysis
-    critical: tuple[ConvergentDetail, ...]
-    subcritical: tuple[ConvergentDetail, ...]
-    classification: Classification
-    oracle: PeriodReport | None = None
+class AnalysisReport(Record):
+    __slots__ = ("block", "reduced", "quad", "analysis", "critical",
+                 "subcritical", "classification", "oracle")
+
+    def __init__(self, block: tuple[int, ...], reduced: bool,
+                 quad: tuple[int, int, int], analysis: PeriodAnalysis,
+                 critical: tuple[ConvergentDetail, ...],
+                 subcritical: tuple[ConvergentDetail, ...],
+                 classification: Classification,
+                 oracle: PeriodReport | None = None):
+        _set(self, "block", block)
+        _set(self, "reduced", reduced)
+        _set(self, "quad", quad)
+        _set(self, "analysis", analysis)
+        _set(self, "critical", critical)
+        _set(self, "subcritical", subcritical)
+        _set(self, "classification", classification)
+        _set(self, "oracle", oracle)
 
 
 def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisReport:
@@ -197,6 +213,8 @@ def _ints(values) -> str:
 
 
 def _csv(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
@@ -304,11 +322,15 @@ def report_to_json(rep: AnalysisReport) -> str:
 @_all_digits
 def report_to_dict(rep: AnalysisReport) -> dict:
     """The report as the JSON object :func:`report_to_json` writes."""
+    import json
+
     return json.loads(report_to_json(rep))
 
 
 @_all_digits
 def report_from_json(text: str) -> AnalysisReport:
+    import json
+
     return report_from_dict(json.loads(text))
 
 
@@ -501,6 +523,8 @@ def cmd_batch(args):
                            for lineno, line, rep, err in records)
 
     def to_json():  # input and error are user text, escaped by json.dumps
+        import json
+
         return "\n".join(
             f'{{"input":{json.dumps(line)},"line":{lineno},"report":{report_to_json(rep)}}}'
             if rep else

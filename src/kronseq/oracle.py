@@ -62,8 +62,7 @@ aperiodic verdict, and the last window term on a periodic one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, _set
 from .analysis import (Aperiodic, Classification, DEFAULT_PRECISION,
                        PeriodAnalysis, analyze, classify)
 from .cf import PeriodicCF
@@ -75,12 +74,17 @@ __all__ = ["PeriodReport", "empirical_period", "cross_check"]
 DEFAULT_WINDOW = 600
 
 
-@dataclass(frozen=True)
-class PeriodReport:
-    window_length: int
-    empirical_period: int | None
-    falsified_periods: tuple[tuple[int, tuple[int, int]], ...]
-    verdict_agreement: bool
+class PeriodReport(Record):
+    __slots__ = ("window_length", "empirical_period", "falsified_periods",
+                 "verdict_agreement")
+
+    def __init__(self, window_length: int, empirical_period: int | None,
+                 falsified_periods: tuple[tuple[int, tuple[int, int]], ...],
+                 verdict_agreement: bool):
+        _set(self, "window_length", window_length)
+        _set(self, "empirical_period", empirical_period)
+        _set(self, "falsified_periods", falsified_periods)
+        _set(self, "verdict_agreement", verdict_agreement)
 
 
 def _smallest_period(text):

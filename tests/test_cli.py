@@ -4,9 +4,11 @@ import io
 import itertools
 import json
 import random
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -955,6 +957,28 @@ def test_repeated_calls_leave_no_reference_cycles(capsys, argv):
         main(argv)
     capsys.readouterr()
     assert gc.collect() == 0
+
+
+# ---------------------------------------------------------------------------
+# a fresh start: every call of the console script pays for its imports
+
+def test_cli_start_imports_no_dataclasses_typing_json_or_csv():
+    # against a bare start of the same interpreter, since a site hook may
+    # import some of these before any kronseq code runs
+    src = str(Path(kronseq.__file__).resolve().parents[1])
+
+    def modules(code):
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", f"import sys; {code}; print(*sys.modules)", src],
+            capture_output=True, text=True, check=True, timeout=60)
+        return set(done.stdout.split())
+
+    bare = modules("pass")
+    cli = modules("sys.path.insert(0, sys.argv[1]); import kronseq.cli; "
+                  "kronseq.cli.build_parser()")
+    assert "kronseq.cli" in cli
+    added = cli - bare
+    assert not added & {"dataclasses", "inspect", "typing", "json", "csv"}, sorted(added)
 
 
 # ---------------------------------------------------------------------------
