@@ -286,7 +286,9 @@ def _split(cf, period, D, precision):
     bit of its operands.  The OR is nonzero, as its lower-left entry
     t_{period-1} >= 1.  No entry of D - I exceeds D[0] = s_{period-1},
     since s_k >= t_k and s_k increases, so masking at no more than the
-    bits of D[0] gives the same U at every precision, however large."""
+    bits of D[0] gives the same U at every precision, however large.  The
+    bound is loose by two bits: as m >= 2 (D = I mod 4), every entry of U
+    has at most D[0].bit_length() - 2 bits."""
     if not _is_identity_mod4(D):
         raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
     x, y, u, v = D[0] - 1, D[1], D[2], D[3] - 1

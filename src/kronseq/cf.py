@@ -1,7 +1,8 @@
 """Exact convergents of purely periodic regular continued fractions.
 
 Everything here is integer arithmetic on Python ints; no floating point
-is used anywhere in the package.
+is used anywhere in the package.  ``_str`` and ``_int`` write and read the
+decimal form of ints of any length, for the block's ``str`` and the CLI.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class PeriodicCF(Record, uncompared=("reduced",)):
         return self.quotients[k % len(self.quotients)]
 
     def __str__(self):
-        return "[" + ",".join(str(a) for a in self.quotients) + "]"
+        return "[" + ",".join(map(_str, self.quotients)) + "]"
 
 
 class Convergent(Record):
@@ -192,6 +193,45 @@ def _pairs_at(cf, indices):
         if k in wanted:
             pairs[k] = pair
     return pairs
+
+
+def _str(n):
+    """str(n) for an int n of any length, with no digit limit read or set.
+
+    Past the int-to-str digit limit of Python 3.11+, str() raises
+    ValueError; n is then split as hi * 10**h + lo at about half its
+    digits, and the halves are written alone, lo padded to h digits.  As
+    str() is quadratic in the digits in CPython 3.11, two halves take half
+    the time of the whole, which pays for the divmod."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _str(-n)
+        h = n.bit_length() * 3 // 20  # about half the digits; 10**h < n
+        hi, lo = divmod(n, 10**h)
+        return _str(hi) + _str(lo).zfill(h)
+
+
+def _int(text):
+    """int(text) for a decimal string of any length, with no digit limit
+    read or set: the reader of :func:`_str`.  Past the int-to-str digit
+    limit of Python 3.11+ int() raises ValueError; a text of decimal digits
+    after an optional "-" is then read from its two halves as head * 10**h
+    + tail.  The halves shrink until int() takes them, at 640 digits at
+    the latest, as no limit can be set lower.  Anything else raises
+    ValueError, as from int()."""
+    try:
+        return int(text)
+    except ValueError:
+        negative = text[:1] == "-"
+        digits = text[1:] if negative else text
+        # bytes.isdigit() reads ASCII digits seven times as fast as str.isdecimal()
+        if not (digits.encode().isdigit() or digits.isdecimal()):
+            raise
+        h = len(digits) // 2
+        n = _int(digits[:-h]) * 10**h + _int(digits[-h:])
+        return -n if negative else n
 
 
 def _v2(n):  # 2-adic valuation of n != 0

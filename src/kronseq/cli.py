@@ -37,6 +37,16 @@ instead of 0.120, and a ``batch`` report on the blocks of the bench's
 ``batch-short`` workload 5-7 us instead of 15-22 (Python 3.11, a shared
 2-vCPU x86-64 host, best of 7).
 
+The integers that grow with the input (the quotients, U and u, quad, the
+precision, the printed pairs, and a cascade's k_j and multiples) are
+written by ``cf._str`` and read by ``cf._int``, which convert past the
+int-to-str digit limit of Python 3.11+ piecewise, so that no call reads
+or sets that process-wide limit.  ``expand`` and ``cascade`` convert
+their columns once, when they build their rows, for all three renderers.
+The small bounded ints (L, m, e, r, v2(t), windows, periods, the index k
+of a printed pair or term, the steps of a report's depth-8 cascade) stay
+in f-strings.
+
 Every call of the ``kronseq`` command starts a fresh interpreter, and that
 start costs a hundred times what a typical call computes, so importing
 this module loads only what every call needs.  ``json`` and ``csv`` load
@@ -53,13 +63,13 @@ import functools
 import io
 import os
 import sys
-import threading
 
 from ._record import Record, _set
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
                        DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
                        PeriodicL, analyze, classify)
-from .cf import _quad_irrational, _v2, iter_convergent_pairs, normalize_period
+from .cf import (_int, _quad_irrational, _str, _v2, iter_convergent_pairs,
+                 normalize_period)
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
                      WindowTooShort)
 from .oracle import PeriodReport, cross_check
@@ -72,45 +82,6 @@ EXIT_APERIODIC = 3
 EXIT_MISMATCH = 4
 
 PRECISION_ENV = "KRONSEQ_PRECISION"
-
-
-_lift = threading.local()  # held: a lifted call of this thread is under way
-_held_limits = []  # the digit limit each thread's outermost lifted call found
-_held_lock = threading.Lock()
-
-
-def _all_digits(fn):
-    """``fn`` with the int-to-str digit limit of Python 3.11+ lifted while
-    it runs, so that big integers print and parse in full decimal.
-
-    The limit is process-wide, so calls that overlap share one lift.  A
-    call nested in another of the same thread runs as it is, under the
-    outer call's lift.  The outermost call of each thread pushes the limit
-    it found and pops one when it returns or raises; the last to leave
-    pops the first one pushed, the limit from before any of them, and puts
-    it back.  A limit set by other code while a lifted call is under way
-    is lost."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return fn
-
-    @functools.wraps(fn)
-    def lifted(*args, **kwargs):
-        if getattr(_lift, "held", False):
-            return fn(*args, **kwargs)
-        with _held_lock:
-            _held_limits.append(sys.get_int_max_str_digits())
-            sys.set_int_max_str_digits(0)
-        _lift.held = True
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _lift.held = False
-            with _held_lock:
-                limit = _held_limits.pop()
-                if not _held_limits:
-                    sys.set_int_max_str_digits(limit)
-
-    return lifted
 
 
 def parse_block(text: str) -> tuple[int, ...]:
@@ -127,7 +98,7 @@ def parse_block(text: str) -> tuple[int, ...]:
     out = []
     for token in s.split(","):
         token = token.strip()
-        if not token.isdecimal() or (a := int(token)) < 1:
+        if not token.isdecimal() or (a := _int(token)) < 1:
             raise _parse_error(text, len(out))
         out.append(a)
     return tuple(out)
@@ -209,7 +180,7 @@ def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisRep
 
 def _ints(values) -> str:
     """A JSON array of ints."""
-    return f"[{','.join(map(str, values))}]"
+    return f"[{','.join(map(_str, values))}]"
 
 
 def _csv(header, rows) -> str:
@@ -252,12 +223,12 @@ def _classification_from_dict(d) -> Classification:
 
 
 def _details_json(items) -> str:
-    return ",".join([f'{{"k":{c.k},"s":"{c.s}","t":"{c.t}","v2_t":{c.v2_t}}}'
+    return ",".join([f'{{"k":{c.k},"s":"{_str(c.s)}","t":"{_str(c.t)}","v2_t":{c.v2_t}}}'
                      for c in items])
 
 
 def _detail_from_dict(d):
-    return ConvergentDetail(d["k"], int(d["s"]), int(d["t"]), d["v2_t"])
+    return ConvergentDetail(d["k"], _int(d["s"]), _int(d["t"]), d["v2_t"])
 
 
 def _oracle_json(o: PeriodReport | None) -> str:
@@ -280,12 +251,11 @@ def _oracle_from_dict(d):
     )
 
 
-@_all_digits
 def report_from_dict(d: dict) -> AnalysisReport:
     analysis = PeriodAnalysis(
         period=d["L"],
         m=d["m"],
-        U=tuple(tuple(int(x) for x in row) for row in d["U"]),
+        U=tuple(tuple(_int(x) for x in row) for row in d["U"]),
         e=d["e"],
         critical_indices=tuple(c["k"] for c in d["critical"]),
         subcritical_indices=tuple(c["k"] for c in d["subcritical"]),
@@ -295,7 +265,7 @@ def report_from_dict(d: dict) -> AnalysisReport:
     return AnalysisReport(
         block=tuple(d["block"]),
         reduced=d["reduced"],
-        quad=(int(d["quad"]["P"]), int(d["quad"]["D"]), int(d["quad"]["Q"])),
+        quad=(_int(d["quad"]["P"]), _int(d["quad"]["D"]), _int(d["quad"]["Q"])),
         analysis=analysis,
         critical=tuple(_detail_from_dict(c) for c in d["critical"]),
         subcritical=tuple(_detail_from_dict(c) for c in d["subcritical"]),
@@ -304,34 +274,32 @@ def report_from_dict(d: dict) -> AnalysisReport:
     )
 
 
-@_all_digits
 def report_to_json(rep: AnalysisReport) -> str:
     a = rep.analysis
     (x, y), (u, v) = a.U
     P, D, Q = rep.quad
-    return (f'{{"L":{a.period},"U":[["{x}","{y}"],["{u}","{v}"]],'
+    return (f'{{"L":{a.period},"U":[["{_str(x)}","{_str(y)}"],["{_str(u)}","{_str(v)}"]],'
             f'"block":{_ints(rep.block)},"certified":{_BOOL[a.certified]},'
             f'"classification":{_classification_json(rep.classification)},'
             f'"critical":[{_details_json(rep.critical)}],"e":{a.e},'
             f'"l":{len(rep.block)},"m":{a.m},"oracle":{_oracle_json(rep.oracle)},'
-            f'"precision":{a.precision},"quad":{{"D":"{D}","P":"{P}","Q":"{Q}"}},'
+            f'"precision":{_str(a.precision)},'
+            f'"quad":{{"D":"{_str(D)}","P":"{_str(P)}","Q":"{_str(Q)}"}},'
             f'"reduced":{_BOOL[rep.reduced]},'
             f'"subcritical":[{_details_json(rep.subcritical)}]}}')
 
 
-@_all_digits
 def report_to_dict(rep: AnalysisReport) -> dict:
     """The report as the JSON object :func:`report_to_json` writes."""
     import json
 
-    return json.loads(report_to_json(rep))
+    return json.loads(report_to_json(rep), parse_int=_int)
 
 
-@_all_digits
 def report_from_json(text: str) -> AnalysisReport:
     import json
 
-    return report_from_dict(json.loads(text))
+    return report_from_dict(json.loads(text, parse_int=_int))
 
 
 def _classification_text(c: Classification):
@@ -344,20 +312,21 @@ def _classification_text(c: Classification):
 
 
 def _details_text(items):
-    return "; ".join(f"k={c.k}: s={c.s}, t={c.t}, v2(t)={c.v2_t}" for c in items) or "(none)"
+    return "; ".join(f"k={c.k}: s={_str(c.s)}, t={_str(c.t)}, v2(t)={c.v2_t}"
+                     for c in items) or "(none)"
 
 
-@_all_digits
 def report_to_text(rep: AnalysisReport) -> str:
     a = rep.analysis
     u16 = [[x % 16 for x in row] for row in a.U]
+    P, D, Q = rep.quad
     lines = [
-        f"block            [{','.join(map(str, rep.block))}]  (length {len(rep.block)})",
-        f"value            ({rep.quad[0]} + sqrt({rep.quad[1]})) / {rep.quad[2]}",
+        f"block            [{','.join(map(_str, rep.block))}]  (length {len(rep.block)})",
+        f"value            ({_str(P)} + sqrt({_str(D)})) / {_str(Q)}",
         f"L                {a.period}  (certified Jacobi period: {'yes' if a.certified else 'no'})",
         f"m                {a.m}",
         f"e                {a.e}",
-        f"u                {a.u}  (mod 2^{a.precision})",
+        f"u                {_str(a.u)}  (mod 2^{_str(a.precision)})",
         f"U mod 16         {u16}",
         f"critical         {_details_text(rep.critical)}",
         f"subcritical      {_details_text(rep.subcritical)}",
@@ -372,7 +341,6 @@ def report_to_text(rep: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-@_all_digits
 def report_to_csv(rep: AnalysisReport) -> str:
     a = rep.analysis
     c = rep.classification
@@ -380,9 +348,8 @@ def report_to_csv(rep: AnalysisReport) -> str:
               "classification", "period", "witness", "first_critical",
               "critical", "subcritical", "cascade"]
     row = [
-        " ".join(map(str, rep.block)), len(rep.block),
-        rep.quad[0], rep.quad[1], rep.quad[2],
-        a.period, a.m, a.e, a.u, a.certified,
+        " ".join(map(_str, rep.block)), len(rep.block), *map(_str, rep.quad),
+        a.period, a.m, a.e, _str(a.u), a.certified,
         _KIND[type(c)],
         getattr(c, "period", ""),
         getattr(c, "witness", ""),
@@ -441,7 +408,7 @@ def cmd_expand(args):
     cf = normalize_period(_read_block_arg(args.block))
     n = args.count
     jac, rec, kro = _sequences(cf, n)
-    rows = [(k, s, t, sym_str(jac[k]), sym_str(rec[k]), sym_str(kro[k]))
+    rows = [(k, _str(s), _str(t), sym_str(jac[k]), sym_str(rec[k]), sym_str(kro[k]))
             for k, (s, t) in zip(range(n), iter_convergent_pairs(cf))]
     header = ("k", "s", "t", "jacobi", "reciprocal_jacobi", "kronecker")
 
@@ -471,7 +438,7 @@ def cmd_cascade(args):
     if not isinstance(verdict, Aperiodic):
         raise NotAperiodic(f"{cf} has a periodic Kronecker sequence; no cascade")
     period = analysis.period
-    rows = [(j, k, r, (1 << (r + 1)) * period)
+    rows = [(j, _str(k), r, _str((1 << (r + 1)) * period))
             for j, (k, r) in enumerate(verdict.cascade, start=1)]
     header = ("j", "k", "r", "falsified_period_multiple")
 
@@ -558,7 +525,7 @@ def _precision(raw, source="--precision"):
     """Working precision in bits, at least 8; a bad value is a ParseError
     (exit 2), which argparse lets through to main."""
     try:
-        value = int(raw)
+        value = _int(raw)
     except ValueError:
         value = 0
     if value < 8:
@@ -573,7 +540,7 @@ def _default_precision():
 
 def _positive_int(raw):
     try:
-        value = int(raw)
+        value = _int(raw)
     except ValueError:
         value = 0
     if value < 1:
@@ -640,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)  # built once per process
 
 
-@_all_digits
 def main(argv=None) -> int:
     try:
         precision = _default_precision()  # read per call, before parsing

@@ -482,6 +482,20 @@ def test_analysis_certified_flags():
     assert block_analysis((2,)).period == 8
 
 
+def test_long_block_with_f_minus_one_is_certified_at_twice_L4():
+    # a seeded 198-term block: L4 = 1188, f = -1 and no critical index
+    # among its 198 candidates, so L4 is no Jacobi period and the analysis
+    # is reported at 2*L4, however many candidates the walk has
+    rng = random.Random(0)
+    l = rng.randint(100, 300)
+    cf = normalize_period(tuple(rng.randint(1, 9) for _ in range(l)))
+    assert l == 198 and mod4_period_length(cf) == 1188
+    a = analyze(cf)
+    assert (a.period, a.certified, a.critical_indices) == (2376, True, ())
+    seq = jacobi_sequence(cf, 2 * 1188)
+    assert any(seq[k] != seq[k + 1188] for k in range(1188))
+
+
 def test_classification_dichotomy():
     for block in CORPUS:
         a = block_analysis(block)

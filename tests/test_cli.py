@@ -4,9 +4,9 @@ import io
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -180,8 +180,9 @@ def test_round_trip_with_oracle_section():
 
 
 def test_report_round_trip_past_the_digit_limit_outside_main(capsys):
-    # the report writers and readers lift the int-to-str digit limit of
-    # Python 3.11+ themselves, and give the caller's limit back
+    # the report writers and readers print and parse integers past the
+    # int-to-str digit limit of Python 3.11+ piecewise, so the caller's
+    # limit stays as it is
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str digit limit in this Python")
     before = sys.get_int_max_str_digits()
@@ -204,47 +205,11 @@ def test_report_round_trip_past_the_digit_limit_outside_main(capsys):
         sys.set_int_max_str_digits(before)
 
 
-def test_overlapping_lifts_keep_the_limit_off_until_the_last_leaves():
-    # call a enters first and leaves while call b, in another thread, is
-    # still inside: b must still print in full, and the caller's limit must
-    # come back once b leaves, not be left lifted or put back early
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("no int-to-str digit limit in this Python")
-    a_in, b_in = threading.Event(), threading.Event()
-
-    @kronseq.cli._all_digits
-    def a():
-        a_in.set()
-        assert b_in.wait(10)
-
-    @kronseq.cli._all_digits
-    def b(done):
-        b_in.set()
-        done.result(10)  # a has left, with the limit b found
-        assert kronseq.cli._held_limits == [4300]
-        report_from_json(report_to_json(build_report((1, 2, 10**4400))))  # nested
-        assert kronseq.cli._held_limits == [4300]
-        return str(10**4400)
-
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        with ThreadPoolExecutor(1) as pool:
-            done = pool.submit(a)
-            assert a_in.wait(10)
-            text = b(done)
-        assert text == "1" + "0" * 4400
-        assert sys.get_int_max_str_digits() == 4300
-        assert kronseq.cli._held_limits == []
-    finally:
-        sys.set_int_max_str_digits(before)
-
-
 def test_threads_writing_and_reading_big_reports_keep_the_limit():
     # more threads than cores write and read back a report with a
-    # 4,401-digit quotient, with a short switch interval so that their
-    # lifts interleave; none may find the limit back in place while it
-    # converts, and the caller's limit is back once all are done
+    # 4,401-digit quotient, with a short switch interval so that they
+    # interleave; each finds the caller's limit in place between its
+    # conversions, and it is still in place once all are done
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str digit limit in this Python")
     rep = build_report((1, 2, 10**4400))
@@ -252,7 +217,9 @@ def test_threads_writing_and_reading_big_reports_keep_the_limit():
     def work():
         for _ in range(20):
             assert report_from_json(report_to_json(rep)) == rep
+            assert sys.get_int_max_str_digits() == 4300
             assert report_from_dict(report_to_dict(rep)) == rep
+            assert sys.get_int_max_str_digits() == 4300
 
     before, interval = sys.get_int_max_str_digits(), sys.getswitchinterval()
     sys.set_int_max_str_digits(4300)
@@ -262,10 +229,102 @@ def test_threads_writing_and_reading_big_reports_keep_the_limit():
             for done in [pool.submit(work) for _ in range(8)]:
                 done.result(60)
         assert sys.get_int_max_str_digits() == 4300
-        assert kronseq.cli._held_limits == []
     finally:
         sys.setswitchinterval(interval)
         sys.set_int_max_str_digits(before)
+
+
+def test_piecewise_str_and_int_match_the_builtins_past_the_limit():
+    # lengths around both limits and far past them, both signs; a text
+    # past the limit that is not an optional "-" and decimal digits raises
+    # ValueError, though int() with no limit reads the first three
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this Python")
+    rng = random.Random(0)
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit in (640, 4300):
+            sys.set_int_max_str_digits(limit)
+            for digits in (1, 639, 640, 641, 4299, 4300, 4301, 8601, 30000):
+                n = rng.randrange(10 ** (digits - 1), 10**digits)
+                for value in (n, -n, 10 ** (digits - 1), -(10 ** (digits - 1))):
+                    text = kronseq.cf._str(value)
+                    sys.set_int_max_str_digits(0)
+                    assert text == str(value)
+                    sys.set_int_max_str_digits(limit)
+                    assert kronseq.cf._int(text) == value
+            for bad in ("1" * 5000 + " ", "+" + "1" * 5000, "1_" * 5000 + "1",
+                        "--" + "1" * 5000, "1" * 5000 + "x", "", "-"):
+                with pytest.raises(ValueError):
+                    kronseq.cf._int(bad)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_long_integers_print_and_read_alike_under_every_digit_limit(
+        capsys, monkeypatch, tmp_path):
+    # every command, and the report writers and readers, give the same
+    # bytes with the int-to-str digit limit at 640 (the lowest it can be)
+    # and at 4,300 (the default) as with no limit, on integers past 4,400
+    # digits read and printed, and none of them sets the limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this Python")
+    set_limit = sys.set_int_max_str_digits
+
+    def refuse(limit):
+        raise AssertionError(f"the digit limit was set to {limit}")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    aperiodic = "1,2,1" + "0" * 4399 + "1"  # (1, 2, 10**4400 + 1)
+    periodic = "1,2,1" + "0" * 4400  # (1, 2, 10**4400), period 36
+    precision = "1" + "0" * 700
+    path = tmp_path / "blocks.txt"
+    path.write_text(f"{aperiodic}\n{periodic}\n1,2,x\n")
+    formats = ("text", "json", "csv")
+    argvs = [
+        ["expand", "999", "--count", "1500", "--format", "csv"],  # t_1499: 4,497 digits
+        *(["expand", aperiodic, "--count", "3", "--format", f] for f in formats),
+        *(["analyze", aperiodic, "--format", f] for f in formats),
+        # U and u mod 2**precision are exact: up to 17,602 digits
+        *(["analyze", aperiodic, "--precision", precision, "--format", f] for f in formats),
+        *(["cascade", aperiodic, "--format", f] for f in formats),
+        ["cascade", "1,2,5", "--depth", "1500", "--precision", "8192", "--format", "json"],
+        ["cascade", periodic],  # exit 1, the block in the message
+        ["verify", aperiodic, "--format", "json"],
+        ["verify", periodic, "--max-period", "10", "--window", "30"],  # exit 1
+        *(["batch", str(path), "--format", f] for f in formats),
+    ]
+    rep = build_report((1, 2, 10**4400 + 1), precision=10**700)
+    P, D, Q = rep.quad
+    # P > 0 for every purely periodic block, so a negative P is built by hand
+    negative = kronseq.cli.AnalysisReport(rep.block, rep.reduced, (-P, D, Q), rep.analysis,
+                                          rep.critical, rep.subcritical,
+                                          rep.classification, rep.oracle)
+
+    def outputs():
+        runs = [run(capsys, argv) for argv in argvs]
+        monkeypatch.setenv("KRONSEQ_PRECISION", precision)
+        runs.append(run(capsys, ["analyze", aperiodic, "--format", "json"]))
+        monkeypatch.delenv("KRONSEQ_PRECISION")
+        for r in (rep, negative):
+            text = report_to_json(r)
+            assert report_from_json(text) == r
+            assert report_from_dict(report_to_dict(r)) == r
+            runs.append((text, report_to_dict(r), report_to_text(r), report_to_csv(r)))
+        return runs
+
+    before = sys.get_int_max_str_digits()
+    try:
+        set_limit(0)
+        expected = outputs()
+        longest = max(len(digits) for digits in re.findall(r"\d+", repr(expected)))
+        assert longest > 4400, longest
+        for limit in (640, 4300):
+            set_limit(limit)
+            assert outputs() == expected, limit
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        set_limit(before)
 
 
 def test_classify_of_a_read_back_analysis():
@@ -459,6 +518,18 @@ def test_verify_window_too_short_for_an_aperiodic_verdict(capsys):
     assert code == EXIT_OK and json.loads(out)["agreement"] is True
 
 
+def test_verify_names_a_cascade_pair_that_ends_on_the_last_window_term(capsys):
+    # the witness of every period of (1,2,5) that divides 24 is its cascade
+    # pair (7, 31), which ends on term 31, the last of a 32-term window
+    code, out, _ = run(capsys, ["verify", "1,2,5", "--window", "32", "--max-period", "16",
+                                "--format", "json"])
+    assert code == EXIT_OK
+    assert out == ('{"agreement":true,"empirical_period":null,"falsified":[[1,[7,31]],'
+                   '[2,[7,31]],[3,[7,31]],[4,[7,31]],[5,[0,10]],[6,[7,31]],[7,[0,7]],'
+                   '[8,[7,31]],[9,[0,9]],[10,[0,10]],[11,[0,11]],[12,[7,31]],[13,[0,13]],'
+                   '[14,[0,14]],[15,[0,30]],[16,[4,20]]],"window":32}\n')
+
+
 def test_verify_window_too_short_for_a_periodic_claim(capsys):
     # (1,2,3) claims period 12, which 4 terms cannot hold twice: a usage
     # error that names the window the claim needs, whatever --max-period
@@ -562,8 +633,8 @@ def test_batch_csv(tmp_path, capsys):
 ], ids=["expand", "analyze", "cascade", "verify", "batch", "parse-error",
         "usage-error", "argparse-error"])
 def test_main_restores_int_str_limit(capsys, monkeypatch, argv):
-    # main lifts the int-to-str digit limit while it prints, and gives the
-    # caller's limit back on every exit path
+    # main prints integers past the int-to-str digit limit piecewise, and
+    # leaves the caller's limit as it is on every exit path
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str digit limit in this Python")
     monkeypatch.setattr(sys, "stdin", io.StringIO("1,2,3\nnot-a-block\n"))
