@@ -83,7 +83,7 @@ index needs v2(t) = m' + e - 1 = m + e and a critical one more.
 from __future__ import annotations
 
 from ._record import Record, _set
-from .cf import PeriodicCF, _column_step, _square_mod, _v2, matrix_at_mod2
+from .cf import PeriodicCF, _column_step, _square_mod, _str, _v2, matrix_at_mod2
 from .errors import PrecisionExhausted
 
 __all__ = [
@@ -443,7 +443,8 @@ def threshold_valuation(cf: PeriodicCF, period: int, doublings: int,
 
 
 def _unresolved(k, precision):
-    return PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {precision}")
+    # k is about period * 2**r_j, so it can pass the int-to-str digit limit
+    return PrecisionExhausted(f"v2(t_{_str(k)}) not resolvable at precision {_str(precision)}")
 
 
 def _inverse(a, w):

@@ -217,15 +217,20 @@ def _int(text):
     """int(text) for a decimal string of any length, with no digit limit
     read or set: the reader of :func:`_str`.  Past the int-to-str digit
     limit of Python 3.11+ int() raises ValueError; a text of decimal digits
-    after an optional "-" is then read from its two halves as head * 10**h
-    + tail.  The halves shrink until int() takes them, at 640 digits at
-    the latest, as no limit can be set lower.  Anything else raises
-    ValueError, as from int()."""
+    is then read from its two halves as head * 10**h + tail, after what
+    int() also reads around them: surrounding whitespace, a sign, and
+    single underscores between digits.  The halves shrink until int()
+    takes them, at 640 digits at the latest, as no limit can be set lower.
+    Anything else raises ValueError, as from int()."""
     try:
         return int(text)
     except ValueError:
-        negative = text[:1] == "-"
-        digits = text[1:] if negative else text
+        digits = text.strip()
+        negative = digits[:1] == "-"
+        if digits[:1] in ("-", "+"):
+            digits = digits[1:]
+        if "__" not in f"_{digits}_":  # no underscore first, last or doubled
+            digits = digits.replace("_", "")
         # bytes.isdigit() reads ASCII digits seven times as fast as str.isdecimal()
         if not (digits.encode().isdigit() or digits.isdecimal()):
             raise

@@ -38,11 +38,12 @@ instead of 0.120, and a ``batch`` report on the blocks of the bench's
 2-vCPU x86-64 host, best of 7).
 
 The integers that grow with the input (the quotients, U and u, quad, the
-precision, the printed pairs, and a cascade's k_j and multiples) are
-written by ``cf._str`` and read by ``cf._int``, which convert past the
-int-to-str digit limit of Python 3.11+ piecewise, so that no call reads
-or sets that process-wide limit.  ``expand`` and ``cascade`` convert
-their columns once, when they build their rows, for all three renderers.
+precision, the printed pairs, a cascade's k_j and multiples, and the
+index k of the t_k that ran out of precision) are written by ``cf._str``
+and read by ``cf._int``, which convert past the int-to-str digit limit
+of Python 3.11+ piecewise, so that no call reads or sets that
+process-wide limit.  ``expand`` and ``cascade`` convert their columns
+once, when they build their rows, for all three renderers.
 The small bounded ints (L, m, e, r, v2(t), windows, periods, the index k
 of a printed pair or term, the steps of a report's depth-8 cascade) stay
 in f-strings.

@@ -235,9 +235,10 @@ def test_threads_writing_and_reading_big_reports_keep_the_limit():
 
 
 def test_piecewise_str_and_int_match_the_builtins_past_the_limit():
-    # lengths around both limits and far past them, both signs; a text
-    # past the limit that is not an optional "-" and decimal digits raises
-    # ValueError, though int() with no limit reads the first three
+    # lengths around both limits and far past them, both signs; past the
+    # limit a text reads as int() with no limit reads it, surrounding
+    # whitespace, a "+" and single underscores too, and a text int() does
+    # not read raises ValueError
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int-to-str digit limit in this Python")
     rng = random.Random(0)
@@ -253,8 +254,14 @@ def test_piecewise_str_and_int_match_the_builtins_past_the_limit():
                     assert text == str(value)
                     sys.set_int_max_str_digits(limit)
                     assert kronseq.cf._int(text) == value
-            for bad in ("1" * 5000 + " ", "+" + "1" * 5000, "1_" * 5000 + "1",
-                        "--" + "1" * 5000, "1" * 5000 + "x", "", "-"):
+            for good in (" \n" + "1" * 5000 + " ", "+" + "1" * 5000, "-" + "1_" * 5000 + "1"):
+                sys.set_int_max_str_digits(0)
+                value = int(good)
+                sys.set_int_max_str_digits(limit)
+                assert kronseq.cf._int(good) == value
+            for bad in ("--" + "1" * 5000, "+-" + "1" * 5000, "- " + "1" * 5000,
+                        "1" * 5000 + "x", "1" * 5000 + "__1", "_" + "1" * 5000,
+                        "1" * 5000 + "_", "1 " + "1" * 5000, "", "-", "+", " "):
                 with pytest.raises(ValueError):
                     kronseq.cf._int(bad)
     finally:
@@ -289,6 +296,14 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         *(["analyze", aperiodic, "--precision", precision, "--format", f] for f in formats),
         *(["cascade", aperiodic, "--format", f] for f in formats),
         ["cascade", "1,2,5", "--depth", "1500", "--precision", "8192", "--format", "json"],
+        # exit 2 at 4,096 bits, naming a t_k of 1,233 digits
+        ["cascade", "1,2,5", "--depth", "2500"],
+        # exit 2 at 16,384 bits, naming a t_k of 4,932 digits
+        ["cascade", "1,2,5", "--depth", "9000", "--precision", "16384"],
+        # runs out at 4,096 bits on a t_k of 1,232 digits, and succeeds at 8,192
+        ["cascade", "7,4,2", "--depth", "2040", "--precision", "8192", "--format", "json"],
+        # read piecewise at limit 640, after the whitespace and sign
+        ["analyze", aperiodic, "--precision", f" +{precision} ", "--format", "json"],
         ["cascade", periodic],  # exit 1, the block in the message
         ["verify", aperiodic, "--format", "json"],
         ["verify", periodic, "--max-period", "10", "--window", "30"],  # exit 1
@@ -319,6 +334,9 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         expected = outputs()
         longest = max(len(digits) for digits in re.findall(r"\d+", repr(expected)))
         assert longest > 4400, longest
+        i = argvs.index(["cascade", "1,2,5", "--depth", "2500"])
+        assert [code for code, *_ in expected[i:i + 3]] == [EXIT_PARSE, EXIT_PARSE, EXIT_OK]
+        assert "error: v2(t_" in expected[i][2] and "Traceback" not in expected[i][2]
         for limit in (640, 4300):
             set_limit(limit)
             assert outputs() == expected, limit
