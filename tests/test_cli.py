@@ -711,6 +711,25 @@ def test_env_precision_invalid(capsys, monkeypatch):
     assert code == EXIT_PARSE
 
 
+def test_flag_precision_and_help_beat_an_invalid_env_precision(capsys, monkeypatch):
+    # the environment is read after parsing, and only when --precision is
+    # absent, so neither --precision nor -h reads it, and a bad command
+    # line is a usage error first
+    monkeypatch.setenv("KRONSEQ_PRECISION", "abc")
+    code, out, err = run(capsys, ["analyze", "1,2,5", "--precision", "64", "--format", "json"])
+    assert (code, err) == (EXIT_APERIODIC, "")
+    assert json.loads(out)["precision"] == 64
+    for argv in (["-h"], ["verify", "-h"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: kronseq {argv[0] * (len(argv) > 1)}")
+    code, err = run_to_exit(capsys, ["verify", "1,2,3", "--window", "0"])
+    assert code == EXIT_USAGE
+    assert err.endswith("kronseq verify: error: argument --window: "
+                        "expected an integer >= 1, got '0'\n")
+
+
 @pytest.mark.parametrize("source", ["flag", "env"])
 @pytest.mark.parametrize("argv", [
     ["analyze", "1,2,5", "--format", "json"], ["analyze", "2,2", "--format", "json"],
@@ -767,6 +786,80 @@ def test_precision_above_the_cap_tops_the_cascade_ladder(capsys, monkeypatch, so
     assert len(json.loads(out)["cascade"]) == 2500
     assert runs[5000] == ((code, out, err), [5000])
     assert runs[10**20] == ((code, out, err), [8192])
+
+
+def test_help_names_every_command_and_option(capsys):
+    # kronseq -h holds the help of every command
+    with pytest.raises(SystemExit) as ei:
+        main(["--help"])
+    assert ei.value.code == EXIT_OK
+    top = capsys.readouterr().out
+    for command, (_, _, (positional, _), options) in kronseq.cli.COMMANDS.items():
+        with pytest.raises(SystemExit) as ei:
+            main([command, "-h"])
+        assert ei.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: kronseq {command} [-h]") and out in top
+        for name in (positional, "-h, --help", *options):
+            assert f"  {name}" in out, (command, name)
+
+
+def test_help_flag_with_a_value_is_a_usage_error(capsys):
+    # as argparse: -hh is -h -h, and any other value of -h or --help is an error
+    for argv in (["verify", "-hh"], ["verify", "-h=hh"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: kronseq verify")
+    for argv, value in ((["-hx"], "x"), (["verify", "--help=1"], "1"), (["analyze", "-h="], "")):
+        code, err = run_to_exit(capsys, argv)
+        assert code == EXIT_USAGE
+        assert err.endswith(f"error: argument -h/--help: ignored explicit argument {value!r}\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["expand", "1,2", "--count=--"], "argument --count: expected an integer >= 1, got '--'"),
+    (["verify", "1,2,3", "--format=--"],
+     "argument --format: invalid choice: '--' (choose from 'text', 'json', 'csv')"),
+])
+def test_explicit_double_dash_value_is_read_as_text(capsys, argv, error):
+    # argparse dropped an explicit "--" value and stored an empty list,
+    # which ended in a TypeError traceback
+    code, err = run_to_exit(capsys, argv)
+    assert code == EXIT_USAGE
+    assert err.endswith(f"kronseq {argv[0]}: error: {error}\n")
+
+
+def test_build_parser_reads_options_as_main_does():
+    args = kronseq.cli.build_parser().parse_args(["cascade", "--dep=5", "--", "1,2,5"])
+    assert (args.func, args.block, args.depth, args.format, args.output, args.precision) \
+        == (kronseq.cli.cmd_cascade, "1,2,5", 5, "text", None, None)
+
+
+def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["analyze", "1,2,5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == "cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["analyze", "1,2,5"], ["verify", "-h"]])
+def test_console_stdout_on_a_full_device_exits_1(argv):
+    # the flush at interpreter exit must not fail again (exit 120)
+    src = str(Path(kronseq.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-I", "-c", "import sys; sys.path.insert(0, "
+                               "sys.argv.pop(1)); from kronseq.cli import main; sys.exit(main())",
+                               src, *argv], stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("cannot write stdout: ") and done.stderr.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):
@@ -1021,7 +1114,7 @@ def test_non_integer_counts_are_usage_errors(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# nothing kept between calls
 
 def test_env_precision_read_on_every_call(capsys, monkeypatch):
     monkeypatch.setenv("KRONSEQ_PRECISION", "256")
@@ -1040,7 +1133,7 @@ def test_env_precision_read_on_every_call(capsys, monkeypatch):
 def test_repeated_calls_leave_no_reference_cycles(capsys, argv):
     import gc
 
-    main(argv)  # warm-up: builds the shared parser
+    main(argv)  # warm-up: first-use imports
     gc.collect()
     for _ in range(8):
         main(argv)
@@ -1067,7 +1160,8 @@ def test_cli_start_imports_no_dataclasses_typing_json_or_csv():
                   "kronseq.cli.build_parser()")
     assert "kronseq.cli" in cli
     added = cli - bare
-    assert not added & {"dataclasses", "inspect", "typing", "json", "csv"}, sorted(added)
+    assert not added & {"dataclasses", "inspect", "typing", "json", "csv", "argparse",
+                        "gettext", "locale", "shutil"}, sorted(added)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,3 +1237,74 @@ def test_reduced_input_digest(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(REDUCED_BATCH))
         record(["batch", "-", "--format", fmt])
     assert digest.hexdigest() == REDUCED_DIGEST
+
+
+# every command and option in each form the command line takes (--opt
+# value, --opt=value, a unique prefix, either side of the positional, "--",
+# "-" for stdin, repeated), and the errors of missing, bad and unknown
+# arguments: exit code (or SystemExit code), stdout and the last stderr
+# line, pinned to what the argparse parser gave on Python 3.11
+ARGV_OPTIONS = {"expand": ("--count",), "analyze": ("--window",), "cascade": ("--depth",),
+                "verify": ("--window", "--max-period"), "batch": ()}
+ARGV_VALUES = {"--count": ("5", "3"), "--window": ("80", "60"), "--depth": ("5", "3"),
+               "--max-period": ("4", "8"), "--format": ("text", "json"),
+               "--output": ("unused.txt", "-"), "--precision": ("256", "64")}
+ARGV_DIGEST = "de5886d1c7eda4c118d2f9f3b199d466401a18772e5c12a82746f45eaa48d415"
+
+
+def argv_corpus():
+    yield from ([], ["--format", "json", "analyze", "1,2"], ["bogus"], ["ver", "1,2,3"],
+                ["--foo"], ["--foo", "analyze", "1,2"], ["-3"], ["--"],
+                ["--", "verify", "1,2,3"], ["-w", "8", "verify", "1,2,3"])
+    for command, own in ARGV_OPTIONS.items():
+        block = {"cascade": "1,2,5", "batch": "-"}.get(command, "1,2,3")
+        yield from ([command], [command, block], [command, "--", block], [command, block, "--"],
+                    [command, "-"], [command, "-3"], [command, block, "extra"],
+                    [command, block, "-w", "8"], [command, block, "--foo"],
+                    [command, "--foo=1", block], [command, block, "-1,2"],
+                    [command, block, "--=x"], [command, block, "--", "--format", "json"],
+                    [command, "--", "--", block], [command, block, "--format", "xml"],
+                    [command, "-x y"])
+        for option in (*own, "--format", "--output", "--precision"):
+            first, value = ARGV_VALUES[option]
+            prefix = option[:5]
+            yield from ([command, block, option, value], [command, f"{option}={value}", block],
+                        [command, option, value, block], [command, block, prefix, value],
+                        [command, f"{prefix}={value}", block],
+                        [command, block, option, first, prefix, value],
+                        [command, block, option], [command, block, option, "--format", "csv"],
+                        [command, option, "--", block], [command, block, option, "-1,2"])
+            for bad in ("0", "-3", "-3\n", "abc", "1.5", "") if option != "--output" else ("",):
+                yield from ([command, block, option, bad], [command, block, f"{option}={bad}"])
+
+
+def argv_digest():
+    """SHA-256 over argv, exit code, stdout and the last stderr line of
+    every call of argv_corpus, and the number of calls."""
+    import contextlib
+
+    digest, calls = hashlib.sha256(), 0
+    for argv in argv_corpus():
+        out, err = io.StringIO(), io.StringIO()
+        saved, sys.stdin = sys.stdin, io.StringIO("1,2,3\n")
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            sys.stdin = saved
+        last = err.getvalue().splitlines()[-1:] or [""]
+        digest.update(f"{argv!r}\n{code}\n{out.getvalue()}\n{last[0]}\0".encode())
+        calls += 1
+    return digest.hexdigest(), calls
+
+
+def test_argv_digest_of_every_option_form_and_error(monkeypatch, tmp_path):
+    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
+    monkeypatch.chdir(tmp_path)
+    digest, calls = argv_digest()
+    assert calls >= 300
+    assert digest == ARGV_DIGEST
+    assert not list(tmp_path.iterdir())  # every --output went to stdout
