@@ -82,6 +82,8 @@ index needs v2(t) = m' + e - 1 = m + e and a critical one more.
 
 from __future__ import annotations
 
+from itertools import accumulate, compress, count, islice
+
 from ._record import Record, _set
 from .cf import PeriodicCF, _column_step, _square_mod, _str, _v2, matrix_at_mod2
 from .errors import PrecisionExhausted
@@ -393,8 +395,8 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     (r_depth - r_1) / (depth - 1) is 1.80-2.27 on all 96 ``cascade-deep``
     blocks of bench seeds 0-7 (depth 150-200).  A rung one too high costs
     twice the series terms of the root, on numbers twice as wide (depth
-    200 of (1,2,5) took 0.26, 0.64 and 2.6 ms at 512, 1,024 and 2,048
-    bits), one too low a retry.
+    200 of (1,2,5) takes 0.14, 0.28 and 1.1 ms at 512, 1,024 and 2,048
+    bits, best of 7), one too low a retry.
     Skipping rungs changes no output: an attempt that succeeds, or raises
     anything but PrecisionExhausted, does the same at every higher rung,
     since the residues it resolved stay resolved; so the ladder ends as an
@@ -462,42 +464,63 @@ def _inverse(a, w):
 def _root(P, s, t, vg, precision):
     """n' mod 2^w, w = precision - 2 - vg, by the closed form (d) of
     :func:`cascade`: P = D(period)^(2^r0) and (s, t) = x_k mod
-    2**precision, with vg = m + e + r0 = v2(g)."""
+    2**precision, with vg = m + e + r0 = v2(g).
+
+    Each series is summed as one fraction num / den over the odd common
+    denominator den = 3 * 5 * ... * (2i+1): a term a_i / (2i+1) is added
+    as num <- num (2i+1) + a_i den and den <- den (2i+1), mod 2^w.  After
+    N terms, N about w / (2M - 2), den has about N log2(2N) bits, below w
+    at r0 = 16 (M >= 18) for any width in use, so a term costs one
+    full-width product, the next power of mu or q, and products by small
+    numbers.  Each series takes one 2-adic inverse: of g num for phi, which
+    also gives 1/g, and of den for the sum.  With a pow(2i+1, -1, 2^w) and
+    a full-width product per term instead, the root of (1,2,5) at depth
+    200, 1,500 and 10,000 took 0.057, 6.7 and 1,190 ms at 512, 4,096 and
+    32,768 bits; it takes 0.039, 3.5 and 683 ms (best of 5 or more, Python
+    3.11, a shared 2-vCPU x86-64 host)."""
     w = precision - 2 - vg
     mask, low = (1 << precision) - 1, (1 << w) - 1
     a, _, c, d = P
     tau = (a + d - 2) & mask
     nu = tau + (tau * tau >> 2)  # c^2 - 1, exact mod 2**precision
     mu = (nu >> 2) & low
-    phi, y, C, i = 1, mu, 1, 1
+    num, den, y, C, i = 1, 1, mu, 1, 1  # phi = num / den
     while y:
         C = C * 2 * (2 * i - 1) // i  # binomial(2i, i)
-        term = C * y * pow(2 * i + 1, -1, 1 << w)
-        phi += -term if i & 1 else term
+        term = C * y * den
+        num = (num * (2 * i + 1) + (-term if i & 1 else term)) & low
+        den = den * (2 * i + 1) & low
         y, i = y * mu & low, i + 1
     g = (c * s + (((d - a) & mask) >> 1) * t) & mask  # ((P - cI) x_k)_2
     t = t >> vg
-    h = _inverse((g >> vg) * phi & low, w)  # 1 / (g phi), one inverse for two
-    z = -t * phi * h & low
+    h = _inverse((g >> vg) * num & low, w)  # 1 / (g num)
+    z = -t * num * h & low  # -t / g
+    h *= den  # 1 / (g phi)
     q = z * z * nu & low
-    S, x, i = 1, q, 1
+    num, den, x, i = 1, 1, q, 1  # S = num / den
     while x:
-        S += x * pow(2 * i + 1, -1, 1 << w)
+        num = (num * (2 * i + 1) + x * den) & low
+        den = den * (2 * i + 1) & low
         x, i = x * q & low, i + 1
-    return -t * S * h & low
+    return -(t * num & low) * (h * _inverse(den, w) & low) & low
 
 
 # The switch point r0 of :func:`cascade`.  Measured on cascade((1,2,5),
-# 12, 7, depth, B) (Python 3.11, one core of a shared host), r0 = 0, 4, 8,
-# 16 and 24 took 1.05, 0.42, 0.35, 0.21 and 0.30 ms at depth 200 and 512
-# bits, the cascade-deep rung, and 107, 29, 24, 11.5 and 10.2 ms at depth
-# 1,500 and 4,096 bits: below 16 the root needs too many series terms,
-# above it the walk costs more than the terms it saves.  Every r0 >= 0
-# gives the same steps.  The root has a fixed cost, so the walk hands over
-# only when at least _ROOT_STEPS steps remain: on 40 seeded blocks at 128
-# and 512 bits, walking 1, 2 or 4 steps past the switch point was faster
-# than the root, and 8 or 16 slower.
+# 12, 7, depth, B) (Python 3.11, one core of a shared host, best of 3 to
+# 15 in each of several runs), r0 = 0, 4, 8, 16, 24 and 32 took 0.37,
+# 0.15, 0.14, 0.14, 0.17 and 0.20 ms at depth 200 and 512 bits, the
+# cascade-deep rung, and 47, 8.8, 8.1, 4.8, 4.4 and 4.7 ms at depth 1,500
+# and 4,096 bits: below 16 the root needs too many series terms (at 512
+# bits r0 = 8 ties), and well above it the walk costs more than the terms
+# it saves.  At depth 10,000 and 32,768 bits r0 = 16, 32, 48 and 64 took
+# 736, 421, 351 and 325 ms, so the best r0 grows with the rung.  Every
+# r0 >= 0 gives the same steps.
+# The root has a fixed cost, so the walk hands over only when at least
+# _ROOT_STEPS steps remain: on 40 seeded blocks at 128 and 512 bits,
+# walking 1, 2 or 4 steps past the switch point was faster than the root,
+# and 8 or 16 slower.
 _SWITCH, _ROOT_STEPS = 16, 8
+_BIT = bytes.maketrans(b"01", b"\0\1")  # a bit's character to a false or true byte
 
 
 def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
@@ -586,10 +609,15 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     errors.
 
     Cost: at most r0 = 16 squarings and r0 column steps, four
-    multiplications each, the two logarithmic powers of the seeds, one
-    2-adic inverse and about w / (2M - 2) series terms mod 2^w, whatever
-    the depth; a cascade that ends within 8 steps of its first r_j >= r0
-    walks those steps instead.
+    multiplications each, the two logarithmic powers of the seeds, and
+    two series of about w / (2M - 2) terms mod 2^w, each term one
+    full-width product and products by small numbers, with one 2-adic
+    inverse per series, whatever the depth.  The remaining r_j are then
+    read off the bits of n' in one pass and each k_j takes one addition.
+    A cascade that ends within 8 steps of its first r_j >= r0 walks those
+    steps instead.  On (1,2,5), depth 200 at 512 bits took 0.14 ms, depth
+    1,500 at 4,096 bits 4.8 ms and depth 10,000 at 32,768 bits 0.74 s
+    (Python 3.11, a shared 2-vCPU x86-64 host, best of several runs).
     """
     _check_period(cf, period)
     M = matrix_at_mod2(cf, start, precision)
@@ -636,12 +664,12 @@ def _cascade(cf, period, start, depth, precision, D, x):
             P = _square_mod(P, mask)
             p_r += 1
         bits = format(_root(P, s, t, base + _SWITCH, precision), "b")[::-1]
-        i = r - _SWITCH  # character i of bits is bit i of n', r_j = r0 + i
-        while len(out) < depth:
-            k += period << r
-            i = bits.find("1", i + 1)
-            if i < 0:
-                raise _unresolved(k, precision)
-            r = _SWITCH + i
-            out.append((k, r))
+        # character i of bits is bit i of n', r_j = r0 + i, read from i = r - r0 + 1
+        # in one pass, and k_{j+1} = k_j + 2^(r_j) L
+        ones = bits[r - _SWITCH + 1:].encode().translate(_BIT)
+        rs = list(islice(compress(count(r + 1), ones), depth - len(out)))
+        ks = list(accumulate(map(period.__lshift__, [r, *rs]), initial=k))
+        out += zip(ks[1:], rs)
+        if len(out) < depth:  # n' has no set bit left below w: the next t_k
+            raise _unresolved(ks[-1], precision)
     return tuple(out)

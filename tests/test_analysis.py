@@ -1067,6 +1067,54 @@ def test_cascade_column_walk_matches_full_matrix_walk():
     assert errors > 10
 
 
+def test_switch_point_changes_no_step_or_error(monkeypatch):
+    # the walk seeded from analyze, with r0 = _SWITCH at 0, 4, 16 and 48,
+    # against r0 past the last step, where every step is walked: the same
+    # steps, or the same PrecisionExhausted text, which names the t_k after
+    # the last step (an off-by-one in the k read off the root shows there).
+    # Depths 8-1,500, each at the rung classify starts it at, at half that
+    # rung and a few bits short of the need m + e + 2*depth, so that many
+    # cascades run out of root bits at their rung
+    rng = random.Random(28)
+    blocks = [(1, 2, 5), (1, 2, 2), (2, 5, 9, 9, 5, 3, 2, 3)]
+    while len(blocks) < 7:
+        block = tuple(rng.randint(1, 9) for _ in range(rng.randint(3, 6)))
+        cf = normalize_period(block)
+        if not cf.reduced and analyze(cf).critical_indices:
+            blocks.append(block)
+    roots = []  # the calls of _root in one attempt
+    root = kronseq.analysis._root
+
+    def counted_root(*args):
+        roots.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(kronseq.analysis, "_root", counted_root)
+    out_of_root_bits = 0
+    for block in blocks:
+        cf = block_cf(block)
+        a = analyze(cf)
+        first = a.critical_indices[0]
+        seeds = a.walk.D, a.walk.pairs[first]
+        for depth in (8, 9, 17, 40, 200, 1500):
+            rung = 128
+            while rung < a.m + a.e + 2 * depth + 3:
+                rung *= 2
+            for precision in (rung, rung // 2, a.m + a.e + 2 * depth - 6):
+                args = cf, a.period, first, depth, precision, *seeds
+                monkeypatch.setattr(kronseq.analysis, "_SWITCH", 10**9)
+                roots.clear()
+                expected = outcome(kronseq.analysis._cascade, *args)
+                assert not roots
+                for r0 in (0, 4, 16, 48):
+                    monkeypatch.setattr(kronseq.analysis, "_SWITCH", r0)
+                    roots.clear()
+                    assert outcome(kronseq.analysis._cascade, *args) == expected, \
+                        (block, depth, precision, r0)
+                    out_of_root_bits += bool(roots) and expected[0] is PrecisionExhausted
+    assert out_of_root_bits > 100
+
+
 # ---------------------------------------------------------------------------
 # structural checks along doubled periods
 

@@ -638,6 +638,35 @@ def test_batch_csv(tmp_path, capsys):
     assert rows[1][2] == "periodic-2L"
 
 
+def test_csv_writes_what_the_csv_module_writes():
+    # random rows of two or more cells: strings over an alphabet with the
+    # characters that force quoting, empty strings, ints and bools
+    rng = random.Random(28)
+    alphabet = [",", '"', "\r", "\n", " ", "a", "1", "-", "'", ";", "\t"]
+
+    def cell():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return ""
+        if kind == 1:
+            return rng.randint(-10**30, 10**30)
+        if kind == 2:
+            return rng.choice((True, False))
+        return "".join(rng.choices(alphabet, k=rng.randint(1, 6)))
+
+    quoted = 0
+    for _ in range(400):
+        header = [cell() for _ in range(rng.randint(2, 5))]
+        rows = [[cell() for _ in range(rng.randint(2, 5))] for _ in range(rng.randint(0, 4))]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert kronseq.cli._csv(header, rows) == buf.getvalue(), (header, rows)
+        quoted += '"' in buf.getvalue()
+    assert quoted > 200
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
