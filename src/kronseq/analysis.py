@@ -85,7 +85,7 @@ from __future__ import annotations
 from itertools import accumulate, compress, count, islice
 
 from ._record import Record, _set
-from .cf import PeriodicCF, _column_step, _square_mod, _str, _v2, matrix_at_mod2
+from .cf import PeriodicCF, _column_step, _square_mod, _unresolved, _v2, matrix_at_mod2
 from .errors import PrecisionExhausted
 
 __all__ = [
@@ -442,11 +442,6 @@ def threshold_valuation(cf: PeriodicCF, period: int, doublings: int,
     _check_period(cf, period)
     k = (period << doublings) - 1
     return _resolved_v2(matrix_at_mod2(cf, k, precision).t, precision, k)
-
-
-def _unresolved(k, precision):
-    # k is about period * 2**r_j, so it can pass the int-to-str digit limit
-    return PrecisionExhausted(f"v2(t_{_str(k)}) not resolvable at precision {_str(precision)}")
 
 
 def _inverse(a, w):

@@ -12,7 +12,7 @@ import math
 import operator
 
 from ._record import Record, _set
-from .errors import EmptyInput, NonPositiveQuotient, NotCoprime
+from .errors import EmptyInput, NonPositiveQuotient, NotCoprime, PrecisionExhausted
 
 __all__ = [
     "PeriodicCF",
@@ -113,7 +113,7 @@ class QuadIrrational(Record):
             raise ValueError(f"conjugate of {self} is not > -1")
 
     def __str__(self):
-        return f"({self.P} + sqrt({self.D})) / {self.Q}"
+        return f"({_str(self.P)} + sqrt({_str(self.D)})) / {_str(self.Q)}"
 
 
 def _check_quotients(q):
@@ -241,6 +241,13 @@ def _int(text):
 
 def _v2(n):  # 2-adic valuation of n != 0
     return (n & -n).bit_length() - 1
+
+
+def _unresolved(k, precision):
+    """The PrecisionExhausted of a t_k whose valuation the residue mod
+    2**precision does not settle.  k can be about period * 2**r_j, past
+    the int-to-str digit limit."""
+    return PrecisionExhausted(f"v2(t_{_str(k)}) not resolvable at precision {_str(precision)}")
 
 
 def _mat_mul_mod(A, B, mask):

@@ -4,13 +4,25 @@ Exit codes are a stable contract:
   0  periodic classification / agreement / plain success
   1  usage errors (including cascade on a periodic block, --count,
      --depth, --window or --max-period below 1, a verify window too short
-     for the periods it checks, a batch input that cannot be read or
-     decoded, an --output path or a stdout that cannot be written, and
-     any command line the parser rejects)
+     for the periods it checks, a "-" block or a batch input that cannot
+     be read or decoded, an --output path or a stdout that cannot be
+     written, a missing stdin or stdout among them, and any command line
+     the parser rejects)
   2  parse or precision errors (including --precision below 8), and any
      other package error
   3  aperiodic classification (analyze)
   4  oracle mismatch (verify)
+
+Each failure that main catches is one line on stderr, and one table,
+FAILURES, maps its type to the exit code and the prefix of that line; a
+command line the parser rejects is a usage line and one error line.  A
+standard stream that is missing (its descriptor was closed when the
+process started) is a stream that fails: a missing stdin cannot be read
+(``cannot read -: ...``, exit 1), a missing stdout, help included, cannot
+be written (``cannot write stdout: ...``, exit 1), and a missing or
+failing stderr drops the line and keeps the exit code.  The standard
+streams are touched only by :func:`_read`, :func:`_emit` and
+:func:`_say`.
 
 Each subcommand computes its result once and returns its exit code with
 one zero-argument renderer per --format; main calls the chosen renderer
@@ -30,15 +42,9 @@ is an int, a bool, null, the decimal string of an int or a fixed token
 The one user text, a ``batch`` record's input line and error message,
 goes through ``json.dumps``.  ``report_to_dict`` is the parse of
 ``report_to_json``, and ``report_from_dict``/``report_from_json`` are the
-reader.  Through the sorting encoder a dict per row cost 0.57 ms of a
-1.04 ms ``cascade 1,2,5 --depth 175 --format json`` call; the template
-takes 0.14 ms, most of it decimal conversion of k and the multiples.
-``expand 1,2,5 --count 2000 --format json`` renders in 26 ms instead of
-46, most of it str() of s_k and t_k.  The oracle object of ``verify
-2,5,9,9,5,3,2,3 --window 1500`` (192 falsified periods) takes 0.055 ms
-instead of 0.120, and a ``batch`` report on the blocks of the bench's
-``batch-short`` workload 5-7 us instead of 15-22 (Python 3.11, a shared
-2-vCPU x86-64 host, best of 7).
+reader.  A template builds no dict per row and sorts no keys, which is
+most of what the sorting encoder costs on a long ``cascade`` or
+``expand``.
 
 The integers that grow with the input (the quotients, U and u, quad, the
 precision, the printed pairs, a cascade's k_j and multiples, and the
@@ -57,25 +63,19 @@ start costs a hundred times what a typical call computes, so importing
 this module loads only what every call needs.  ``json`` loads on first
 use, inside the functions that use it: the report readers and a
 ``batch`` record's user text.  CSV is written without the ``csv`` module
-(:func:`_csv`, tested against ``csv.writer``): whole ``cascade 1,2,5
---depth 175 --format csv`` and ``expand 1,2,5 --count 2000 --format csv``
-calls took 0.93 and 59 ms with ``csv.writer`` and take 0.50 and 23 ms
-(best of 7, same host).  The records are plain
-classes on ``_record.Record``, not dataclasses, so neither ``dataclasses``
-nor ``inspect`` nor ``typing`` loads.  The command line is read from one
+(:func:`_csv`, tested against ``csv.writer``), which costs more per row
+than joining the cells.  The records are plain classes on
+``_record.Record``, not dataclasses, so neither ``dataclasses`` nor
+``inspect`` nor ``typing`` loads.  The command line is read from one
 table, COMMANDS, by a small parser that takes and rejects what the
 standard library's parser, built from the same table, did, with the same
 last error line, and that loads no module (the standard one loads
-``gettext``, ``locale`` and ``shutil``).  Importing this module and
-building its parser in a fresh interpreter took 10.7-12.1 ms with the
-standard parser and takes 3.7-4.6 ms (29.9-30.9 and 8.2-8.6 ms with no
-``site`` preloads, ``python -I -S``; medians of two sets of 40 starts,
-Python 3.11, a shared 2-vCPU x86-64 host).  Reading the argv of a
-``cascade`` call took 78 us and takes 9-14 us.
+``gettext``, ``locale`` and ``shutil``).
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from types import SimpleNamespace
@@ -88,7 +88,7 @@ from .cf import (_int, _quad_irrational, _str, _v2, iter_convergent_pairs,
                  normalize_period)
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
                      WindowTooShort)
-from .oracle import PeriodReport, cross_check
+from .oracle import DEFAULT_WINDOW, PeriodReport, cross_check
 from .symbols import STAR, _sequences
 
 EXIT_OK = 0
@@ -97,13 +97,28 @@ EXIT_PARSE = 2
 EXIT_APERIODIC = 3
 EXIT_MISMATCH = 4
 
+
+class _UsageError(Exception):
+    """An input, --output path or stdout that cannot be used."""
+
+
+# failure type -> (exit code, prefix of its stderr line), most specific first
+FAILURES = (
+    (ParseError, EXIT_PARSE, "parse error: "),
+    (_UsageError, EXIT_USAGE, ""),
+    ((NotAperiodic, WindowTooShort), EXIT_USAGE, "error: "),
+    (OracleMismatch, EXIT_MISMATCH, "oracle mismatch: "),
+    (KronseqError, EXIT_PARSE, "error: "),  # bad quotients, precision exhausted, ...
+)
+
 PRECISION_ENV = "KRONSEQ_PRECISION"
 
 
 def parse_block(text: str) -> tuple[int, ...]:
     """Parse block notation: comma-separated positive integers, with
-    optional surrounding brackets.  Positions in errors are worked out by
-    :func:`_parse_error`, only when one is raised."""
+    optional surrounding brackets.  An error names the position in
+    ``text`` where the bad token starts, or where its empty chunk does;
+    the position is worked out only when the error is raised."""
     s = text.strip()
     if not s:
         raise ParseError("empty block", position=0)
@@ -112,29 +127,16 @@ def parse_block(text: str) -> tuple[int, ...]:
             raise ParseError("empty block", position=text.index(s) + 1)
         s = s[1:-1]
     out = []
-    for token in s.split(","):
-        token = token.strip()
+    for chunk in s.split(","):
+        token = chunk.strip()
         if not token.isdecimal() or (a := _int(token)) < 1:
-            raise _parse_error(text, len(out))
+            # s starts at the first non-space of text, or one past its "["
+            whole, i = text.strip(), len(out)
+            at = (text.index(whole) + (s != whole) + sum(map(len, s.split(",")[:i])) + i
+                  + (chunk.index(token) if token else 0))
+            raise ParseError(f"expected a positive integer at position {at}", position=at)
         out.append(a)
     return tuple(out)
-
-
-def _parse_error(text, i):
-    """The ParseError of :func:`parse_block` for its token i (from 0): the
-    position in ``text`` where the token starts, or where its empty chunk
-    does."""
-    s = text.strip()
-    at = text.index(s)
-    if s.startswith("[") and s.endswith("]"):
-        at += 1
-        s = s[1:-1]
-    chunks = s.split(",")
-    at += sum(map(len, chunks[:i])) + i
-    token = chunks[i].strip()
-    if token:
-        at += chunks[i].index(token)
-    return ParseError(f"expected a positive integer at position {at}", position=at)
 
 
 class ConvergentDetail(Record):
@@ -398,30 +400,54 @@ def _table_text(header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# streams: the standard streams and the files of --output and batch are
+# read and written here only
 
-class _UsageError(Exception):
-    """An input or --output path that cannot be used; main exits with EXIT_USAGE."""
+def _std(name):
+    """sys.stdin, sys.stdout or sys.stderr, by name.  A missing one (None:
+    its descriptor was closed when the process started) raises the
+    OSError that a closed descriptor gives."""
+    if (stream := getattr(sys, name)) is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
+
+
+def _write(name, text):
+    """Write text to stdout or stderr, by name, and flush it; a missing or
+    failing stream raises OSError.  When the process's own stream fails,
+    its descriptor is pointed at the null device, so that the flush at
+    exit cannot fail again (a failed write stays in the buffer)."""
+    stream = _std(name)
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        if stream is getattr(sys, f"__{name}__"):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
 
 
 def _emit(text, output=None):
     """Write text and a final newline to the path output, if any, else to
-    stdout, and flush it; a path or stdout that cannot take it is a usage error.
-    When the process's own stdout fails, fd 1 is pointed at the null
-    device, so that the flush at exit cannot fail again."""
+    stdout; a path or stdout that cannot take it is a usage error."""
     if not text.endswith("\n"):
         text += "\n"
     try:
-        if output:
-            with open(output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+        if not output:
+            return _write("stdout", text)
+        with open(output, "w") as fh:
+            fh.write(text)
     except OSError as exc:
-        if not output and sys.stdout is sys.__stdout__:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _UsageError(f"cannot write {output or 'stdout'}: {exc}") from exc
+
+
+def _say(text):
+    """Write text to stderr.  A stderr that is missing or fails drops it,
+    so that the exit code stays the one documented for the failure."""
+    try:
+        _write("stderr", text)
+    except OSError:
+        pass
 
 
 def _read(path):
@@ -429,12 +455,15 @@ def _read(path):
     decoded is a usage error."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return _std("stdin").read()
         with open(path) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
+
+# ---------------------------------------------------------------------------
+# subcommands
 
 def _read_block_arg(arg):
     return parse_block(_read(arg) if arg == "-" else arg)
@@ -559,18 +588,25 @@ class _ArgError(Exception):
     usage line and the error, and exits with EXIT_USAGE."""
 
 
-def _number(raw, name, low=1):
-    """raw as an int of at least low.  Below 1 that is a usage error; below
-    8, the least precision, a ParseError (exit 2), which the parser lets
-    through to main."""
+def _count(raw, name):
+    """raw as an int of at least 1; anything else is a usage error."""
     try:
-        value = _int(raw)
+        if (value := _int(raw)) >= 1:
+            return value
     except ValueError:
-        value = 0
-    if value < low:
-        raise ParseError(f"invalid {name}: {raw!r} (need an integer >= {low})") if low > 1 \
-            else _ArgError(f"argument {name}: expected an integer >= 1, got {raw!r}")
-    return value
+        pass
+    raise _ArgError(f"argument {name}: expected an integer >= 1, got {raw!r}")
+
+
+def _precision(raw, name):
+    """raw as an int of at least 8, the least precision; anything else is a
+    ParseError (exit 2), which the parser lets through to main."""
+    try:
+        if (value := _int(raw)) >= 8:
+            return value
+    except ValueError:
+        pass
+    raise ParseError(f"invalid {name}: {raw!r} (need an integer >= 8)")
 
 
 def _choice(raw, name, choices=("text", "json", "csv")):
@@ -583,7 +619,7 @@ def _choice(raw, name, choices=("text", "json", "csv")):
 def _common(fmt="text"):
     return {"--format": (_choice, fmt, "{text,json,csv}", "output format"),
             "--output": (lambda raw, name: None if raw == "-" else raw, None, "PATH", "file"),
-            "--precision": (lambda raw, name: _number(raw, name, 8), None, "PRECISION", "2-adic "
+            "--precision": (_precision, None, "PRECISION", "2-adic "
                             f"bits, >= 8 (default ${PRECISION_ENV}, else {DEFAULT_PRECISION})")}
 
 
@@ -594,14 +630,15 @@ _BLOCK = ("block", 'e.g. "1,2,3" or "[1,2,3]"; "-" reads stdin')
 # under its name without the dashes, with "_" for "-"
 COMMANDS = {
     "expand": (cmd_expand, "convergents and their symbol sequences", _BLOCK,
-               {"--count": (_number, 10, "COUNT", "terms to print"), **_common()}),
+               {"--count": (_count, 10, "COUNT", "terms to print"), **_common()}),
     "analyze": (cmd_analyze, "full period analysis and classification", _BLOCK,
-                {"--window": (_number, None, "WINDOW", "also run the oracle"), **_common()}),
+                {"--window": (_count, None, "WINDOW", "also run the oracle"), **_common()}),
     "cascade": (cmd_cascade, "witness cascade of an aperiodic block", _BLOCK,
-                {"--depth": (_number, DEFAULT_DEPTH, "DEPTH", "cascade steps"), **_common()}),
+                {"--depth": (_count, DEFAULT_DEPTH, "DEPTH", "cascade steps"), **_common()}),
     "verify": (cmd_verify, "cross-check classification on a symbol window", _BLOCK, {
-        "--window": (_number, None, "WINDOW", "oracle window length (default: 600 or more)"),
-        "--max-period": (_number, None, "MAX_PERIOD", "largest period tested"), **_common()}),
+        "--window": (_count, None, "WINDOW",
+                     f"oracle window length (default: {DEFAULT_WINDOW} or more)"),
+        "--max-period": (_count, None, "MAX_PERIOD", "largest period tested"), **_common()}),
     "batch": (cmd_batch, "analyze one block per input line",  # machine records by default
               ("input", 'one block per line, "#" comments; "-" reads stdin'), _common("json")),
 }
@@ -699,7 +736,7 @@ class CommandLine:
             if positional not in values:
                 raise _ArgError(f"the following arguments are required: {positional}")
         except _ArgError as exc:
-            sys.stderr.write(self.format_help(command, exc))
+            _say(self.format_help(command, exc))
             raise SystemExit(EXIT_USAGE) from None
         return SimpleNamespace(**values)
 
@@ -712,30 +749,22 @@ def build_parser() -> CommandLine:
 
 
 def main(argv=None) -> int:
+    """Run the command line argv (sys.argv[1:] by default) and return its
+    exit code.  Each failure it catches is one stderr line, whose prefix
+    and exit code FAILURES gives; a command line the parser rejects, and
+    help, raise SystemExit instead."""
     try:
         args = build_parser().parse_args(argv)
         if args.precision is None:  # the environment, read per call after parsing
             raw = os.environ.get(PRECISION_ENV)
-            args.precision = DEFAULT_PRECISION if raw is None else _number(raw, PRECISION_ENV, 8)
+            args.precision = DEFAULT_PRECISION if raw is None else _precision(raw, PRECISION_ENV)
         code, render = args.func(args)
         _emit(render[args.format](), args.output)
         return code
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except _UsageError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
-    except (NotAperiodic, WindowTooShort) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OracleMismatch as exc:
-        sys.stderr.write(f"oracle mismatch: {exc}\n")
-        return EXIT_MISMATCH
-    except KronseqError as exc:
-        # every other package error (bad quotients, precision exhausted, ...)
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    except (KronseqError, _UsageError) as exc:
+        code, prefix = next(entry[1:] for entry in FAILURES if isinstance(exc, entry[0]))
+        _say(f"{prefix}{exc}\n")
+        return code
 
 
 if __name__ == "__main__":

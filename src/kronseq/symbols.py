@@ -113,7 +113,7 @@ from __future__ import annotations
 
 import math
 
-from .cf import PeriodicCF, _column_step, _mat_pow_mod, _pairs_at, _str, _v2
+from .cf import PeriodicCF, _column_step, _mat_pow_mod, _pairs_at, _unresolved, _v2
 from .errors import EvenArgument, EvenModulus, NotCoprime, PrecisionExhausted
 
 __all__ = [
@@ -417,7 +417,7 @@ def _lane_flags(cf, count, precision, start=0, full=True):
         if ((T & LOW) + LOW) & TOP != TOP:
             unsettled = TOP ^ (((T & LOW) + LOW) & TOP)
             k = base - 2 + ((unsettled & -unsettled).bit_length() - 1) // W
-            raise PrecisionExhausted(f"v2(t_{k}) not resolvable at precision {_str(B)}")
+            raise _unresolved(k, B)
         lowbit = T & ((LM ^ T) + ONES)
         V = (((lowbit & ODD) + LM) >> B) & ONES
         H = (((T & (lowbit << 1)) + LM) >> B) & ONES

@@ -88,6 +88,42 @@ def test_parse_block_error_positions(text, message, position):
         assert str(ei.value) == f"{message} at position {position}"
 
 
+def reference_parse_block(text):
+    """Block notation read by index, as a plain reference: the tuple, or
+    the message and position of the ParseError."""
+    marks = [i for i, c in enumerate(text) if not c.isspace()]
+    if not marks:
+        return "empty block", 0
+    first, end = marks[0], marks[-1] + 1
+    if end - first >= 2 and text[first] == "[" and text[end - 1] == "]":
+        first, end = first + 1, end - 1
+        if text[first:end].isspace() or first == end:
+            return "empty block", first
+    values, start = [], first
+    for stop in [i for i in range(first, end) if text[i] == ","] + [end]:
+        token, at = text[start:stop].strip(), start
+        while token and text[at].isspace():
+            at += 1
+        if not token.isdecimal() or int(token) < 1:
+            return f"expected a positive integer at position {at}", at
+        values.append(int(token))
+        start = stop + 1
+    return tuple(values)
+
+
+def test_parse_block_matches_a_plain_reference_on_every_short_string():
+    # every string of up to 5 characters over the characters of block
+    # notation, a bad token and whitespace
+    for n in range(6):
+        for chars in itertools.product(" [],10x\t", repeat=n):
+            text = "".join(chars)
+            try:
+                got = parse_block(text)
+            except ParseError as exc:
+                got = (str(exc), exc.position)
+            assert got == reference_parse_block(text), repr(text)
+
+
 # ---------------------------------------------------------------------------
 # expand
 
@@ -311,6 +347,9 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
     ]
     rep = build_report((1, 2, 10**4400 + 1), precision=10**700)
     P, D, Q = rep.quad
+    # str() of a QuadIrrational whose D has 25,655 bits (7,723 digits)
+    rng = random.Random(1)
+    quad = quad_irrational_of(normalize_period([rng.randint(1, 1000) for _ in range(1500)]))
     # P > 0 for every purely periodic block, so a negative P is built by hand
     negative = kronseq.cli.AnalysisReport(rep.block, rep.reduced, (-P, D, Q), rep.analysis,
                                           rep.critical, rep.subcritical,
@@ -326,6 +365,7 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
             assert report_from_json(text) == r
             assert report_from_dict(report_to_dict(r)) == r
             runs.append((text, report_to_dict(r), report_to_text(r), report_to_csv(r)))
+        runs.append(str(quad))
         return runs
 
     before = sys.get_int_max_str_digits()
@@ -889,6 +929,46 @@ def test_console_stdout_on_a_full_device_exits_1(argv):
                               timeout=60)
     assert done.returncode == EXIT_USAGE
     assert done.stderr.startswith("cannot write stdout: ") and done.stderr.count("\n") == 1
+
+
+# a command run with one standard stream closed (<&-, >&-, 2>&-) or on a
+# full device: the exit code each failure documents, and at most one line
+CLOSED_STREAM_CASES = [
+    *((redirect, argv, code, None)
+      for redirect in ("2>&-", "2>/dev/full")
+      for argv, code in ((["analyze", "x"], EXIT_PARSE),
+                         (["verify", "1,2,3", "--window", "0"], EXIT_USAGE),
+                         (["batch", "/no/such/file"], EXIT_USAGE),
+                         (["cascade", "1,2,5", "--depth", "2500"], EXIT_PARSE),
+                         (["analyze", "1,2,5"], EXIT_APERIODIC),
+                         (["analyze", "1,2,3"], EXIT_OK))),
+    ("<&-", ["analyze", "-"], EXIT_USAGE, "cannot read -: "),
+    ("<&-", ["batch", "-"], EXIT_USAGE, "cannot read -: "),
+    (">&-", ["analyze", "1,2,5"], EXIT_USAGE, "cannot write stdout: "),
+    (">&-", ["-h"], EXIT_USAGE, "cannot write stdout: "),
+    (">&-", ["verify", "-h"], EXIT_USAGE, "cannot write stdout: "),
+]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX shell")
+@pytest.mark.parametrize("redirect, argv, code, line", CLOSED_STREAM_CASES, ids=repr)
+def test_console_with_a_closed_or_failing_stream(monkeypatch, redirect, argv, code, line):
+    # -I ignores PYTHONUNBUFFERED, so the streams are buffered as in plain use
+    if "/dev/full" in redirect and not Path("/dev/full").exists():
+        pytest.skip("needs /dev/full")
+    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
+    src = str(Path(kronseq.__file__).resolve().parents[1])
+    done = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-I", "-c",
+                           "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+                           "from kronseq.cli import main; sys.exit(main())", src, *argv],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    for text in (done.stdout, done.stderr):
+        assert "Traceback" not in text and "Exception ignored" not in text
+    if line is None:  # stderr closed or full: nothing reaches it
+        assert done.stderr == ""
+    else:
+        assert done.stderr.startswith(line) and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_usage_error_exit_code(capsys):
