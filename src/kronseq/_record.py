@@ -13,6 +13,17 @@ shared 2-vCPU x86-64 host).
 _set = object.__setattr__  # how each record's __init__ sets its fields
 
 
+def _repr(value):
+    """repr(value), with each int in it, also inside tuples, written by
+    ``cf._str``, so that an int past the int-to-str digit limit of Python
+    3.11+ prints instead of raising ValueError."""
+    from .cf import _str  # cf imports this module
+
+    if type(value) is tuple:
+        return f"({', '.join(map(_repr, value))}{',' * (len(value) == 1)})"
+    return _str(value) if type(value) is int else repr(value)
+
+
 class Record:
     """A subclass lists its fields in ``__slots__``, in the order of its
     ``__init__`` parameters, and its ``__init__`` sets each with ``_set``.
@@ -43,7 +54,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._shown])
+        fields = ", ".join([f"{f}={_repr(getattr(self, f))}" for f in self._shown])
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

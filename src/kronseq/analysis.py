@@ -85,7 +85,7 @@ from __future__ import annotations
 from itertools import accumulate, compress, count, islice
 
 from ._record import Record, _set
-from .cf import PeriodicCF, _column_step, _square_mod, _unresolved, _v2, matrix_at_mod2
+from .cf import PeriodicCF, _column_step, _pairs_at, _square_mod, _unresolved, _v2, matrix_at_mod2
 from .errors import PrecisionExhausted
 
 __all__ = [
@@ -103,12 +103,12 @@ __all__ = [
     "threshold_valuation",
     "cascade",
     "DEFAULT_PRECISION",
-    "MAX_PRECISION",
+    "MIN_PRECISION",
     "DEFAULT_DEPTH",
 ]
 
 DEFAULT_PRECISION = 128
-MAX_PRECISION = 4096
+MIN_PRECISION = 8  # the least precision analyze, decompose and the CLI take
 DEFAULT_DEPTH = 8
 
 
@@ -218,18 +218,17 @@ def _check_period(cf, period):
         raise ValueError(f"period {period} is not a multiple of the block length of {cf}")
 
 
-def _walk(cf, period=None):
-    """One exact walk of the convergents k < L, for L = ``period`` or, when
-    that is None, L4: the first block boundary d*l with D(d*l) = I mod 4,
-    at most 6l terms in (fact (1)).  Returns L, D(L) and the block matrix
-    D(l), each as the 4-tuple (s, s_prev, t, t_prev), (k, v2(t_k), s_k,
-    t_k) for every k < L with s_k = 3 mod 4 and t_k even, the only
-    candidates for a critical or subcritical index (m + e - 1 >= 1, as
-    m >= 2), and the Kronecker symbol c_{L-1} = (t_{L-2}/t_{L-1}), which
-    is f of fact (5) at L = L4.  The exact pairs of the candidates are
-    the only terms kept: the report prints those of the critical and
-    subcritical indices, and the cascade starts from the first critical
-    one.
+def _walk(cf):
+    """One exact walk of the convergents k < L4, L4 the first block
+    boundary d*l with D(d*l) = I mod 4, at most 6l terms in (fact (1)).
+    Returns L4, D(L4) and the block matrix D(l), each as the 4-tuple (s,
+    s_prev, t, t_prev), (k, v2(t_k), s_k, t_k) for every k < L4 with s_k =
+    3 mod 4 and t_k even, the only candidates for a critical or
+    subcritical index (m + e - 1 >= 1, as m >= 2), and the Kronecker
+    symbol c_{L4-1} = (t_{L4-2}/t_{L4-1}), which is f of fact (5).  The
+    exact pairs of the candidates are the only terms kept: the report
+    prints those of the critical and subcritical indices, and the cascade
+    starts from the first critical one.
 
     The recurrence s_k = a_k s_{k-1} + s_{k-2} (and the same for t) is
     stepped in place, one inner loop over ``cf.quotients`` per repetition
@@ -276,7 +275,7 @@ def _walk(cf, period=None):
         D = (s, s_prev, t, t_prev)
         if block is None:
             block = D
-        if k == period or period is None and _is_identity_mod4(D):
+        if _is_identity_mod4(D):
             return k, D, block, candidates, c
 
 
@@ -322,10 +321,12 @@ def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
     Computed exactly (period lengths are small), then truncated; e is the
     exact valuation of U's lower-left entry t_{period-1} / 2^m >= 1.
     """
-    if precision < 8:
-        raise ValueError("precision must be >= 8")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION}")
     _check_period(cf, period)
-    return _split(cf, period, _walk(cf, period)[1], precision)
+    pairs = _pairs_at(cf, (period - 1, period - 2))
+    (s, t), (s_prev, t_prev) = pairs[period - 1], pairs[period - 2]
+    return _split(cf, period, (s, s_prev, t, t_prev), precision)
 
 
 def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
@@ -333,7 +334,9 @@ def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     v2(t_k): at least m+e gives a critical index, exactly m+e-1 a
     subcritical one (m >= 2 for every decomposition)."""
     _check_period(cf, period)
-    return _classes(_walk(cf, period)[3], m, e)[:2]
+    candidates = [(k, _v2(t), s, t) for k, (s, t) in _pairs_at(cf, range(period)).items()
+                  if s & 3 == 3 and not t & 1]
+    return _classes(candidates, m, e)[:2]
 
 
 def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysis:
@@ -352,8 +355,8 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     exact data a report prints and a cascade starts from, kept as
     ``walk``.
     """
-    if precision < 8:
-        raise ValueError("precision must be >= 8")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION}")
     L, D, block, candidates, f = _walk(cf)
     m, U, e = _split(cf, L, D, precision)
     critical, subcritical, pairs = _classes(candidates, m, e)
@@ -365,8 +368,7 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True, _Walked((block, D, {})))
 
 
-def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
-             depth: int = DEFAULT_DEPTH,
+def classify(cf: PeriodicCF, depth: int = DEFAULT_DEPTH,
              analysis: PeriodAnalysis | None = None) -> Classification:
     """Decide whether the Kronecker sequence repeats, and with what period.
 
@@ -377,13 +379,8 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     and is used instead of analyzing again; one without a walk (read back
     from a report, say) is analyzed again.
 
-    The cascade runs on the ladder precision * 2^i, capped at
-    MAX_PRECISION.  A precision above the cap starts the ladder at
-    MAX_PRECISION instead and caps it at the precision itself, so a
-    cascade that needs more than MAX_PRECISION bits can still succeed, as
-    one attempt at that precision would, but no residue is wider than the
-    rung that succeeds: a precision of 10**20 costs what the cascade
-    needs.  The cascade starts at the first rung that reaches the
+    The cascade's width is chosen from the request alone, on the rungs
+    DEFAULT_PRECISION * 2^i.  It starts at the first rung that reaches the
     predicted need m + e + 2*depth + 3, and doubles on precision
     exhaustion.  Step j reads v2(t_{k_j}) = m + e + r_j, which a residue
     mod 2^B resolves only if B >= m + e + r_j + 3.  The r_j are the set
@@ -397,32 +394,38 @@ def classify(cf: PeriodicCF, precision: int = DEFAULT_PRECISION,
     twice the series terms of the root, on numbers twice as wide (depth
     200 of (1,2,5) takes 0.14, 0.28 and 1.1 ms at 512, 1,024 and 2,048
     bits, best of 7), one too low a retry.
-    Skipping rungs changes no output: an attempt that succeeds, or raises
-    anything but PrecisionExhausted, does the same at every higher rung,
-    since the residues it resolved stay resolved; so the ladder ends as an
-    attempt at its top rung would.
+
+    Why the ladder ends.  n* has infinitely many set bits: one with
+    finitely many would be an integer n >= 0 with f(n) = t_{start + nL} = 0
+    (:func:`cascade` (b)), but every t_k >= 1.  So r_depth, the depth-th
+    set bit, is finite, and the first rung above m + e + r_depth + 2
+    resolves every step the attempt reads, walked or off the root
+    (:func:`cascade` (d)): that attempt succeeds, and the last rung is
+    below 2 * max(DEFAULT_PRECISION, m + e + 2*depth + 3,
+    m + e + r_depth + 3).  An attempt that succeeds, or raises anything
+    but PrecisionExhausted, does the same at every higher rung, since the
+    residues it resolved stay resolved; so skipping rungs changes no
+    output, and every call ends as an attempt at a wide enough precision
+    would.
 
     Each attempt is the walk of :func:`cascade`, seeded from the exact
     D(L4) and (s, t) at the first critical index in ``analysis.walk``
     rather than from two binary powers, with the same steps and errors.
     """
     if analysis is None or analysis.walk is None:
-        analysis = analyze(cf, precision)
+        analysis = analyze(cf)
     if analysis.critical_indices:
         first = analysis.critical_indices[0]
         D, x = analysis.walk.D, analysis.walk.pairs[first]
+        # the first rung >= need: 128 * 2^i >= need iff 2^i > (need - 1) // 128
         need = analysis.m + analysis.e + 2 * depth + 3
-        B, top = min(precision, MAX_PRECISION), max(precision, MAX_PRECISION)
-        while B < need and B < top:
-            B = min(2 * B, top)
+        B = DEFAULT_PRECISION << ((need - 1) // DEFAULT_PRECISION).bit_length()
         while True:
             try:
-                steps = _cascade(cf, analysis.period, first, depth, B, D, x)
-                return Aperiodic(first_critical=first, cascade=steps)
+                return Aperiodic(first_critical=first,
+                                 cascade=_cascade(cf, analysis.period, first, depth, B, D, x))
             except PrecisionExhausted:
-                if B >= top:
-                    raise
-                B = min(2 * B, top)
+                B *= 2
     if analysis.subcritical_indices:
         return Periodic2L(period=2 * analysis.period,
                           witness=analysis.subcritical_indices[0])

@@ -101,7 +101,7 @@ class QuadIrrational(Record):
         _set(self, "D", D)
         _set(self, "Q", Q)
         if D <= 0 or math.isqrt(D) ** 2 == D:
-            raise ValueError(f"D must be positive and non-square, got {D}")
+            raise ValueError(f"D must be positive and non-square, got {_str(D)}")
         if Q <= 0 or (D - P * P) % Q:
             raise ValueError(f"Q must be positive and divide D - P^2: {self}")
         r = math.isqrt(D)  # floor of sqrt(D), never exact

@@ -8,8 +8,8 @@ Exit codes are a stable contract:
      be read or decoded, an --output path or a stdout that cannot be
      written, a missing stdin or stdout among them, and any command line
      the parser rejects)
-  2  parse or precision errors (including --precision below 8), and any
-     other package error
+  2  parse errors (including a --precision or KRONSEQ_PRECISION below
+     8), and any other package error
   3  aperiodic classification (analyze)
   4  oracle mismatch (verify)
 
@@ -47,13 +47,12 @@ most of what the sorting encoder costs on a long ``cascade`` or
 ``expand``.
 
 The integers that grow with the input (the quotients, U and u, quad, the
-precision, the printed pairs, a cascade's k_j and multiples, and the
-index k of the t_k that ran out of precision) are written by ``cf._str``
-and read by ``cf._int``, which convert past the int-to-str digit limit
-of Python 3.11+ piecewise, so that no call reads or sets that
-process-wide limit.  ``expand`` converts its columns once, when it
-builds its rows, for all three renderers; ``cascade`` converts each k_j
-and multiple in the one renderer that runs.
+precision, the printed pairs, and a cascade's k_j and multiples) are
+written by ``cf._str`` and read by ``cf._int``, which convert past the
+int-to-str digit limit of Python 3.11+ piecewise, so that no call reads
+or sets that process-wide limit.  ``expand`` converts its columns once,
+when it builds its rows, for all three renderers; ``cascade`` converts
+each k_j and multiple in the one renderer that runs.
 The small bounded ints (L, m, e, r, v2(t), windows, periods, the index k
 of a printed pair or term, the steps of a report's depth-8 cascade) stay
 in f-strings.
@@ -82,8 +81,8 @@ from types import SimpleNamespace
 
 from ._record import Record, _set
 from .analysis import (Aperiodic, Classification, DEFAULT_DEPTH,
-                       DEFAULT_PRECISION, PeriodAnalysis, Periodic2L,
-                       PeriodicL, analyze, classify)
+                       DEFAULT_PRECISION, MIN_PRECISION, PeriodAnalysis,
+                       Periodic2L, PeriodicL, analyze, classify)
 from .cf import (_int, _quad_irrational, _str, _v2, iter_convergent_pairs,
                  normalize_period)
 from .errors import (KronseqError, NotAperiodic, OracleMismatch, ParseError,
@@ -108,7 +107,7 @@ FAILURES = (
     (_UsageError, EXIT_USAGE, ""),
     ((NotAperiodic, WindowTooShort), EXIT_USAGE, "error: "),
     (OracleMismatch, EXIT_MISMATCH, "oracle mismatch: "),
-    (KronseqError, EXIT_PARSE, "error: "),  # bad quotients, precision exhausted, ...
+    (KronseqError, EXIT_PARSE, "error: "),  # any other package error
 )
 
 PRECISION_ENV = "KRONSEQ_PRECISION"
@@ -174,13 +173,12 @@ def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisRep
     # one walk gives the analysis, the columns of D(l) for the closed form,
     # the printed pairs and the cascade's seeds
     analysis = analyze(cf, precision)
-    verdict = classify(cf, precision, analysis=analysis)
+    verdict = classify(cf, analysis=analysis)
     s1, s2, t1, t2 = analysis.walk.block
     q = _quad_irrational(s1, t1, s2, t2)
     pairs = analysis.walk.pairs
     detail = lambda k: ConvergentDetail(k, *pairs[k], _v2(pairs[k][1]))
-    oracle = cross_check(cf, window=window, precision=precision,
-                         analysis=analysis, verdict=verdict) if window else None
+    oracle = cross_check(cf, window=window, analysis=analysis, verdict=verdict) if window else None
     return AnalysisReport(
         block=cf.quotients,
         reduced=cf.reduced,
@@ -498,8 +496,8 @@ def cmd_analyze(args):
 
 def cmd_cascade(args):
     cf = normalize_period(_read_block_arg(args.block))
-    analysis = analyze(cf, args.precision)
-    verdict = classify(cf, args.precision, args.depth, analysis)
+    analysis = analyze(cf)
+    verdict = classify(cf, args.depth, analysis)
     if not isinstance(verdict, Aperiodic):
         raise NotAperiodic(f"{cf} has a periodic Kronecker sequence; no cascade")
     period = analysis.period
@@ -527,8 +525,7 @@ def cmd_cascade(args):
 
 def cmd_verify(args):
     cf = normalize_period(_read_block_arg(args.block))
-    report = cross_check(cf, window=args.window, max_period=args.max_period,
-                         precision=args.precision)
+    report = cross_check(cf, window=args.window, max_period=args.max_period)
     row = (report.window_length, report.empirical_period,
            len(report.falsified_periods), report.verdict_agreement)
     labels = ("window", "empirical period", "falsified periods", "agreement")
@@ -599,14 +596,14 @@ def _count(raw, name):
 
 
 def _precision(raw, name):
-    """raw as an int of at least 8, the least precision; anything else is a
+    """raw as an int of at least MIN_PRECISION; anything else is a
     ParseError (exit 2), which the parser lets through to main."""
     try:
-        if (value := _int(raw)) >= 8:
+        if (value := _int(raw)) >= MIN_PRECISION:
             return value
     except ValueError:
         pass
-    raise ParseError(f"invalid {name}: {raw!r} (need an integer >= 8)")
+    raise ParseError(f"invalid {name}: {raw!r} (need an integer >= {MIN_PRECISION})")
 
 
 def _choice(raw, name, choices=("text", "json", "csv")):
@@ -619,8 +616,8 @@ def _choice(raw, name, choices=("text", "json", "csv")):
 def _common(fmt="text"):
     return {"--format": (_choice, fmt, "{text,json,csv}", "output format"),
             "--output": (lambda raw, name: None if raw == "-" else raw, None, "PATH", "file"),
-            "--precision": (_precision, None, "PRECISION", "2-adic "
-                            f"bits, >= 8 (default ${PRECISION_ENV}, else {DEFAULT_PRECISION})")}
+            "--precision": (_precision, None, "PRECISION", f"2-adic bits, >= {MIN_PRECISION} "
+                            f"(default ${PRECISION_ENV}, else {DEFAULT_PRECISION})")}
 
 
 _BLOCK = ("block", 'e.g. "1,2,3" or "[1,2,3]"; "-" reads stdin')

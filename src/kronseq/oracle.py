@@ -63,8 +63,7 @@ aperiodic verdict, and the last window term on a periodic one.
 from __future__ import annotations
 
 from ._record import Record, _set
-from .analysis import (Aperiodic, Classification, DEFAULT_PRECISION,
-                       PeriodAnalysis, analyze, classify)
+from .analysis import Aperiodic, Classification, PeriodAnalysis, analyze, classify
 from .cf import PeriodicCF
 from .errors import OracleMismatch, WindowTooShort
 from .symbols import _kronecker_at, kronecker_bits
@@ -138,9 +137,7 @@ def _recheck_exact(cf, period, text, indices):
                 f"exact Kronecker symbol")
 
 
-def cross_check(cf: PeriodicCF, window: int | None = None,
-                max_period: int | None = None,
-                precision: int = DEFAULT_PRECISION,
+def cross_check(cf: PeriodicCF, window: int | None = None, max_period: int | None = None,
                 analysis: PeriodAnalysis | None = None,
                 verdict: Classification | None = None) -> PeriodReport:
     """Replay the classification against the literal symbol window.
@@ -187,9 +184,9 @@ def cross_check(cf: PeriodicCF, window: int | None = None,
     if max_period is not None and max_period < 1:
         raise ValueError("max_period must be >= 1")
     if analysis is None:
-        analysis = analyze(cf, precision)
+        analysis = analyze(cf)
     if verdict is None:
-        verdict = classify(cf, precision, analysis=analysis)
+        verdict = classify(cf, analysis=analysis)
     P = max_period if max_period is not None else 4 * analysis.period
     claim = 0 if isinstance(verdict, Aperiodic) else verdict.period
     if window is None:

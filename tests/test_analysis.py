@@ -507,9 +507,16 @@ def test_classification_dichotomy():
             assert not a.subcritical_indices and c.period == a.period
 
 
-def test_classify_escalates_precision():
-    got = classify(block_cf((1, 2, 5)), precision=8, depth=8)
-    assert got == block_classification((1, 2, 5))
+def test_classify_escalates_precision(monkeypatch):
+    # depth 2040 of (7,4,2) predicts 2 + 1 + 2*2040 + 3 = 4086 bits, but
+    # r_2040 = 4157 needs 4163: the 4096-bit rung runs out, and the ladder,
+    # which has no top, doubles to 8192
+    precisions = record_cascade_precisions(monkeypatch)
+    cf = block_cf((7, 4, 2))
+    got = classify(cf, depth=2040)
+    assert precisions == [4096, 8192]
+    assert got.cascade == cascade(cf, 18, 6, 2040, precision=8192)
+    assert got.cascade[-1][1] == 4157
 
 
 # ---------------------------------------------------------------------------
@@ -662,78 +669,60 @@ def test_cascade_start_below_need_falls_back_to_doubling(monkeypatch):
     assert got.cascade[-1][1] == 131
 
 
-def doubling_ladder_classify(cf, precision, depth, analysis):
+def doubling_ladder_classify(cf, depth, analysis):
     """The cascade as classify ran it before it predicted its start: every
-    rung of precision * 2^i from the first, capped at MAX_PRECISION."""
+    rung of DEFAULT_PRECISION * 2^i from the first, with no top."""
     first = analysis.critical_indices[0]
-    B = precision
+    B = kronseq.analysis.DEFAULT_PRECISION
     while True:
         try:
             return kronseq.analysis.cascade(cf, analysis.period, first, depth, B)
         except PrecisionExhausted:
-            if B >= kronseq.analysis.MAX_PRECISION:
-                raise
-            B = min(2 * B, kronseq.analysis.MAX_PRECISION)
+            B *= 2
 
 
-@pytest.mark.parametrize("max_precision", [512, 4096])
-def test_predicted_start_matches_doubling_ladder(monkeypatch, max_precision):
-    # seeded random aperiodic blocks, start precisions below, between and
-    # above the rungs: the same cascade, or the same error and message.  The
-    # attempts climb the old ladder from the first rung that covers the
-    # predicted need, and stop where the old ladder stopped, or at once if
-    # the prediction was higher; from a precision above the cap they climb
-    # from the cap towards that precision, and stop at the first rung that
-    # is enough
-    monkeypatch.setattr(kronseq.analysis, "MAX_PRECISION", max_precision)
+@pytest.mark.parametrize("top", [512, 4096])
+def test_predicted_start_matches_doubling_ladder(monkeypatch, top):
+    # seeded random aperiodic blocks at depths whose predicted need is at
+    # most ``top`` bits: the same cascade as the doubling ladder from 128
+    # bits.  The attempts climb that ladder from the first rung that covers
+    # the predicted need, and stop where it stopped, or at once if the
+    # prediction was higher
     precisions = record_cascade_precisions(monkeypatch)
     rng = random.Random(20151009)
-    blocks = errors = 0
+    blocks = 0
     while blocks < 16:
         cf = normalize_period([rng.randint(1, 30) for _ in range(rng.randint(1, 8))])
         a = analyze(cf)
         if not a.critical_indices:
             continue
         blocks += 1
-        for precision in (8, 100, 128, 5000):
-            depth = rng.randint(1, 300)
-            expected = outcome(doubling_ladder_classify, cf, precision, depth, a)
+        for _ in range(4):
+            depth = rng.randint(1, max(1, (top - a.m - a.e - 3) // 2))
+            expected = doubling_ladder_classify(cf, depth, a)
             old_attempts = precisions[:]
             precisions.clear()
-            got = outcome(lambda: classify(cf, precision, depth, a).cascade)
-            assert got == expected, (cf, precision, depth)
-            attempts = precisions[:]
-            # above the cap the old ladder made one attempt at the precision,
-            # which tops the new one
-            top = max(precision, max_precision)
-            rungs = [min(precision, max_precision)]
-            while rungs[-1] < top:
-                rungs.append(min(2 * rungs[-1], top))
-            need = a.m + a.e + 2 * depth + 3
-            first = next((i for i, B in enumerate(rungs) if B >= need), len(rungs) - 1)
-            if precision > max_precision:  # the first rung from there that is enough
-                last = next((i for i in range(first, len(rungs) - 1) if outcome(
-                    cascade, cf, a.period, a.critical_indices[0], depth, rungs[i])
-                    == expected), len(rungs) - 1)
-            else:
-                last = max(first, rungs.index(old_attempts[-1]))
-            assert attempts == rungs[first:last + 1], (cf, precision, depth)
+            assert classify(cf, depth, a).cascade == expected, (cf, depth)
+            start = 128
+            while start < a.m + a.e + 2 * depth + 3:
+                start *= 2
+            assert precisions == ([B for B in old_attempts if B >= start] or [start]), \
+                (cf, depth)
             precisions.clear()
-            errors += isinstance(expected[0], type)
-    assert errors > 0 if max_precision == 512 else errors == 0
 
 
 def test_predicted_start_past_the_cap_makes_one_attempt(monkeypatch):
-    monkeypatch.setattr(kronseq.analysis, "MAX_PRECISION", 256)
+    # depth 2500 of (1,2,5) predicts 2 + 2*2500 + 3 = 5005 bits, past 4,096:
+    # one attempt, at 8192 bits, which the public cascade at that precision
+    # repeats, and which 4,096 bits cannot
     cf = block_cf((1, 2, 5))
-    a = analyze(cf)
-    expected = outcome(doubling_ladder_classify, cf, 128, 200, a)
-    assert expected[0] is PrecisionExhausted
     precisions = record_cascade_precisions(monkeypatch)
-    with pytest.raises(PrecisionExhausted) as exc:
-        classify(cf, 128, 200, a)
-    assert str(exc.value) == expected[1]
-    assert precisions == [256]
+    got = classify(cf, 2500)
+    assert precisions == [8192]
+    assert len(got.cascade) == 2500
+    assert got.cascade == cascade(cf, 12, 7, 2500, precision=8192)
+    with pytest.raises(PrecisionExhausted):
+        cascade(cf, 12, 7, 2500, precision=4096)
 
 
 def small_aperiodic_blocks():
@@ -765,19 +754,19 @@ def test_walk_seeded_cascade_matches_the_public_cascade():
 
 
 def test_walk_seeded_classify_escalates_and_exhausts_like_the_public_cascade(monkeypatch):
-    # depth 60 of (1,2,5) escalates from 128 to 256 bits; under a 256-bit
-    # cap depth 200 raises PrecisionExhausted, with the same message as the
-    # public cascade run rung by rung
+    # depth 60 of (1,2,5) escalates from 128 to 256 bits, as the doubling
+    # ladder of the public cascade does; the walk-seeded attempt at 128 bits
+    # raises PrecisionExhausted with the public cascade's message
     cf = block_cf((1, 2, 5))
     a = analyze(cf, 128)
-    rungs = record_cascade_precisions(monkeypatch)
-    got = classify(cf, 128, 60, a)
-    assert rungs == [128, 256]
-    assert got.cascade == doubling_ladder_classify(cf, 128, 60, a)
-    monkeypatch.setattr(kronseq.analysis, "MAX_PRECISION", 256)
-    expected = outcome(doubling_ladder_classify, cf, 128, 200, a)
+    expected = outcome(cascade, cf, 12, 7, 60, 128)
     assert expected[0] is PrecisionExhausted
-    assert outcome(classify, cf, 128, 200, a) == expected
+    assert outcome(kronseq.analysis._cascade, cf, 12, 7, 60, 128, a.walk.D,
+                   a.walk.pairs[7]) == expected
+    rungs = record_cascade_precisions(monkeypatch)
+    got = classify(cf, 60, a)
+    assert rungs == [128, 256]
+    assert got.cascade == doubling_ladder_classify(cf, 60, a)
 
 
 def test_period_analysis_ignores_its_walk():

@@ -19,7 +19,7 @@ import kronseq.cli
 import kronseq.oracle
 import kronseq.symbols
 from kronseq import (Aperiodic, NotCoprime, OracleMismatch, ParseError,
-                     classify, cross_check, mod4_period_length,
+                     PrecisionExhausted, classify, cross_check, mod4_period_length,
                      normalize_period, quad_irrational_of)
 from kronseq.cli import (EXIT_APERIODIC, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE,
                          EXIT_USAGE, build_report, main, parse_block,
@@ -332,12 +332,10 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         *(["analyze", aperiodic, "--precision", precision, "--format", f] for f in formats),
         *(["cascade", aperiodic, "--format", f] for f in formats),
         ["cascade", "1,2,5", "--depth", "1500", "--precision", "8192", "--format", "json"],
-        # exit 2 at 4,096 bits, naming a t_k of 1,233 digits
+        # one attempt at 8,192 bits, k_j of up to 1,481 digits
         ["cascade", "1,2,5", "--depth", "2500"],
-        # exit 2 at 16,384 bits, naming a t_k of 4,932 digits
-        ["cascade", "1,2,5", "--depth", "9000", "--precision", "16384"],
         # runs out at 4,096 bits on a t_k of 1,232 digits, and succeeds at 8,192
-        ["cascade", "7,4,2", "--depth", "2040", "--precision", "8192", "--format", "json"],
+        ["cascade", "7,4,2", "--depth", "2040", "--format", "json"],
         # read piecewise at limit 640, after the whitespace and sign
         ["analyze", aperiodic, "--precision", f" +{precision} ", "--format", "json"],
         ["cascade", periodic],  # exit 1, the block in the message
@@ -346,6 +344,7 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         *(["batch", str(path), "--format", f] for f in formats),
     ]
     rep = build_report((1, 2, 10**4400 + 1), precision=10**700)
+    periodic_rep = build_report((1, 2, 10**4400))
     P, D, Q = rep.quad
     # str() of a QuadIrrational whose D has 25,655 bits (7,723 digits)
     rng = random.Random(1)
@@ -364,8 +363,12 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
             text = report_to_json(r)
             assert report_from_json(text) == r
             assert report_from_dict(report_to_dict(r)) == r
-            runs.append((text, report_to_dict(r), report_to_text(r), report_to_csv(r)))
-        runs.append(str(quad))
+            runs.append((text, report_to_dict(r), report_to_text(r), report_to_csv(r), repr(r)))
+        runs.append((str(quad), repr(quad), repr(periodic_rep)))
+        # the public cascade runs out at 4,096 bits, naming a t_k of 1,233 digits
+        runs.append(str(pytest.raises(PrecisionExhausted, kronseq.cascade,
+                                      normalize_period((1, 2, 5)), 12, 7, 2500,
+                                      precision=4096).value))
         return runs
 
     before = sys.get_int_max_str_digits()
@@ -375,8 +378,8 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         longest = max(len(digits) for digits in re.findall(r"\d+", repr(expected)))
         assert longest > 4400, longest
         i = argvs.index(["cascade", "1,2,5", "--depth", "2500"])
-        assert [code for code, *_ in expected[i:i + 3]] == [EXIT_PARSE, EXIT_PARSE, EXIT_OK]
-        assert "error: v2(t_" in expected[i][2] and "Traceback" not in expected[i][2]
+        assert [code for code, *_ in expected[i:i + 2]] == [EXIT_OK, EXIT_OK]
+        assert re.fullmatch(r"v2\(t_\d{1233}\) not resolvable at precision 4096", expected[-1])
         for limit in (640, 4300):
             set_limit(limit)
             assert outputs() == expected, limit
@@ -808,8 +811,8 @@ def test_flag_precision_and_help_beat_an_invalid_env_precision(capsys, monkeypat
 ], ids=["analyze-aperiodic", "analyze-periodic", "analyze-window", "cascade",
         "verify-aperiodic", "verify-periodic", "batch"])
 def test_huge_precision_prints_as_at_128_bits(capsys, monkeypatch, argv, source):
-    # U is exact below the bits of s_{L-1}, and the cascade ladder starts at
-    # no more than MAX_PRECISION, so 10**20 bits print what 128 bits do, but
+    # U is exact below the bits of s_{L-1}, and neither the cascade nor the
+    # oracle reads the precision, so 10**20 bits print what 128 bits do, but
     # for the printed precision
     huge = 10**20
     runs = []
@@ -828,33 +831,28 @@ def test_huge_precision_prints_as_at_128_bits(capsys, monkeypatch, argv, source)
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])
-def test_precision_above_the_cap_tops_the_cascade_ladder(capsys, monkeypatch, source):
-    # depth 2500 of (1,2,5) needs more than MAX_PRECISION bits: it runs out
-    # at 4096 bits and below, and a higher precision lets the ladder climb
-    # to it, from 4096, and no higher than the first rung that succeeds
+def test_cascade_width_follows_the_depth_at_every_precision(capsys, monkeypatch, source):
+    # depth 2500 of (1,2,5) predicts 2 + 2*2500 + 3 = 5005 bits: at every
+    # precision, from the flag or the environment, one attempt at 8192 bits
+    # and the same bytes, exit 0
     argv = ["cascade", "1,2,5", "--depth", "2500", "--format", "json"]
     precisions = []
     original = kronseq.analysis._cascade
     monkeypatch.setattr(kronseq.analysis, "_cascade",
                         lambda *a: precisions.append(a[4]) or original(*a))
-    runs = {}
-    for precision in (128, 4096, 5000, 8192, 10**20):
+    runs = []
+    for precision in (8, 128, 4096, 5000, 8192, 10**20):
         if source == "env":
             monkeypatch.setenv("KRONSEQ_PRECISION", str(precision))
-            runs[precision] = run(capsys, argv), precisions[:]
+            runs.append((run(capsys, argv), precisions[:]))
         else:
             monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
-            runs[precision] = run(capsys, [*argv, "--precision", str(precision)]), precisions[:]
+            runs.append((run(capsys, [*argv, "--precision", str(precision)]), precisions[:]))
         precisions.clear()
-    for precision in (128, 4096):
-        (code, out, err), attempts = runs[precision]
-        assert (code, out, attempts) == (EXIT_PARSE, "", [4096])
-        assert err.endswith("not resolvable at precision 4096\n")
-    (code, out, err), attempts = runs[8192]
+    (code, out, err), attempts = runs[0]
     assert (code, err, attempts) == (EXIT_OK, "", [8192])
     assert len(json.loads(out)["cascade"]) == 2500
-    assert runs[5000] == ((code, out, err), [5000])
-    assert runs[10**20] == ((code, out, err), [8192])
+    assert all(r == runs[0] for r in runs)
 
 
 def test_help_names_every_command_and_option(capsys):
@@ -939,7 +937,7 @@ CLOSED_STREAM_CASES = [
       for argv, code in ((["analyze", "x"], EXIT_PARSE),
                          (["verify", "1,2,3", "--window", "0"], EXIT_USAGE),
                          (["batch", "/no/such/file"], EXIT_USAGE),
-                         (["cascade", "1,2,5", "--depth", "2500"], EXIT_PARSE),
+                         (["cascade", "1,2,5", "--depth", "2500"], EXIT_OK),
                          (["analyze", "1,2,5"], EXIT_APERIODIC),
                          (["analyze", "1,2,3"], EXIT_OK))),
     ("<&-", ["analyze", "-"], EXIT_USAGE, "cannot read -: "),
