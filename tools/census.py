@@ -1,26 +1,26 @@
 """Verdict census: every small minimal block classified, cross-checked and
 pinned.
 
-The census is every quotient block of length at most --max-len with
-quotients at most --max-quotient that is its own minimal period, in
-``itertools.product`` order, lengths ascending.  The script writes it to a
-file, one block per line as ``a,b,c``; analyzes and classifies each block
-with ``analyze`` and ``classify`` and replays each verdict with
-``cross_check`` at its default window; runs ``kronseq batch FILE --format
-json`` on the file in a fresh interpreter; and prints the number of blocks,
-the count of each verdict and the SHA-256 and length of that command's
-standard output.  It exits 1, naming each such block on stderr, when the
-oracle disagrees with a verdict.
+The census is every quotient block of length at most 5 with quotients at
+most 9 that is its own minimal period, in ``itertools.product`` order,
+lengths ascending.  The script writes it to a file, one block per line as
+``a,b,c``; analyzes and classifies each block with ``analyze`` and
+``classify`` and replays each verdict with ``cross_check`` at its default
+window; runs ``kronseq batch FILE --format json`` on the file in a fresh
+interpreter; and prints the number of blocks, the count of each verdict
+and the SHA-256 and length of that command's standard output.  It exits 1,
+naming each such block on stderr, when the oracle disagrees with a
+verdict.
 
-    python tools/census.py [--max-len 5] [--max-quotient 9] [--out FILE]
+    python tools/census.py
 
-The default census has 66,321 blocks: 40,268 periodic-L, 2,194
-periodic-2L and 23,859 aperiodic verdicts.  The tests pin the slice with
---max-len 4 --max-quotient 5 (745 blocks).  Standard library only; the
-package is imported from the ``src`` directory beside this one.
+The census has 66,321 blocks: 40,268 periodic-L, 2,194 periodic-2L and
+23,859 aperiodic verdicts.  The tests pin the slice ``census(4, 5, path)``
+of lengths at most 4 and quotients at most 5 (745 blocks).  Standard
+library only; the package is imported from the ``src`` directory beside
+this one.
 """
 
-import argparse
 import hashlib
 import itertools
 import os
@@ -30,14 +30,11 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
+if __name__ == "__main__":
+    sys.path.insert(0, str(SRC))
 
 from kronseq import KronseqError, analyze, classify, cross_check, normalize_period  # noqa: E402
 from kronseq.cli import _KIND  # noqa: E402
-
-# run the command line of the package under SRC, as the console script does
-_MAIN = "import sys; sys.path.insert(0, sys.argv.pop(1)); from kronseq.cli import main; " \
-        "sys.exit(main())"
 
 
 def blocks(max_len, max_quotient):
@@ -54,7 +51,8 @@ def batch_json(path):
     """The standard output of ``kronseq batch path --format json``, as
     bytes, from a fresh interpreter with the default precision."""
     env = {k: v for k, v in os.environ.items() if k != "KRONSEQ_PRECISION"}
-    done = subprocess.run([sys.executable, "-c", _MAIN, str(SRC), "batch", str(path),
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run([sys.executable, "-m", "kronseq.cli", "batch", str(path),
                            "--format", "json"], capture_output=True, env=env, check=True)
     return done.stdout
 
@@ -80,16 +78,9 @@ def census(max_len, max_quotient, path):
     return counts, failures, hashlib.sha256(out).hexdigest(), len(out)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--max-len", type=int, default=5, help="longest block (default 5)")
-    parser.add_argument("--max-quotient", type=int, default=9,
-                        help="largest quotient (default 9)")
-    parser.add_argument("--out", help="where to keep the census file (default: a temporary one)")
-    args = parser.parse_args(argv)
+def main():
     with tempfile.TemporaryDirectory() as tmp:
-        path = args.out or os.path.join(tmp, "census.txt")
-        counts, failures, digest, size = census(args.max_len, args.max_quotient, path)
+        counts, failures, digest, size = census(5, 9, os.path.join(tmp, "census.txt"))
     print(f"blocks {sum(counts.values())}")
     for kind in ("periodic-L", "periodic-2L", "aperiodic"):
         print(f"{kind} {counts.get(kind, 0)}")
