@@ -85,7 +85,7 @@ from __future__ import annotations
 from itertools import accumulate, compress, count, islice
 
 from ._record import Record, _set
-from .cf import PeriodicCF, _column_step, _pairs_at, _square_mod, _unresolved, _v2, matrix_at_mod2
+from .cf import PeriodicCF, _pairs_at, _square_mod, _unresolved, _v2, matrix_at_mod2
 from .errors import PrecisionExhausted
 
 __all__ = [
@@ -232,8 +232,8 @@ def _walk(cf):
 
     The recurrence s_k = a_k s_{k-1} + s_{k-2} (and the same for t) is
     stepped in place, one inner loop over ``cf.quotients`` per repetition
-    of the block, with no generator and no per-term index test: D is read,
-    and tested against I mod 4, once per block boundary.
+    of the block, with no generator and no per-term index test: D is
+    tested against I mod 4, in place, once per block boundary.
 
     c_k is carried by the recurrence of the ``symbols`` module docstring,
     c_k = R(t_{k-1}, t_k) c_{k-1} chi(t_k t_{k-2})^v2(t_{k-1}): it needs
@@ -246,7 +246,6 @@ def _walk(cf):
     candidates = []
     add = candidates.append
     s, s_prev, t, t_prev = 1, 0, 0, 1  # (s, t) at k-1 = -1 and k-2 = -2
-    t_prev2 = 0  # t at k-3; a step makes it t_{k-2}
     c = 1  # c_k
     h_prev = w_prev = 0  # bit v2(t) + 1 of t and v2(t), at k-1
     k = 0
@@ -254,16 +253,17 @@ def _walk(cf):
     while True:
         for a in quotients:
             s, s_prev = a * s + s_prev, s
-            t, t_prev, t_prev2 = a * t + t_prev, t, t_prev
+            t, t_prev = a * t + t_prev, t
             if t & 1:
                 h = t & 2
                 if h and h_prev:  # R(t_{k-1}, t_k)
                     c = -c
                 if w_prev:  # chi(t_k t_{k-2}), t_{k-1} even
-                    if w_prev & 1 and (t ^ t_prev2) & 7 in (2, 4):
+                    if w_prev & 1 and (t ^ t_odd) & 7 in (2, 4):
                         c = -c
                     w_prev = 0
             else:  # t_{k-1} is odd, so chi(t_k t_{k-2}) is not raised
+                t_odd = t_prev  # t_{k-1}, the t_{k-2} of the chi at k + 1
                 w_prev = (t & -t).bit_length() - 1
                 h = t & (2 << w_prev)
                 if s & 3 == 3:
@@ -272,15 +272,14 @@ def _walk(cf):
                     c = -c
             h_prev = h
             k += 1
-        D = (s, s_prev, t, t_prev)
         if block is None:
-            block = D
-        if _is_identity_mod4(D):
-            return k, D, block, candidates, c
+            block = s, s_prev, t, t_prev
+        if s & 3 == t_prev & 3 == 1 and not (s_prev | t) & 3:  # D(k) = I mod 4
+            return k, (s, s_prev, t, t_prev), block, candidates, c
 
 
-def _split(cf, period, D, precision):
-    """(m, U mod 2**precision, e) of D = D(period) = I + 2^m * U.
+def _split(D, precision):
+    """(m, U mod 2**precision, e) of D = I + 2^m * U, for D = I mod 4.
 
     m is the lowest valuation of the nonzero entries of D - I, read as the
     valuation of their OR: the lowest set bit of an OR is the lowest set
@@ -290,8 +289,6 @@ def _split(cf, period, D, precision):
     bits of D[0] gives the same U at every precision, however large.  The
     bound is loose by two bits: as m >= 2 (D = I mod 4), every entry of U
     has at most D[0].bit_length() - 2 bits."""
-    if not _is_identity_mod4(D):
-        raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
     x, y, u, v = D[0] - 1, D[1], D[2], D[3] - 1
     m = _v2(x | y | u | v)
     mask = (1 << min(precision, D[0].bit_length())) - 1
@@ -326,7 +323,10 @@ def decompose(cf: PeriodicCF, period: int, precision: int = DEFAULT_PRECISION):
     _check_period(cf, period)
     pairs = _pairs_at(cf, (period - 1, period - 2))
     (s, t), (s_prev, t_prev) = pairs[period - 1], pairs[period - 2]
-    return _split(cf, period, (s, s_prev, t, t_prev), precision)
+    D = s, s_prev, t, t_prev
+    if not _is_identity_mod4(D):
+        raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
+    return _split(D, precision)
 
 
 def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
@@ -358,13 +358,13 @@ def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysi
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION}")
     L, D, block, candidates, f = _walk(cf)
-    m, U, e = _split(cf, L, D, precision)
+    m, U, e = _split(D, precision)
     critical, subcritical, pairs = _classes(candidates, m, e)
     certified = f == 1
     if critical or certified:
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified,
                               _Walked((block, D, pairs)))
-    m, U, e = _split(cf, 2 * L, _square_mod(D, -1), precision)
+    m, U, e = _split(_square_mod(D, -1), precision)
     return PeriodAnalysis(2 * L, m, U, e, (), (), precision, True, _Walked((block, D, {})))
 
 
@@ -422,14 +422,12 @@ def classify(cf: PeriodicCF, depth: int = DEFAULT_DEPTH,
         B = DEFAULT_PRECISION << ((need - 1) // DEFAULT_PRECISION).bit_length()
         while True:
             try:
-                return Aperiodic(first_critical=first,
-                                 cascade=_cascade(cf, analysis.period, first, depth, B, D, x))
+                return Aperiodic(first, _cascade(cf, analysis.period, first, depth, B, D, x))
             except PrecisionExhausted:
                 B *= 2
     if analysis.subcritical_indices:
-        return Periodic2L(period=2 * analysis.period,
-                          witness=analysis.subcritical_indices[0])
-    return PeriodicL(period=analysis.period)
+        return Periodic2L(2 * analysis.period, analysis.subcritical_indices[0])
+    return PeriodicL(analysis.period)
 
 
 def threshold_valuation(cf: PeriodicCF, period: int, doublings: int,
@@ -516,7 +514,8 @@ def _root(P, s, t, vg, precision):
 # The root has a fixed cost, so the walk hands over only when at least
 # _ROOT_STEPS steps remain: on 40 seeded blocks at 128 and 512 bits,
 # walking 1, 2 or 4 steps past the switch point was faster than the root,
-# and 8 or 16 slower.
+# and 8 or 16 slower.  A step is about two squarings, so the walk also
+# hands over when its next step alone is 2 * _ROOT_STEPS squarings away.
 _SWITCH, _ROOT_STEPS = 16, 8
 _BIT = bytes.maketrans(b"01", b"\0\1")  # a bit's character to a false or true byte
 
@@ -571,9 +570,11 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     and r_{j+1} = v2(n_{j+1} - n*) is the next set bit of n*.  So the r_j
     are the set bits of n* and rise strictly, as a theorem; k_j = start +
     L (n* mod 2^(r_j)).  The walk below keeps its AssertionError guard.
-    (d) The closed form.  The walk stops at the first step r >= r0, at
-    index k, unless fewer than 8 steps remain, which it walks.  Put P =
-    D^(2^r0) = I + 2^M U' (M = m + r0), c = tr(P)/2 and W = P - cI, so
+    (d) The closed form.  The walk stops at a step r >= r0, at index k,
+    with its power of D(L) still at most D^(2^r0): at its first such step,
+    or the next one if that r is r0.  (It walks on to the end when fewer
+    than 8 steps remain and the next is fewer than 16 squarings away.)
+    Put P = D^(2^r0) = I + 2^M U' (M = m + r0), c = tr(P)/2 and W = P - cI, so
     W^2 = nu I with nu = c^2 - 1 = tau + tau^2/4, tau = tr P - 2 =
     -2^(2M) det U': v2(nu) >= 2M.  By (b) for P, F(n) = (P^n x_k)_2
     has one root n' = (n* - n_k) / 2^r0, with v2(n') = r - r0.  In the
@@ -613,9 +614,13 @@ def cascade(cf: PeriodicCF, period: int, start: int, depth: int = DEFAULT_DEPTH,
     inverse per series, whatever the depth.  The remaining r_j are then
     read off the bits of n' in one pass and each k_j takes one addition.
     A cascade that ends within 8 steps of its first r_j >= r0 walks those
-    steps instead.  On (1,2,5), depth 200 at 512 bits took 0.14 ms, depth
-    1,500 at 4,096 bits 4.8 ms and depth 10,000 at 32,768 bits 0.74 s
-    (Python 3.11, a shared 2-vCPU x86-64 host, best of several runs).
+    steps instead, unless the next is 16 or more squarings away: the
+    depth-8 cascade of (2, 1, 2^2200 - 1, 1), with r_1 = 2198, walked
+    2,198 squarings at 4,096 bits and 4,406 at 8,192 in 0.53 s, and takes
+    3.7 ms off the root.  On (1,2,5), depth 200 at 512 bits took 0.14 ms,
+    depth 1,500 at 4,096 bits 4.8 ms and depth 10,000 at 32,768 bits
+    0.74 s (Python 3.11, a shared 2-vCPU x86-64 host, best of several
+    runs).
     """
     _check_period(cf, period)
     M = matrix_at_mod2(cf, start, precision)
@@ -631,33 +636,44 @@ def _cascade(cf, period, start, depth, precision, D, x):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     mask = (1 << precision) - 1
-    P = tuple(v & mask for v in D)
+    a, b, c, d = P = tuple(v & mask for v in D)
     s, t = x[0] & mask, x[1] & mask
     if not _is_identity_mod4(P):
         raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
-    base = _resolved_v2(P[2], precision, period - 1)  # m + e
-    p_r = 0  # P = D(period)^(2^p_r)
+    base = _resolved_v2(c, precision, period - 1)  # m + e
+    p_r = 0  # (a, b, c, d) = D(period)^(2^p_r)
     out = []
     k = start
     prev_r = -1
-    for j in range(depth):  # the walk, up to the first r >= r0
-        r = _resolved_v2(t, precision, k) - base
+    # the walk, up to the hand-over to the root; its v2 reads, squarings and
+    # column steps are those of _resolved_v2, _square_mod and _column_step,
+    # in place
+    for j in range(depth):
+        r = (t & -t).bit_length() - 1  # v2(t), or -1 for t = 0
+        if not 0 <= r < precision - 2:
+            raise _unresolved(k, precision)
+        r -= base
         if not out and r < 0:
             raise ValueError(f"start index {start} is not critical for period {period}")
         if r <= prev_r:
             raise AssertionError(f"cascade not strictly increasing at k={k}")
         out.append((k, r))
         prev_r = r
-        # the count of steps left only falls, so the walk hands over at the
-        # first r >= r0 or never, and P is then D(period)^(2^p_r), p_r < r0
-        if j == depth - 1 or r >= _SWITCH and depth - 1 - j >= _ROOT_STEPS:
+        # the root squares (a, b, c, d) = D(period)^(2^p_r), p_r the last r
+        # walked, up to D(period)^(2^r0), so the walk hands over only while
+        # p_r <= r0: when _ROOT_STEPS steps remain, or its next step alone
+        # needs 2 * _ROOT_STEPS squarings
+        if j == depth - 1 or r >= _SWITCH >= p_r and (
+                depth - 1 - j >= _ROOT_STEPS or r - p_r >= 2 * _ROOT_STEPS):
             break
         while p_r < r:
-            P = _square_mod(P, mask)
+            T = a + d
+            a, b, c, d = (T * a - 1) & mask, T * b & mask, T * c & mask, (T * d - 1) & mask
             p_r += 1
-        s, t = _column_step(P, s, t, mask)
-        k += (1 << r) * period
+        s, t = (a * s + b * t) & mask, (c * s + d * t) & mask
+        k += period << r
     if len(out) < depth:  # the rest off the root n', its set bits above r - r0
+        P = a, b, c, d
         while p_r < _SWITCH:
             P = _square_mod(P, mask)
             p_r += 1

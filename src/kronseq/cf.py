@@ -100,11 +100,10 @@ class QuadIrrational(Record):
         _set(self, "P", P)
         _set(self, "D", D)
         _set(self, "Q", Q)
-        if D <= 0 or math.isqrt(D) ** 2 == D:
+        if D <= 0 or (r := math.isqrt(D)) ** 2 == D:  # r, the floor of sqrt(D), is never exact
             raise ValueError(f"D must be positive and non-square, got {_str(D)}")
         if Q <= 0 or (D - P * P) % Q:
             raise ValueError(f"Q must be positive and divide D - P^2: {self}")
-        r = math.isqrt(D)  # floor of sqrt(D), never exact
         if not (P + r >= Q):  # value > 1  <=>  P + sqrt(D) > Q
             raise ValueError(f"{self} is not > 1")
         if not (P < 0 or P * P < D):  # conjugate < 0

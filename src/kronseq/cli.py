@@ -34,28 +34,29 @@ the sorting encoder (``json.dumps(obj, sort_keys=True, separators=(",",
 ":"))``) writes for the same object.  ``cascade`` and ``expand`` fill one
 template per step or term inside a fixed frame; ``cascade`` fills it
 straight from the steps of its classification, and only its text and CSV
-renderers build rows.  A report (``analyze``, ``batch``) nests the
-templates of its classification, its printed pairs and its oracle
-section, and ``verify`` writes the oracle's alone.  Every value in them
-is an int, a bool, null, the decimal string of an int or a fixed token
-("+1", "-1", "*", a kind name), so nothing needs escaping.
-The one user text, a ``batch`` record's input line and error message,
-goes through ``json.dumps``.  ``report_to_dict`` is the parse of
-``report_to_json``, and ``report_from_dict``/``report_from_json`` are the
-reader.  A template builds no dict per row and sorts no keys, which is
-most of what the sorting encoder costs on a long ``cascade`` or
-``expand``.
+renderers build rows.  A report (``analyze``, ``batch``) is one
+template that writes its classification in place and nests those of its
+printed pairs and its oracle section, and ``verify`` writes the oracle's
+alone.  Every value in them is an int, a bool, null, the decimal string
+of an int or a fixed token ("+1", "-1", "*", a kind name), so nothing
+needs escaping.  The one user text, a ``batch`` record's input line and
+error message, goes through ``json.encoder.encode_basestring_ascii``,
+which is what ``json.dumps`` writes for a str.  ``report_to_dict`` is
+the parse of ``report_to_json``, and ``report_from_dict`` and
+``report_from_json`` are the reader.  A template builds no dict per row
+and sorts no keys, which is most of what the sorting encoder costs on a
+long ``cascade`` or ``expand``.
 
 The integers that grow with the input (the quotients, U and u, quad, the
-precision, the printed pairs, and a cascade's k_j and multiples) are
-written by ``cf._str`` and read by ``cf._int``, which convert past the
-int-to-str digit limit of Python 3.11+ piecewise, so that no call reads
-or sets that process-wide limit.  ``expand`` converts its columns once,
-when it builds its rows, for all three renderers; ``cascade`` converts
-each k_j and multiple in the one renderer that runs.
-The small bounded ints (L, m, e, r, v2(t), windows, periods, the index k
-of a printed pair or term, the steps of a report's depth-8 cascade) stay
-in f-strings.
+precision, the printed pairs, and the k_j of a cascade, a report's
+depth-8 one included, and its multiples) are written by ``cf._str`` and
+read by ``cf._int``, which convert past the int-to-str digit limit of
+Python 3.11+ piecewise, so that no call reads or sets that process-wide
+limit.  ``expand`` converts its columns once, when it builds its rows,
+for all three renderers; ``cascade`` converts each k_j and multiple in
+the one renderer that runs.  The small bounded ints (L, m, e, r, v2(t),
+windows, periods, the index k of a printed pair or term, a first
+critical index or witness) stay in f-strings.
 
 Every call of the ``kronseq`` command starts a fresh interpreter, and that
 start costs a hundred times what a typical call computes, so importing
@@ -174,21 +175,16 @@ def build_report(block, precision=DEFAULT_PRECISION, window=None) -> AnalysisRep
     # the printed pairs and the cascade's seeds
     analysis = analyze(cf, precision)
     verdict = classify(cf, analysis=analysis)
-    s1, s2, t1, t2 = analysis.walk.block
+    (s1, s2, t1, t2), _, pairs = analysis.walk
     q = _quad_irrational(s1, t1, s2, t2)
-    pairs = analysis.walk.pairs
-    detail = lambda k: ConvergentDetail(k, *pairs[k], _v2(pairs[k][1]))
+    # pairs holds the critical and subcritical indices, and most blocks have none
+    critical, subcritical = [
+        tuple([ConvergentDetail(k, s, t, _v2(t)) for k in indices for s, t in [pairs[k]]])
+        for indices in (analysis.critical_indices, analysis.subcritical_indices)
+    ] if pairs else ((), ())
     oracle = cross_check(cf, window=window, analysis=analysis, verdict=verdict) if window else None
-    return AnalysisReport(
-        block=cf.quotients,
-        reduced=cf.reduced,
-        quad=(q.P, q.D, q.Q),
-        analysis=analysis,
-        critical=tuple(detail(k) for k in analysis.critical_indices),
-        subcritical=tuple(detail(k) for k in analysis.subcritical_indices),
-        classification=verdict,
-        oracle=oracle,
-    )
+    return AnalysisReport(cf.quotients, cf.reduced, (q.P, q.D, q.Q), analysis, critical,
+                          subcritical, verdict, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +227,6 @@ def sym_str(v):
 
 
 _BOOL = {False: "false", True: "true"}
-
-
-def _classification_json(c: Classification) -> str:
-    kind = _KIND[type(c)]
-    if isinstance(c, Aperiodic):
-        steps = ",".join([f"[{k},{r}]" for k, r in c.cascade])
-        return f'{{"cascade":[{steps}],"first_critical":{c.first_critical},"kind":"{kind}"}}'
-    if isinstance(c, Periodic2L):
-        return f'{{"kind":"{kind}","period":{c.period},"witness":{c.witness}}}'
-    return f'{{"kind":"{kind}","period":{c.period}}}'
 
 
 def _classification_from_dict(d) -> Classification:
@@ -304,18 +290,24 @@ def report_from_dict(d: dict) -> AnalysisReport:
 
 
 def report_to_json(rep: AnalysisReport) -> str:
-    a = rep.analysis
+    a, c = rep.analysis, rep.classification
     (x, y), (u, v) = a.U
     P, D, Q = rep.quad
+    kind = _KIND[type(c)]
+    if isinstance(c, Aperiodic):
+        steps = ",".join([f"[{_str(k)},{r}]" for k, r in c.cascade])
+        verdict = f'{{"cascade":[{steps}],"first_critical":{c.first_critical},"kind":"{kind}"}}'
+    elif isinstance(c, Periodic2L):
+        verdict = f'{{"kind":"{kind}","period":{c.period},"witness":{c.witness}}}'
+    else:
+        verdict = f'{{"kind":"{kind}","period":{c.period}}}'
     return (f'{{"L":{a.period},"U":[["{_str(x)}","{_str(y)}"],["{_str(u)}","{_str(v)}"]],'
             f'"block":{_ints(rep.block)},"certified":{_BOOL[a.certified]},'
-            f'"classification":{_classification_json(rep.classification)},'
-            f'"critical":[{_details_json(rep.critical)}],"e":{a.e},'
+            f'"classification":{verdict},"critical":[{_details_json(rep.critical)}],"e":{a.e},'
             f'"l":{len(rep.block)},"m":{a.m},"oracle":{_oracle_json(rep.oracle)},'
             f'"precision":{_str(a.precision)},'
             f'"quad":{{"D":"{_str(D)}","P":"{_str(P)}","Q":"{_str(Q)}"}},'
-            f'"reduced":{_BOOL[rep.reduced]},'
-            f'"subcritical":[{_details_json(rep.subcritical)}]}}')
+            f'"reduced":{_BOOL[rep.reduced]},"subcritical":[{_details_json(rep.subcritical)}]}}')
 
 
 def report_to_dict(rep: AnalysisReport) -> dict:
@@ -331,24 +323,22 @@ def report_from_json(text: str) -> AnalysisReport:
     return report_from_dict(json.loads(text, parse_int=_int))
 
 
-def _classification_text(c: Classification):
-    if isinstance(c, PeriodicL):
-        return f"purely periodic, period {c.period}"
-    if isinstance(c, Periodic2L):
-        return f"purely periodic, period {c.period} (doubled), witness k={c.witness}"
-    steps = " ".join(f"({k},{r})" for k, r in c.cascade)
-    return f"aperiodic, first critical k={c.first_critical}; cascade {steps}"
-
-
 def _details_text(items):
     return "; ".join(f"k={c.k}: s={_str(c.s)}, t={_str(c.t)}, v2(t)={c.v2_t}"
                      for c in items) or "(none)"
 
 
 def report_to_text(rep: AnalysisReport) -> str:
-    a = rep.analysis
+    a, c = rep.analysis, rep.classification
     u16 = [[x % 16 for x in row] for row in a.U]
     P, D, Q = rep.quad
+    if isinstance(c, PeriodicL):
+        verdict = f"purely periodic, period {c.period}"
+    elif isinstance(c, Periodic2L):
+        verdict = f"purely periodic, period {c.period} (doubled), witness k={c.witness}"
+    else:
+        steps = " ".join(f"({_str(k)},{r})" for k, r in c.cascade)
+        verdict = f"aperiodic, first critical k={c.first_critical}; cascade {steps}"
     lines = [
         f"block            [{','.join(map(_str, rep.block))}]  (length {len(rep.block)})",
         f"value            ({_str(P)} + sqrt({_str(D)})) / {_str(Q)}",
@@ -359,7 +349,7 @@ def report_to_text(rep: AnalysisReport) -> str:
         f"U mod 16         {u16}",
         f"critical         {_details_text(rep.critical)}",
         f"subcritical      {_details_text(rep.subcritical)}",
-        f"classification   {_classification_text(rep.classification)}",
+        f"classification   {verdict}",
     ]
     if rep.reduced:
         lines.insert(1, "note             input block was reduced to its minimal period")
@@ -385,7 +375,7 @@ def report_to_csv(rep: AnalysisReport) -> str:
         getattr(c, "first_critical", ""),
         " ".join(str(d.k) for d in rep.critical),
         " ".join(str(d.k) for d in rep.subcritical),
-        " ".join(f"{k}:{r}" for k, r in getattr(c, "cascade", ())),
+        " ".join(f"{_str(k)}:{r}" for k, r in getattr(c, "cascade", ())),
     ]
     return _csv(header, [row])
 
@@ -538,14 +528,13 @@ def cmd_verify(args):
 
 
 def cmd_batch(args):
-    records = []
+    records, precision = [], args.precision
     for lineno, raw in enumerate(_read(args.input).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         try:
-            rep = build_report(parse_block(line), precision=args.precision)
-            records.append((lineno, line, rep, None))
+            records.append((lineno, line, build_report(parse_block(line), precision), None))
         except KronseqError as exc:
             records.append((lineno, line, None, str(exc)))
 
@@ -554,14 +543,14 @@ def cmd_batch(args):
                            + (report_to_text(rep) if rep else f"error: {err}")
                            for lineno, line, rep, err in records)
 
-    def to_json():  # input and error are user text, escaped by json.dumps
-        import json
+    def to_json():  # input and error are user text, escaped as json.dumps escapes a str
+        from json.encoder import encode_basestring_ascii as quote
 
-        return "\n".join(
-            f'{{"input":{json.dumps(line)},"line":{lineno},"report":{report_to_json(rep)}}}'
+        return "\n".join([
+            f'{{"input":{quote(line)},"line":{lineno},"report":{report_to_json(rep)}}}'
             if rep else
-            f'{{"error":{json.dumps(err)},"input":{json.dumps(line)},"line":{lineno}}}'
-            for lineno, line, rep, err in records)
+            f'{{"error":{quote(err)},"input":{quote(line)},"line":{lineno}}}'
+            for lineno, line, rep, err in records])
 
     def to_csv():
         rows = []

@@ -1,7 +1,9 @@
 import importlib
+import inspect
 import itertools
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -864,12 +866,39 @@ def test_cascade_is_the_binary_expansion_of_a_2adic_root():
         checked += 1
 
 
+def line_runs(fn, markers, call):
+    """call(), and for each marker the number of times the one line of
+    fn's source holding it ran, counted with sys.settrace."""
+    lines, first = inspect.getsourcelines(fn)
+    at = []
+    for marker in markers:
+        found = [first + i for i, line in enumerate(lines) if marker in line]
+        assert len(found) == 1, (marker, found)
+        at += found
+    runs, code, saved = dict.fromkeys(at, 0), fn.__code__, sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno in runs:
+            runs[frame.f_lineno] += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        out = call()
+    finally:
+        sys.settrace(saved)
+    return out, [runs[n] for n in at]
+
+
 def test_cascade_cost_is_independent_of_depth(monkeypatch):
     # one attempt makes the two logarithmic powers, at most r0 squarings and
     # at most r0 column steps; the 2-adic root gives every later step, at any
     # depth.  The column walk it replaced made r_max squarings and depth - 1
     # column steps (398 and 199 here at depth 200).  Products, squarings and
-    # column steps are all counted.
+    # column steps are all counted: the calls of the cf helpers, and the
+    # runs of the two lines of _cascade's walk that square and step in place
     products = []
 
     def counted(original):
@@ -887,12 +916,17 @@ def test_cascade_cost_is_independent_of_depth(monkeypatch):
     counts = []
     for depth, precision in ((200, 512), (1000, 2048)):
         products.clear()
-        steps = cascade(cf, period, 7, depth, precision)
+        steps, (walk_squarings, walk_steps) = line_runs(
+            kronseq.analysis._cascade, ("T * a - 1", "a * s + b * t"),
+            lambda: cascade(cf, period, 7, depth, precision))
         assert len(steps) == depth
-        assert products.count("_square_mod") <= r0
-        assert products.count("_column_step") <= r0
-        assert len(products) <= 2 * r0 + 4 * (len(cf) + period.bit_length())
-        counts.append(products.count("_square_mod") + products.count("_column_step"))
+        squarings = walk_squarings + products.count("_square_mod")
+        column_steps = walk_steps + products.count("_column_step")
+        assert squarings <= r0
+        assert column_steps <= r0
+        assert len(products) + walk_squarings + walk_steps <= \
+            2 * r0 + 4 * (len(cf) + period.bit_length())
+        counts.append(squarings + column_steps)
     assert counts[0] == counts[1]
 
 
@@ -1102,6 +1136,26 @@ def test_switch_point_changes_no_step_or_error(monkeypatch):
                         (block, depth, precision, r0)
                     out_of_root_bits += bool(roots) and expected[0] is PrecisionExhausted
     assert out_of_root_bits > 100
+
+
+def test_a_far_next_step_goes_to_the_root(monkeypatch):
+    # t_2 of (2, 1, 2^N - 1, 1) is 2^N, so r_1 = N - 2 at k = 2 and the
+    # walk's next step is N - 2 squarings away: the depth-8 cascade hands
+    # over to the root there, though fewer than _ROOT_STEPS steps remain,
+    # and gives the column walk's steps, or its error, at every depth
+    roots = []
+    root = kronseq.analysis._root
+    monkeypatch.setattr(kronseq.analysis, "_root", lambda *a: roots.append(a) or root(*a))
+    for N in (19, 20, 40, 150, 300):
+        cf = block_cf((2, 1, 2**N - 1, 1))
+        a = analyze(cf)
+        assert a.critical_indices[0] == 2 and a.m + a.e == 2
+        for precision in (128, 512, 1024):
+            assert_cascade_matches_column_walk(cf, a.period, 2, precision, (1, 2, 8, 30))
+            roots.clear()
+            outcome(cascade, cf, a.period, 2, 8, precision)
+            assert len(roots) == (N < precision - 2), (N, precision)  # when r_1 resolves
+        assert classify(cf, analysis=a).cascade[0] == (2, N - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,11 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
     aperiodic = "1,2,1" + "0" * 4399 + "1"  # (1, 2, 10**4400 + 1)
     periodic = "1,2,1" + "0" * 4400  # (1, 2, 10**4400), period 36
     precision = "1" + "0" * 700
+    # t_2 = Q + 1 has v2 = 2200 while m + e = 2, so the depth-8 cascade's
+    # k_j reach about 2^2200 (663 digits): past the lowest limit only there
+    deep = f"2,1,{2**2200 - 1},1"
     path = tmp_path / "blocks.txt"
-    path.write_text(f"{aperiodic}\n{periodic}\n1,2,x\n")
+    path.write_text(f"{aperiodic}\n{periodic}\n1,2,x\n{deep}\n")
     formats = ("text", "json", "csv")
     argvs = [
         ["expand", "999", "--count", "1500", "--format", "csv"],  # t_1499: 4,497 digits
@@ -341,10 +344,12 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         ["cascade", periodic],  # exit 1, the block in the message
         ["verify", aperiodic, "--format", "json"],
         ["verify", periodic, "--max-period", "10", "--window", "30"],  # exit 1
+        *(["analyze", deep, "--format", f] for f in formats),
         *(["batch", str(path), "--format", f] for f in formats),
     ]
     rep = build_report((1, 2, 10**4400 + 1), precision=10**700)
     periodic_rep = build_report((1, 2, 10**4400))
+    deep_rep = build_report(parse_block(deep))
     P, D, Q = rep.quad
     # str() of a QuadIrrational whose D has 25,655 bits (7,723 digits)
     rng = random.Random(1)
@@ -359,7 +364,7 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         monkeypatch.setenv("KRONSEQ_PRECISION", precision)
         runs.append(run(capsys, ["analyze", aperiodic, "--format", "json"]))
         monkeypatch.delenv("KRONSEQ_PRECISION")
-        for r in (rep, negative):
+        for r in (rep, negative, deep_rep):
             text = report_to_json(r)
             assert report_from_json(text) == r
             assert report_from_dict(report_to_dict(r)) == r
@@ -380,6 +385,9 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         i = argvs.index(["cascade", "1,2,5", "--depth", "2500"])
         assert [code for code, *_ in expected[i:i + 2]] == [EXIT_OK, EXIT_OK]
         assert re.fullmatch(r"v2\(t_\d{1233}\) not resolvable at precision 4096", expected[-1])
+        i = argvs.index(["analyze", deep, "--format", "json"])
+        assert [code for code, *_ in expected[i - 1:i + 2]] == [EXIT_APERIODIC] * 3
+        assert max(k for k, _ in deep_rep.classification.cascade).bit_length() > 2200
         for limit in (640, 4300):
             set_limit(limit)
             assert outputs() == expected, limit

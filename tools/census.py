@@ -47,13 +47,13 @@ def blocks(max_len, max_quotient):
                 yield block
 
 
-def batch_json(path):
-    """The standard output of ``kronseq batch path --format json``, as
+def batch_output(path, fmt):
+    """The standard output of ``kronseq batch path --format fmt``, as
     bytes, from a fresh interpreter with the default precision."""
     env = {k: v for k, v in os.environ.items() if k != "KRONSEQ_PRECISION"}
     env["PYTHONPATH"] = str(SRC)
     done = subprocess.run([sys.executable, "-m", "kronseq.cli", "batch", str(path),
-                           "--format", "json"], capture_output=True, env=env, check=True)
+                           "--format", fmt], capture_output=True, env=env, check=True)
     return done.stdout
 
 
@@ -74,7 +74,7 @@ def census(max_len, max_quotient, path):
         except KronseqError as exc:
             failures.append((block, f"{type(exc).__name__}: {exc}"))
     Path(path).write_text("".join(f"{line}\n" for line in lines))
-    out = batch_json(path)
+    out = batch_output(path, "json")
     return counts, failures, hashlib.sha256(out).hexdigest(), len(out)
 
 
