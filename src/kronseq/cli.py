@@ -6,10 +6,10 @@ Exit codes are a stable contract:
      --depth, --window or --max-period below 1, a verify window too short
      for the periods it checks, a "-" block or a batch input that cannot
      be read or decoded, an --output path or a stdout that cannot be
-     written, a missing stdin or stdout among them, and any command line
-     the parser rejects)
-  2  parse errors (including a --precision or KRONSEQ_PRECISION below
-     8), and any other package error
+     written or cannot encode the text, a missing stdin or stdout among
+     them, and any command line the parser rejects)
+  2  parse errors (including a --precision below 8), and any other
+     package error
   3  aperiodic classification (analyze)
   4  oracle mismatch (verify)
 
@@ -110,8 +110,6 @@ FAILURES = (
     (OracleMismatch, EXIT_MISMATCH, "oracle mismatch: "),
     (KronseqError, EXIT_PARSE, "error: "),  # any other package error
 )
-
-PRECISION_ENV = "KRONSEQ_PRECISION"
 
 
 def parse_block(text: str) -> tuple[int, ...]:
@@ -417,7 +415,8 @@ def _write(name, text):
 
 def _emit(text, output=None):
     """Write text and a final newline to the path output, if any, else to
-    stdout; a path or stdout that cannot take it is a usage error."""
+    stdout; a path or stdout that cannot take it, or whose encoding cannot
+    hold it, is a usage error."""
     if not text.endswith("\n"):
         text += "\n"
     try:
@@ -425,7 +424,7 @@ def _emit(text, output=None):
             return _write("stdout", text)
         with open(output, "w") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise _UsageError(f"cannot write {output or 'stdout'}: {exc}") from exc
 
 
@@ -604,10 +603,12 @@ def _choice(raw, name, choices=("text", "json", "csv")):
 
 def _common(fmt="text"):
     return {"--format": (_choice, fmt, "{text,json,csv}", "output format"),
-            "--output": (lambda raw, name: None if raw == "-" else raw, None, "PATH", "file"),
-            "--precision": (_precision, None, "PRECISION", f"2-adic bits, >= {MIN_PRECISION} "
-                            f"(default ${PRECISION_ENV}, else {DEFAULT_PRECISION})")}
+            "--output": (lambda raw, name: None if raw == "-" else raw, None, "PATH", "file")}
 
+
+# the two commands that print U and u mod 2^precision
+_PRECISION = {"--precision": (_precision, DEFAULT_PRECISION, "PRECISION",
+                              f"2-adic bits, >= {MIN_PRECISION}")}
 
 _BLOCK = ("block", 'e.g. "1,2,3" or "[1,2,3]"; "-" reads stdin')
 
@@ -618,7 +619,8 @@ COMMANDS = {
     "expand": (cmd_expand, "convergents and their symbol sequences", _BLOCK,
                {"--count": (_count, 10, "COUNT", "terms to print"), **_common()}),
     "analyze": (cmd_analyze, "full period analysis and classification", _BLOCK,
-                {"--window": (_count, None, "WINDOW", "also run the oracle"), **_common()}),
+                {"--window": (_count, None, "WINDOW", "also run the oracle"),
+                 **_common(), **_PRECISION}),
     "cascade": (cmd_cascade, "witness cascade of an aperiodic block", _BLOCK,
                 {"--depth": (_count, DEFAULT_DEPTH, "DEPTH", "cascade steps"), **_common()}),
     "verify": (cmd_verify, "cross-check classification on a symbol window", _BLOCK, {
@@ -626,7 +628,8 @@ COMMANDS = {
                      f"oracle window length (default: {DEFAULT_WINDOW} or more)"),
         "--max-period": (_count, None, "MAX_PERIOD", "largest period tested"), **_common()}),
     "batch": (cmd_batch, "analyze one block per input line",  # machine records by default
-              ("input", 'one block per line, "#" comments; "-" reads stdin'), _common("json")),
+              ("input", 'one block per line, "#" comments; "-" reads stdin'),
+              {**_common("json"), **_PRECISION}),
 }
 _TOP = (None, "Kronecker symbol sequences of purely periodic continued fractions: convergents,\n"
         "period analysis, aperiodicity certificates.", ("command", "one of the commands below"), {})
@@ -728,9 +731,7 @@ class CommandLine:
 
 
 def build_parser() -> CommandLine:
-    """The parser of :func:`main`.  Its --precision default is None, which
-    main fills in per call, after parsing, from KRONSEQ_PRECISION, else
-    DEFAULT_PRECISION."""
+    """The parser of :func:`main`."""
     return CommandLine()
 
 
@@ -741,9 +742,6 @@ def main(argv=None) -> int:
     help, raise SystemExit instead."""
     try:
         args = build_parser().parse_args(argv)
-        if args.precision is None:  # the environment, read per call after parsing
-            raw = os.environ.get(PRECISION_ENV)
-            args.precision = DEFAULT_PRECISION if raw is None else _precision(raw, PRECISION_ENV)
         code, render = args.func(args)
         _emit(render[args.format](), args.output)
         return code

@@ -334,7 +334,7 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
         # U and u mod 2**precision are exact: up to 17,602 digits
         *(["analyze", aperiodic, "--precision", precision, "--format", f] for f in formats),
         *(["cascade", aperiodic, "--format", f] for f in formats),
-        ["cascade", "1,2,5", "--depth", "1500", "--precision", "8192", "--format", "json"],
+        ["cascade", "1,2,5", "--depth", "1500", "--format", "json"],
         # one attempt at 8,192 bits, k_j of up to 1,481 digits
         ["cascade", "1,2,5", "--depth", "2500"],
         # runs out at 4,096 bits on a t_k of 1,232 digits, and succeeds at 8,192
@@ -361,9 +361,6 @@ def test_long_integers_print_and_read_alike_under_every_digit_limit(
 
     def outputs():
         runs = [run(capsys, argv) for argv in argvs]
-        monkeypatch.setenv("KRONSEQ_PRECISION", precision)
-        runs.append(run(capsys, ["analyze", aperiodic, "--format", "json"]))
-        monkeypatch.delenv("KRONSEQ_PRECISION")
         for r in (rep, negative, deep_rep):
             text = report_to_json(r)
             assert report_from_json(text) == r
@@ -779,22 +776,35 @@ def test_batch_unwritable_output_path(tmp_path, capsys, monkeypatch):
     assert err.startswith(f"cannot write {tmp_path}: ") and err.count("\n") == 1
 
 
-def test_env_precision_override(capsys, monkeypatch):
-    monkeypatch.setenv("KRONSEQ_PRECISION", "256")
-    code, out, _ = run(capsys, ["analyze", "1,2,3", "--format", "json"])
-    assert json.loads(out)["precision"] == 256
+def test_env_precision_is_not_read(capsys, monkeypatch):
+    # KRONSEQ_PRECISION sets nothing: a report prints precision 128, on
+    # every call, whatever the variable holds
+    argv = ["analyze", "1,2,3", "--format", "json"]
+    unset = run(capsys, argv)
+    assert json.loads(unset[1])["precision"] == 128
+    for value in ("256", "8", "4", "bogus", "", "256"):
+        monkeypatch.setenv("KRONSEQ_PRECISION", value)
+        assert run(capsys, argv) == unset, value
 
 
 def test_env_precision_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("KRONSEQ_PRECISION", "bogus")
-    code, _, err = run(capsys, ["analyze", "1,2,3"])
-    assert code == EXIT_PARSE
+    # an invalid KRONSEQ_PRECISION fails no command: each gives the exit
+    # code and bytes it gives with the variable unset
+    for argv in (["expand", "1,2,5"], ["analyze", "1,2,5"], ["cascade", "1,2,5"],
+                 ["verify", "1,2,3"], ["batch", "-", "--format", "text"]):
+        runs = []
+        for value in (None, "bogus", "4"):
+            if value is not None:
+                monkeypatch.setenv("KRONSEQ_PRECISION", value)
+            monkeypatch.setattr(sys, "stdin", io.StringIO("1,2,5\n2,2\n"))
+            runs.append(run(capsys, argv))
+        monkeypatch.delenv("KRONSEQ_PRECISION")
+        assert runs[0][2] == "" and runs == [runs[0]] * 3, argv
 
 
 def test_flag_precision_and_help_beat_an_invalid_env_precision(capsys, monkeypatch):
-    # the environment is read after parsing, and only when --precision is
-    # absent, so neither --precision nor -h reads it, and a bad command
-    # line is a usage error first
+    # with the variable invalid, --precision sets the precision, -h prints
+    # help and a bad command line is a usage error: nothing reads it
     monkeypatch.setenv("KRONSEQ_PRECISION", "abc")
     code, out, err = run(capsys, ["analyze", "1,2,5", "--precision", "64", "--format", "json"])
     assert (code, err) == (EXIT_APERIODIC, "")
@@ -819,10 +829,17 @@ def test_flag_precision_and_help_beat_an_invalid_env_precision(capsys, monkeypat
 ], ids=["analyze-aperiodic", "analyze-periodic", "analyze-window", "cascade",
         "verify-aperiodic", "verify-periodic", "batch"])
 def test_huge_precision_prints_as_at_128_bits(capsys, monkeypatch, argv, source):
-    # U is exact below the bits of s_{L-1}, and neither the cascade nor the
-    # oracle reads the precision, so 10**20 bits print what 128 bits do, but
-    # for the printed precision
+    # U is exact below the bits of s_{L-1}, so a --precision of 10**20 bits
+    # prints what 128 bits do, but for the printed precision; cascade and
+    # verify print no U and refuse the flag at any value, and the
+    # environment is not read, so 10**20 there prints what 128 does
     huge = 10**20
+    if source == "flag" and argv[0] in ("cascade", "verify"):
+        for precision in (128, huge):
+            code, err = run_to_exit(capsys, [*argv, "--precision", str(precision)])
+            assert code == EXIT_USAGE
+            assert err.endswith(f"kronseq: error: unrecognized arguments: --precision {precision}\n")
+        return
     runs = []
     for precision in (128, huge):
         monkeypatch.setattr(sys, "stdin", io.StringIO("1,2,5\n2,2\nnot-a-block\n"))
@@ -830,19 +847,19 @@ def test_huge_precision_prints_as_at_128_bits(capsys, monkeypatch, argv, source)
             monkeypatch.setenv("KRONSEQ_PRECISION", str(precision))
             runs.append(run(capsys, argv))
         else:
-            monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
             runs.append(run(capsys, [*argv, "--precision", str(precision)]))
     (code, out, err), (huge_code, huge_out, huge_err) = runs
     assert (huge_code, huge_err) == (code, err)
-    assert huge_out == out.replace('"precision":128', f'"precision":{huge}')
+    printed = huge if source == "flag" else 128
+    assert huge_out == out.replace('"precision":128', f'"precision":{printed}')
     assert out.count('"precision":128') == {"analyze": 1, "batch": 2}.get(argv[0], 0)
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_cascade_width_follows_the_depth_at_every_precision(capsys, monkeypatch, source):
-    # depth 2500 of (1,2,5) predicts 2 + 2*2500 + 3 = 5005 bits: at every
-    # precision, from the flag or the environment, one attempt at 8192 bits
-    # and the same bytes, exit 0
+    # depth 2500 of (1,2,5) predicts 2 + 2*2500 + 3 = 5005 bits: with the
+    # environment at any precision, one attempt at 8192 bits and the same
+    # bytes, exit 0; the flag, at any precision, is refused before any attempt
     argv = ["cascade", "1,2,5", "--depth", "2500", "--format", "json"]
     precisions = []
     original = kronseq.analysis._cascade
@@ -854,13 +871,15 @@ def test_cascade_width_follows_the_depth_at_every_precision(capsys, monkeypatch,
             monkeypatch.setenv("KRONSEQ_PRECISION", str(precision))
             runs.append((run(capsys, argv), precisions[:]))
         else:
-            monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
-            runs.append((run(capsys, [*argv, "--precision", str(precision)]), precisions[:]))
+            code, err = run_to_exit(capsys, [*argv, "--precision", str(precision)])
+            assert (code, precisions) == (EXIT_USAGE, [])
+            assert err.endswith(f"unrecognized arguments: --precision {precision}\n")
         precisions.clear()
-    (code, out, err), attempts = runs[0]
-    assert (code, err, attempts) == (EXIT_OK, "", [8192])
-    assert len(json.loads(out)["cascade"]) == 2500
-    assert all(r == runs[0] for r in runs)
+    if source == "env":
+        (code, out, err), attempts = runs[0]
+        assert (code, err, attempts) == (EXIT_OK, "", [8192])
+        assert len(json.loads(out)["cascade"]) == 2500
+        assert all(r == runs[0] for r in runs)
 
 
 def test_help_names_every_command_and_option(capsys):
@@ -907,8 +926,11 @@ def test_explicit_double_dash_value_is_read_as_text(capsys, argv, error):
 
 def test_build_parser_reads_options_as_main_does():
     args = kronseq.cli.build_parser().parse_args(["cascade", "--dep=5", "--", "1,2,5"])
-    assert (args.func, args.block, args.depth, args.format, args.output, args.precision) \
-        == (kronseq.cli.cmd_cascade, "1,2,5", 5, "text", None, None)
+    assert vars(args) == {"func": kronseq.cli.cmd_cascade, "block": "1,2,5", "depth": 5,
+                          "format": "text", "output": None}
+    args = kronseq.cli.build_parser().parse_args(["batch", "-", "--prec", "64"])
+    assert vars(args) == {"func": kronseq.cli.cmd_batch, "input": "-", "format": "json",
+                          "output": None, "precision": 64}
 
 
 def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch):
@@ -921,6 +943,33 @@ def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err == "cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_output_the_stream_cannot_encode_is_a_usage_error(capsys, monkeypatch):
+    # Arabic-Indic digits are decimal, so "\u0661,\u0662" is the block (1, 2),
+    # and a batch CSV writes its input line back, which ASCII cannot encode
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\u0661,\u0662\n"))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    code, err = run_to_exit(capsys, ["batch", "-", "--format", "csv"])
+    assert code == EXIT_USAGE
+    assert err.startswith("cannot write stdout: 'ascii' codec can't encode ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the C locale")
+def test_output_file_the_locale_cannot_encode_is_a_usage_error(tmp_path):
+    # in the C locale, without UTF-8 mode, files are written in ASCII
+    src = str(Path(kronseq.__file__).resolve().parents[1])
+    target = tmp_path / "out.txt"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+         "from kronseq.cli import main; sys.exit(main())", src,
+         "batch", "-", "--format", "text", "--output", str(target)],
+        input="\u0661,\u0662\n".encode(), capture_output=True, timeout=60,
+        env={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})
+    err = done.stderr.decode()
+    assert done.returncode == EXIT_USAGE, err
+    assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
@@ -962,7 +1011,6 @@ def test_console_with_a_closed_or_failing_stream(monkeypatch, redirect, argv, co
     # -I ignores PYTHONUNBUFFERED, so the streams are buffered as in plain use
     if "/dev/full" in redirect and not Path("/dev/full").exists():
         pytest.skip("needs /dev/full")
-    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
     src = str(Path(kronseq.__file__).resolve().parents[1])
     done = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-I", "-c",
                            "import sys; sys.path.insert(0, sys.argv.pop(1)); "
@@ -981,13 +1029,6 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["no-such-command"])
     assert ei.value.code == EXIT_USAGE
-
-
-def test_flag_precision_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("KRONSEQ_PRECISION", "256")
-    code, out, _ = run(capsys, ["analyze", "1,2,3", "--format", "json",
-                                "--precision", "64"])
-    assert json.loads(out)["precision"] == 64
 
 
 # ---------------------------------------------------------------------------
@@ -1182,6 +1223,15 @@ def test_precision_below_eight_is_parse_error(capsys):
     assert "--precision" in err
 
 
+@pytest.mark.parametrize("argv", [["expand", "1,2,5"], ["cascade", "1,2,5"], ["verify", "1,2,3"]])
+def test_precision_is_an_option_of_analyze_and_batch_only(capsys, argv):
+    # the commands that print no U take no --precision, nor a prefix of it
+    for flag in ("--precision", "--prec"):
+        code, err = run_to_exit(capsys, [*argv, flag, "64"])
+        assert code == EXIT_USAGE
+        assert err.splitlines()[-1] == f"kronseq: error: unrecognized arguments: {flag} 64"
+
+
 def test_non_decimal_digit_is_parse_error(capsys, monkeypatch):
     code, err = run_to_exit(capsys, ["analyze", "1,\u00b2"])
     assert code == EXIT_PARSE and err.startswith("parse error: ")
@@ -1230,15 +1280,6 @@ def test_non_integer_counts_are_usage_errors(capsys, argv):
 
 # ---------------------------------------------------------------------------
 # nothing kept between calls
-
-def test_env_precision_read_on_every_call(capsys, monkeypatch):
-    monkeypatch.setenv("KRONSEQ_PRECISION", "256")
-    _, out, _ = run(capsys, ["analyze", "1,2,3", "--format", "json"])
-    assert json.loads(out)["precision"] == 256
-    monkeypatch.delenv("KRONSEQ_PRECISION")
-    _, out, _ = run(capsys, ["analyze", "1,2,3", "--format", "json"])
-    assert json.loads(out)["precision"] == 128
-
 
 @pytest.mark.parametrize("argv", [
     ["cascade", "1,2,5", "--depth", "40", "--format", "json"],
@@ -1289,9 +1330,8 @@ GOLDEN_BATCH = "# worked examples\n1,2,3\n1,2,5\n1,2,2\n2\n1\nnot-a-block\n"
 GOLDEN_DIGEST = "9bc85856343df14487add8aef8273a8fa79a3f5beaf6260dc2404f61ea152884"
 
 
-def test_golden_digest_of_every_command_and_format(capsys, monkeypatch):
-    # SHA-256 over argv, exit code and stdout of 78 calls
-    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
+def golden_digest(capsys, monkeypatch):
+    """SHA-256 over argv, exit code and stdout of 78 calls."""
     digest = hashlib.sha256()
 
     def record(argv):
@@ -1304,7 +1344,18 @@ def test_golden_digest_of_every_command_and_format(capsys, monkeypatch):
                 record([command[0], block, *command[1:], "--format", fmt])
         monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN_BATCH))
         record(["batch", "-", "--format", fmt])
-    assert digest.hexdigest() == GOLDEN_DIGEST
+    return digest.hexdigest()
+
+
+def test_golden_digest_of_every_command_and_format(capsys, monkeypatch):
+    assert golden_digest(capsys, monkeypatch) == GOLDEN_DIGEST
+
+
+def test_golden_digest_whatever_the_environment_holds(capsys, monkeypatch):
+    # the output depends on argv and the input alone
+    for value in ("4", "256"):
+        monkeypatch.setenv("KRONSEQ_PRECISION", value)
+        assert golden_digest(capsys, monkeypatch) == GOLDEN_DIGEST, value
 
 
 # verify on long windows: four periodic seed-0 bench blocks, and four
@@ -1317,7 +1368,6 @@ LONG_WINDOW_DIGEST = "81face7d7893333cdf287971a4929707f94d701aab34d759f02fd80f0d
 
 def test_long_window_verify_digest(capsys, monkeypatch):
     # SHA-256 over argv, exit code and stdout of 16 calls
-    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
     digest = hashlib.sha256()
     for fmt in ("json", "text"):
         for block in LONG_WINDOW_BLOCKS:
@@ -1338,7 +1388,6 @@ REDUCED_DIGEST = "4dd9fcea5e6601969887327b4d5d7fbb863ce0b660b692f4ec41a0ccf7b5ea
 
 def test_reduced_input_digest(capsys, monkeypatch):
     # SHA-256 over argv, exit code and stdout of 39 calls
-    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
     digest = hashlib.sha256()
 
     def record(argv):
@@ -1364,7 +1413,7 @@ ARGV_OPTIONS = {"expand": ("--count",), "analyze": ("--window",), "cascade": ("-
 ARGV_VALUES = {"--count": ("5", "3"), "--window": ("80", "60"), "--depth": ("5", "3"),
                "--max-period": ("4", "8"), "--format": ("text", "json"),
                "--output": ("unused.txt", "-"), "--precision": ("256", "64")}
-ARGV_DIGEST = "de5886d1c7eda4c118d2f9f3b199d466401a18772e5c12a82746f45eaa48d415"
+ARGV_DIGEST = "3a05ebd31900f47636f4b5596fb31958085f895b8c300c60fc009aed50ff2b04"
 
 
 def argv_corpus():
@@ -1417,7 +1466,6 @@ def argv_digest():
 
 
 def test_argv_digest_of_every_option_form_and_error(monkeypatch, tmp_path):
-    monkeypatch.delenv("KRONSEQ_PRECISION", raising=False)
     monkeypatch.chdir(tmp_path)
     digest, calls = argv_digest()
     assert calls >= 300

@@ -49,9 +49,8 @@ def blocks(max_len, max_quotient):
 
 def batch_output(path, fmt):
     """The standard output of ``kronseq batch path --format fmt``, as
-    bytes, from a fresh interpreter with the default precision."""
-    env = {k: v for k, v in os.environ.items() if k != "KRONSEQ_PRECISION"}
-    env["PYTHONPATH"] = str(SRC)
+    bytes, from a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-m", "kronseq.cli", "batch", str(path),
                            "--format", fmt], capture_output=True, env=env, check=True)
     return done.stdout
