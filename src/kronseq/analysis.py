@@ -62,7 +62,9 @@ A = [[113, 80], [24, 17]], (delta/gamma) = (17/24) = -1.
 Periodic-case period claims are made at the certified base, the smallest
 admissible L that is also a Jacobi period.  By (5) it is L4 when the
 Kronecker symbol (s_{L4-1}/t_{L4-1}) is +1, and 2*L4 otherwise; no
-other multiple is ever needed.  At 2*L4, :func:`analyze` splits the
+other multiple is ever needed.  :func:`analyze` sorts the candidates by
+v2(t_{L4-1}) = m + e (fact (2)), so it knows the base before it splits
+anything, and splits one matrix: D(L4) at L4, and at 2*L4 only the
 exact square D(2L) = D(L)^2 of D(L), L = L4, which has determinant 1
 (fact (1)).  That split is the closed form of the one at L: D(2L) =
 (I + 2^m U)^2 = I + 2^(m+1) U' with U' = U + 2^(m-1) U^2, which is U
@@ -296,12 +298,12 @@ def _split(D, precision):
     return m, (((x >> m) & mask, (y >> m) & mask), (u & mask, (v >> m) & mask)), _v2(u)
 
 
-def _classes(candidates, m, e):
+def _classes(candidates, me):
     """The candidates of :func:`_walk` split by v2(t_k), in one pass: at
-    least m+e gives a critical index, exactly m+e-1 a subcritical one.
+    least me = m+e gives a critical index, exactly me-1 a subcritical one.
     Returns both index tuples and {k: (s_k, t_k)} over the two."""
     critical, subcritical, pairs = [], [], {}
-    sub = m + e - 1
+    sub = me - 1
     for k, w, s, t in candidates:
         if w >= sub:
             pairs[k] = s, t
@@ -336,32 +338,34 @@ def critical_scan(cf: PeriodicCF, period: int, m: int, e: int):
     _check_period(cf, period)
     candidates = [(k, _v2(t), s, t) for k, (s, t) in _pairs_at(cf, range(period)).items()
                   if s & 3 == 3 and not t & 1]
-    return _classes(candidates, m, e)[:2]
+    return _classes(candidates, m + e)[:2]
 
 
 def analyze(cf: PeriodicCF, precision: int = DEFAULT_PRECISION) -> PeriodAnalysis:
     """Period analysis underlying :func:`classify`.
 
     One exact walk of the first L4 convergents finds L4 (fact (1)) and
-    gives D(L4), hence (m, U, e), and the critical and subcritical
-    indices.  Critical indices are base-independent, so the aperiodic case
-    is reported at L4.  L4 is certified when the Kronecker symbol
-    f = (t_{L4-2}/t_{L4-1}), carried on the same walk, is +1 (fact (5));
-    when it is -1 and no critical index exists, the analysis is reported
-    at the certified length 2*L4, the base at which the period claims of
-    the classification actually hold.  Its decomposition is the split of
-    the exact square D(L4)^2 = D(2*L4), and it has no critical or
-    subcritical index (module docstring).  The same walk also gives the
-    exact data a report prints and a cascade starts from, kept as
-    ``walk``.
+    gives D(L4) and the candidates, which are sorted into critical and
+    subcritical indices by v2(t_{L4-1}) = m + e, the valuation of D(L4)'s
+    lower-left entry (fact (2)), before any split.  Critical indices are
+    base-independent, so the aperiodic case is reported at L4.  L4 is
+    certified when the Kronecker symbol f = (t_{L4-2}/t_{L4-1}), carried
+    on the same walk, is +1 (fact (5)); when it is -1 and no critical
+    index exists, the analysis is reported at the certified length 2*L4,
+    the base at which the period claims of the classification actually
+    hold.  Exactly one matrix is split into (m, U, e): D(L4) at L4, and
+    at 2*L4 only the exact square D(L4)^2 = D(2*L4), whose analysis has
+    no critical or subcritical index (module docstring).  The same walk
+    also gives the exact data a report prints and a cascade starts from,
+    kept as ``walk``.
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION}")
     L, D, block, candidates, f = _walk(cf)
-    m, U, e = _split(D, precision)
-    critical, subcritical, pairs = _classes(candidates, m, e)
+    critical, subcritical, pairs = _classes(candidates, _v2(D[2]))  # m + e, fact (2)
     certified = f == 1
     if critical or certified:
+        m, U, e = _split(D, precision)
         return PeriodAnalysis(L, m, U, e, critical, subcritical, precision, certified,
                               _Walked((block, D, pairs)))
     m, U, e = _split(_square_mod(D, -1), precision)
@@ -636,11 +640,14 @@ def _cascade(cf, period, start, depth, precision, D, x):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     mask = (1 << precision) - 1
-    a, b, c, d = P = tuple(v & mask for v in D)
+    a, b, c, d = D[0] & mask, D[1] & mask, D[2] & mask, D[3] & mask
     s, t = x[0] & mask, x[1] & mask
-    if not _is_identity_mod4(P):
+    # the tests of _is_identity_mod4 and _resolved_v2, in place
+    if (a & 3, b & 3, c & 3, d & 3) != (1, 0, 0, 1):
         raise ValueError(f"D({period}) is not the identity mod 4 for {cf}")
-    base = _resolved_v2(c, precision, period - 1)  # m + e
+    base = (c & -c).bit_length() - 1  # m + e, or -1 for c = 0
+    if not 0 <= base < precision - 2:
+        raise _unresolved(period - 1, precision)
     p_r = 0  # (a, b, c, d) = D(period)^(2^p_r)
     out = []
     k = start

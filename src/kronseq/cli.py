@@ -76,6 +76,7 @@ last error line, and that loads no module (the standard one loads
 from __future__ import annotations
 
 import errno
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -244,9 +245,7 @@ def _detail_from_dict(d):
     return ConvergentDetail(d["k"], _int(d["s"]), _int(d["t"]), d["v2_t"])
 
 
-def _oracle_json(o: PeriodReport | None) -> str:
-    if o is None:
-        return "null"
+def _oracle_json(o: PeriodReport) -> str:
     falsified = ",".join([f"[{p},[{i},{j}]]" for p, (i, j) in o.falsified_periods])
     period = "null" if o.empirical_period is None else o.empirical_period
     return (f'{{"agreement":{_BOOL[o.verdict_agreement]},"empirical_period":{period},'
@@ -288,6 +287,9 @@ def report_from_dict(d: dict) -> AnalysisReport:
 
 
 def report_to_json(rep: AnalysisReport) -> str:
+    """The report as compact JSON with sorted keys.  Most reports print no
+    pair and no oracle (no ``batch`` report has one), so an empty list
+    and the absent oracle are written as literal text."""
     a, c = rep.analysis, rep.classification
     (x, y), (u, v) = a.U
     P, D, Q = rep.quad
@@ -301,11 +303,14 @@ def report_to_json(rep: AnalysisReport) -> str:
         verdict = f'{{"kind":"{kind}","period":{c.period}}}'
     return (f'{{"L":{a.period},"U":[["{_str(x)}","{_str(y)}"],["{_str(u)}","{_str(v)}"]],'
             f'"block":{_ints(rep.block)},"certified":{_BOOL[a.certified]},'
-            f'"classification":{verdict},"critical":[{_details_json(rep.critical)}],"e":{a.e},'
-            f'"l":{len(rep.block)},"m":{a.m},"oracle":{_oracle_json(rep.oracle)},'
+            f'"classification":{verdict},'
+            f'"critical":[{_details_json(rep.critical) if rep.critical else ""}],"e":{a.e},'
+            f'"l":{len(rep.block)},"m":{a.m},'
+            f'"oracle":{"null" if rep.oracle is None else _oracle_json(rep.oracle)},'
             f'"precision":{_str(a.precision)},'
             f'"quad":{{"D":"{_str(D)}","P":"{_str(P)}","Q":"{_str(Q)}"}},'
-            f'"reduced":{_BOOL[rep.reduced]},"subcritical":[{_details_json(rep.subcritical)}]}}')
+            f'"reduced":{_BOOL[rep.reduced]},'
+            f'"subcritical":[{_details_json(rep.subcritical) if rep.subcritical else ""}]}}')
 
 
 def report_to_dict(rep: AnalysisReport) -> dict:
@@ -439,10 +444,16 @@ def _say(text):
 
 def _read(path):
     """The text at path, stdin for "-"; a path that cannot be read or
-    decoded is a usage error."""
+    decoded is a usage error.  stdin's bytes are decoded in its encoding
+    as a file's are, strictly and with universal newlines, not with the
+    ``surrogateescape`` handler Python gives stdin in the C locale; a text
+    stdin with no bytes under it (``io.StringIO``) is read as text."""
     try:
         if path == "-":
-            return _std("stdin").read()
+            stream = _std("stdin")
+            if (buffer := getattr(stream, "buffer", None)) is None:
+                return stream.read()
+            return io.TextIOWrapper(io.BytesIO(buffer.read()), stream.encoding).read()
         with open(path) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:

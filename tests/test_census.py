@@ -5,6 +5,9 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import kronseq.analysis
+from kronseq import analyze, normalize_period
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "census.py"
 spec = importlib.util.spec_from_file_location("census", TOOL)
 census = importlib.util.module_from_spec(spec)
@@ -40,3 +43,16 @@ def test_census_slice_is_cross_checked_and_pinned(tmp_path):
     for fmt, pinned in SLICE_RENDERINGS.items():
         out = census.batch_output(path, fmt)
         assert (hashlib.sha256(out).hexdigest(), len(out)) == pinned, fmt
+
+
+def test_analyze_splits_once_per_block(monkeypatch):
+    # the report's base is decided from v2(t_{L4-1}) = m + e before any
+    # split, so a block reported at 2*L4 splits only the square of D(L4)
+    calls = []
+    split = kronseq.analysis._split
+    monkeypatch.setattr(kronseq.analysis, "_split",
+                        lambda D, precision: calls.append(D) or split(D, precision))
+    blocks = list(census.blocks(4, 5))
+    for block in blocks:
+        analyze(normalize_period(block))
+    assert len(blocks) == 745 and len(calls) == 745

@@ -661,18 +661,19 @@ def test_batch_missing_file(capsys):
 
 
 def test_batch_undecodable_file(tmp_path, capsys, monkeypatch):
-    # a file that is not UTF-8 cannot be read, like a missing one; so
-    # cannot stdin on a host that decodes it strictly
+    # a file that is not UTF-8 cannot be read, like a missing one; nor can
+    # stdin, whatever error handler the stream itself was opened with
     path = tmp_path / "blocks.txt"
     path.write_bytes(b"1,2\n\xff\xfe\n")
     code, out, err = run(capsys, ["batch", str(path)])
     assert code == EXIT_USAGE and out == ""
     assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()),
-                                                      encoding="utf-8", errors="strict"))
-    code, out, err = run(capsys, ["batch", "-"])
-    assert code == EXIT_USAGE and out == ""
-    assert err.startswith("cannot read -: ") and err.count("\n") == 1
+    for errors in ("strict", "surrogateescape"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()),
+                                                          encoding="utf-8", errors=errors))
+        code, out, err = run(capsys, ["batch", "-"])
+        assert code == EXIT_USAGE and out == "", errors
+        assert err.startswith("cannot read -: ") and err.count("\n") == 1, errors
 
 
 def test_batch_csv(tmp_path, capsys):
@@ -958,7 +959,8 @@ def test_output_the_stream_cannot_encode_is_a_usage_error(capsys, monkeypatch):
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs the C locale")
 def test_output_file_the_locale_cannot_encode_is_a_usage_error(tmp_path):
-    # in the C locale, without UTF-8 mode, files are written in ASCII
+    # in the C locale, without UTF-8 mode, files are written in ASCII;
+    # PYTHONIOENCODING lets stdin read the line as UTF-8
     src = str(Path(kronseq.__file__).resolve().parents[1])
     target = tmp_path / "out.txt"
     done = subprocess.run(
@@ -966,10 +968,37 @@ def test_output_file_the_locale_cannot_encode_is_a_usage_error(tmp_path):
          "from kronseq.cli import main; sys.exit(main())", src,
          "batch", "-", "--format", "text", "--output", str(target)],
         input="\u0661,\u0662\n".encode(), capture_output=True, timeout=60,
-        env={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})
+        env={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+             "PYTHONIOENCODING": "utf-8"})
     err = done.stderr.decode()
     assert done.returncode == EXIT_USAGE, err
     assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the C locale")
+@pytest.mark.parametrize("argv", [["batch", "-"], ["batch", "FILE"], ["analyze", "-"]])
+def test_stdin_decodes_like_a_file(tmp_path, argv):
+    # in the C locale, without UTF-8 mode, Python reads stdin with the
+    # surrogateescape handler and files strictly; "-" fails as a file does,
+    # with the same decoder message, and in UTF-8 mode both read (1, 2)
+    src = str(Path(kronseq.__file__).resolve().parents[1])
+    path = tmp_path / "blocks.txt"
+    path.write_bytes("\u0661,\u0662\n".encode())
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+            "from kronseq.cli import main; sys.exit(main())")
+    for env, expected in (({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                           EXIT_USAGE), ({"PYTHONUTF8": "1"}, EXIT_OK)):
+        with open(path, "rb") as stdin:
+            done = subprocess.run([sys.executable, "-c", code, src, *argv, "--format", "csv"],
+                                  stdin=stdin, capture_output=True, timeout=60, env=env)
+        err = done.stderr.decode()
+        assert done.returncode == expected, (env, err)
+        if expected == EXIT_USAGE:
+            assert err == (f"cannot read {argv[1]}: 'ascii' codec can't decode byte 0xd9 "
+                           "in position 0: ordinal not in range(128)\n"), err
+        else:
+            assert err == "" and b"periodic-L" in done.stdout, done.stdout
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
